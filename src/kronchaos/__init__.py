@@ -53,11 +53,9 @@ from .bounds import (
     MomentValue,
     NormTableRow,
     build_reduced_array,
-    build_reduced_array_diag,
     check_gram_norm_bounds,
     check_symmetry,
     compare_norm_deviation,
-    expected_chaos,
     main_norm_table,
     moments_to_tail,
     mp_decoupled,
@@ -73,20 +71,15 @@ from .identities import (
     backbone_pairs,
     backbone_term,
     chaos_quadratic,
-    semi_decoupled_term,
 )
 from .montecarlo import (
     DistributionSpec,
     EmpiricalMoment,
     FactorSampler,
     SampleBatch,
-    chaos_statistic,
     distribution,
     estimate_lp,
     estimate_tail,
-    kronecker_vector,
-    norm_statistic,
-    sample_factors,
 )
 from .suites import (
     run_identity_suite,

@@ -1,50 +1,30 @@
-"""Array and matrix interchange.
+"""Matrix interchange and input digests.
 
-Arrays travel in a small self-describing text format: a header line, the
-per-axis sizes, then one value per line in row-major order (axis 1 slowest).
-Values are written as hex floats so the round trip is exact; the reader also
-accepts plain decimal tokens.  Matrices are read from CSV, one row per line,
-with the axis sizes supplied separately.
+Matrices are read from CSV, one row per line, with the axis sizes supplied
+separately; a value may be a decimal or a hex float, so exact values round
+trip.  :func:`array_digest` identifies an input array in report configs.
 """
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Dims, TensorArray
-
-_MAGIC = "kronchaos-array 1"
 
 
-def save_array(path, ta: TensorArray, fmt: str = "hex") -> None:
-    """Write a TensorArray to the text interchange format."""
-    if fmt not in ("hex", "repr"):
-        raise ShapeError(f"unknown format {fmt!r}")
-    lines = [_MAGIC, "dims " + " ".join(str(n) for n in ta.dims.sizes)]
-    for v in ta.flat:
-        lines.append(float(v).hex() if fmt == "hex" else repr(float(v)))
-    Path(path).write_text("\n".join(lines) + "\n")
+def array_digest(A) -> str:
+    """sha256 of an array's shape and float64 values."""
+    A = np.ascontiguousarray(A, dtype=np.float64)
+    h = hashlib.sha256(repr(A.shape).encode())
+    h.update(A.tobytes())
+    return h.hexdigest()
 
 
 def _parse_value(tok: str) -> float:
     return float.fromhex(tok) if ("0x" in tok or "0X" in tok) else float(tok)
-
-
-def load_array(path) -> TensorArray:
-    """Read a TensorArray from the text interchange format."""
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines or lines[0] != _MAGIC:
-        raise ShapeError(f"{path}: missing '{_MAGIC}' header")
-    if len(lines) < 2 or not lines[1].startswith("dims "):
-        raise ShapeError(f"{path}: missing dims line")
-    dims = Dims(int(tok) for tok in lines[1].split()[1:])
-    values = [_parse_value(tok) for tok in lines[2:]]
-    if len(values) != dims.total:
-        raise ShapeError(f"{path}: {len(values)} values for dims of total {dims.total}")
-    return TensorArray(dims, np.array(values))
 
 
 def load_matrix_csv(path) -> np.ndarray:

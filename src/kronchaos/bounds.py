@@ -13,44 +13,35 @@ values are reported, never asserted.
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ArgumentError, AxisSetError, DegenerateInputError, ShapeError
-from .identities import expected_quadratic
 from .norms import NormEstimate, NormOptions, DEFAULT_OPTIONS, norm_objective, tensor_norm
 from .partitions import Partition, partitions_into, subsets
 from .tensor import (
+    _LETTERS,
     ArrayLike,
     Dims,
     PartialArray,
     TensorArray,
     as_partial,
     doubled_order,
-    frobenius,
     rearrange_matrix,
 )
-
-_LETTERS = string.ascii_lowercase
 
 
 # ---------------------------------------------------------------------------
 # reduced arrays and symmetrization
 
 
-def expected_chaos(A: TensorArray) -> float:
-    """Sum of the entries at fully paired indices: the trace of the matrix form."""
-    return expected_quadratic(A)
-
-
 def build_reduced_array(A: TensorArray, I: Iterable[int]) -> PartialArray:
     """Partial trace of an order-2d array over the paired axes in I.
 
     The result lives on the surviving axes (I^c) u (I^c + d); I = [d] yields
-    the scalar :func:`expected_chaos`, I = empty returns the array unchanged.
+    the scalar :func:`identities.expected_quadratic`, I = empty returns the array unchanged.
     """
     d = doubled_order(A.dims)
     I = sorted(set(I))
@@ -63,34 +54,6 @@ def build_reduced_array(A: TensorArray, I: Iterable[int]) -> PartialArray:
     out = "".join(letters[l - 1] for l in keep)
     data = np.einsum("".join(letters) + "->" + out, A.data)
     return PartialArray(keep, [A.dims.size(l) for l in keep], data)
-
-
-def build_reduced_array_diag(A: TensorArray, I: Iterable[int], J: Iterable[int]) -> PartialArray:
-    """Reduced array that also restricts the pairs in J to their diagonal.
-
-    Sums over the paired axes in I \\ J and zeroes every entry whose J-pair
-    coordinates differ; J = empty coincides with :func:`build_reduced_array`.
-    """
-    d = doubled_order(A.dims)
-    I = frozenset(I)
-    J = frozenset(J)
-    if not J <= I:
-        raise AxisSetError(f"J = {sorted(J)} is not a subset of I = {sorted(I)}")
-    reduced = build_reduced_array(A, I - J)
-    if not J:
-        return reduced
-    data = reduced.data.copy()
-    for l in sorted(J):
-        n = reduced.size(l)
-        pos_a = reduced.axes.index(l)
-        pos_b = reduced.axes.index(l + d)
-        shape_a = [1] * reduced.order
-        shape_a[pos_a] = n
-        shape_b = [1] * reduced.order
-        shape_b[pos_b] = n
-        ar = np.arange(n)
-        data = data * (ar.reshape(shape_a) == ar.reshape(shape_b))
-    return PartialArray(reduced.axes, reduced.sizes, data)
 
 
 def _swap_axes_perm(d: int, I: Iterable[int]) -> list[int]:
@@ -162,15 +125,15 @@ def _collect_warnings(rows: Sequence[NormTableRow]) -> list[str]:
     return out
 
 
+def _partition_rows(B: PartialArray, I: tuple[int, ...], opts: NormOptions) -> list[NormTableRow]:
+    """Norms of B over every partition of its axes, by increasing block count."""
+    return [NormTableRow(I, P, kappa, tensor_norm(B, P, opts))
+            for kappa in range(1, B.order + 1) for P in partitions_into(B.axes, kappa)]
+
+
 def decoupled_norm_table(B: ArrayLike, opts: NormOptions | None = None) -> list[NormTableRow]:
     """Norms of an order-d array over every partition of its axes."""
-    pa = as_partial(B)
-    opts = opts or DEFAULT_OPTIONS
-    rows = []
-    for kappa in range(1, pa.order + 1):
-        for P in partitions_into(pa.axes, kappa):
-            rows.append(NormTableRow((), P, kappa, tensor_norm(pa, P, opts)))
-    return rows
+    return _partition_rows(as_partial(B), (), opts or DEFAULT_OPTIONS)
 
 
 def mp_decoupled(B: ArrayLike, p: float, opts: NormOptions | None = None,
@@ -183,18 +146,30 @@ def mp_decoupled(B: ArrayLike, p: float, opts: NormOptions | None = None,
     return MomentValue(p, 1.0, value, rows, warnings=_collect_warnings(rows))
 
 
+def _check_p_L(p: float, L: float) -> None:
+    """The range of p and of the subgaussian-norm bound L where the functionals apply."""
+    if p < 2:
+        raise ArgumentError(f"p = {p} must be >= 2")
+    if L < 1:
+        raise ArgumentError(f"L = {L} must be >= 1")
+
+
+def _kappa_sums(rows: Sequence[NormTableRow], d: int) -> dict[int, float]:
+    """Summed partition norms per block count kappa = 1..2d."""
+    sums = {k: 0.0 for k in range(1, 2 * d + 1)}
+    for row in rows:
+        sums[row.kappa] += row.value
+    return sums
+
+
 def main_norm_table(A: TensorArray, opts: NormOptions | None = None) -> list[NormTableRow]:
     """Norms of every reduced array over every partition of its surviving axes."""
     d = doubled_order(A.dims)
     opts = opts or DEFAULT_OPTIONS
     rows = []
     for I in subsets(range(1, d + 1)):
-        if len(I) == d:
-            continue
-        reduced = build_reduced_array(A, I)
-        for kappa in range(1, reduced.order + 1):
-            for P in partitions_into(reduced.axes, kappa):
-                rows.append(NormTableRow(I, P, kappa, tensor_norm(reduced, P, opts)))
+        if len(I) < d:
+            rows += _partition_rows(build_reduced_array(A, I), I, opts)
     return rows
 
 
@@ -206,17 +181,11 @@ def mp_main(A: TensorArray, p: float, L: float = 1.0, opts: NormOptions | None =
     every proper reduced array; block counts beyond the surviving order have
     no partitions and contribute nothing.
     """
-    if p < 2:
-        raise ArgumentError(f"p = {p} must be >= 2")
-    if L < 1:
-        raise ArgumentError(f"L = {L} must be >= 1")
+    _check_p_L(p, L)
     d = doubled_order(A.dims)
     rows = table if table is not None else main_norm_table(A, opts)
     value = L ** (2 * d) * sum(p ** (row.kappa / 2.0) * row.value for row in rows)
-    kappa_sums: dict[int, float] = {k: 0.0 for k in range(1, 2 * d + 1)}
-    for row in rows:
-        kappa_sums[row.kappa] += row.value
-    return MomentValue(p, L, value, rows, kappa_sums, _collect_warnings(rows))
+    return MomentValue(p, L, value, rows, _kappa_sums(rows, d), _collect_warnings(rows))
 
 
 def gram_norm_table(A: np.ndarray, dims: Dims, opts: NormOptions | None = None) -> list[NormTableRow]:
@@ -237,19 +206,14 @@ def mp_norm(A: np.ndarray, dims: Dims, p: float, L: float = 1.0,
     and p^(kappa/4) sqrt(m_kappa), where m_kappa sums the partition norms of
     the reduced Gram arrays; the total carries the L^(2d) factor.
     """
-    if p < 2:
-        raise ArgumentError(f"p = {p} must be >= 2")
-    if L < 1:
-        raise ArgumentError(f"L = {L} must be >= 1")
+    _check_p_L(p, L)
     A = np.asarray(A, dtype=np.float64)
     fro = float(np.linalg.norm(A))
     if fro == 0.0:
         raise DegenerateInputError("zero matrix")
     d = dims.order
     rows = table if table is not None else gram_norm_table(A, dims, opts)
-    kappa_sums: dict[int, float] = {k: 0.0 for k in range(1, 2 * d + 1)}
-    for row in rows:
-        kappa_sums[row.kappa] += row.value
+    kappa_sums = _kappa_sums(rows, d)
     value = L ** (2 * d) * sum(
         min(p ** (k / 2.0) * mk / fro, p ** (k / 4.0) * math.sqrt(mk))
         for k, mk in kappa_sums.items()

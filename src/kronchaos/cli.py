@@ -7,15 +7,19 @@ Subcommands:
   report   merge cached JSON reports into one text summary
 
 Exit codes: 0 pass (or inconclusive pass), 1 separated violation, 2 usage or
-input errors.  Reports land in one directory per configuration hash under the
-cache directory (flag --cache, else $KRONCHAOS_CACHE, else ./kronchaos-cache);
-report.json is deterministic for a fixed configuration and seed, timestamps
-live in a separate runinfo.json sidecar.
+input errors.  Reports land in one directory per key under the cache directory
+(flag --cache, else $KRONCHAOS_CACHE, else ./kronchaos-cache).  The key hashes
+the config, which holds a digest of the input and every option that changes a
+value, and a fingerprint of the package source.  report.json is deterministic
+for a fixed configuration and seed, and timestamps live in a separate
+runinfo.json sidecar.  Files are renamed into place once written, report.json
+last, so an interrupted run leaves no truncated report.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -25,15 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrayio import load_matrix_csv
-from .bounds import (
-    compute_bound_report,
-    gram_norm_table,
-    main_norm_table,
-    mp_main,
-    mp_norm,
-    tail_bound_ax,
-)
+from .arrayio import array_digest, load_matrix_csv
+from .bounds import compute_bound_report, main_norm_table
 from .errors import KronChaosError
 from .montecarlo import distribution
 from .norms import NormOptions
@@ -46,7 +43,7 @@ from .suites import (
     verify_main_lower,
     verify_main_upper,
 )
-from .tensor import Dims, rearrange_matrix
+from .tensor import Dims
 from .version import __version__
 
 SUITES = ("identities", "decoupling", "main-upper", "main-lower", "ax-tail",
@@ -97,8 +94,19 @@ def _cache_dir(args) -> Path:
     return Path(env) if env else Path("kronchaos-cache")
 
 
+@functools.lru_cache(maxsize=None)
+def _code_fingerprint() -> str:
+    """sha256 over the package's source files, computed on first use."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode())
+        h.update(hashlib.sha256(path.read_bytes()).digest())
+    return h.hexdigest()
+
+
 def _config_hash(config: dict) -> str:
-    canonical = json.dumps(config, sort_keys=True)
+    """Cache slot key: the config and the code that produced the report."""
+    canonical = json.dumps(config, sort_keys=True) + _code_fingerprint()
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
@@ -144,18 +152,31 @@ def report_to_csv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write a file durably under a temporary name, then rename it into place."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    with open(tmp, "w") as f:
+        f.write(text)
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(tmp, path)
+
+
 def write_report(report: dict, cache: Path, formats: list[str]) -> tuple[Path, bool]:
-    """Store a report under its config hash; existing reports are immutable."""
+    """Store a report under its config hash; existing reports are immutable.
+
+    report.json is written last, so a slot that has one is complete.
+    """
     slot = cache / _config_hash(report["config"])
     target = slot / "report.json"
     if target.exists():
         return slot, False
     slot.mkdir(parents=True, exist_ok=True)
-    target.write_text(_report_json(report))
     if "csv" in formats:
-        (slot / "report.csv").write_text(report_to_csv(report))
-    (slot / "runinfo.json").write_text(json.dumps(
+        _write_atomic(slot / "report.csv", report_to_csv(report))
+    _write_atomic(slot / "runinfo.json", json.dumps(
         {"written_at_unix": time.time(), "version": __version__}) + "\n")
+    _write_atomic(target, _report_json(report))
     return slot, True
 
 
@@ -176,6 +197,7 @@ def cmd_bounds(args) -> int:
 
     config = {
         "suite": "bounds", "version": __version__, "matrix": source,
+        "input_sha256": array_digest(A),
         "dims": list(dims.sizes), "p_grid": p_grid, "t_grid": t_grid,
         "L": args.L, "C_tail": args.C_tail, "seed": seed,
         "restarts": args.restarts, "threads": args.threads,
@@ -209,11 +231,7 @@ def cmd_verify(args) -> int:
         report = verify_gaussian_decoupling(a, p_grid or (2.0, 4.0, 8.0), S, seed)
     elif suite == "hanson-wright":
         dist = distribution(args.dist, args.q)
-        if args.matrix:
-            A, _ = _load_matrix(args, None, seed)
-        else:
-            n = args.n
-            A, _ = _load_matrix(args, Dims([n]), seed)
+        A, _ = _load_matrix(args, None if args.matrix else Dims([args.n]), seed)
         sigma = 2.0 * np.linalg.norm(A)  # rough scale of the centered statistic
         report = verify_hanson_wright(A, dist, t_grid or [0.5 * sigma, sigma, 2.0 * sigma],
                                       S, seed, args.c)

@@ -8,16 +8,13 @@ evaluators back both the exact identity suite and the Monte Carlo suites.
 
 from __future__ import annotations
 
-import string
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import AxisSetError, ShapeError
 from .partitions import subsets
-from .tensor import ArrayLike, PartialArray, as_partial
-
-_LETTERS = string.ascii_lowercase
+from .tensor import _LETTERS, ArrayLike, PartialArray, as_partial
 
 
 def _as_doubled(A: ArrayLike) -> tuple[np.ndarray, int]:
@@ -145,17 +142,18 @@ def coupled_expansion_sides(A: ArrayLike, factors: Sequence[np.ndarray]) -> tupl
     return lhs, chaos_quadratic(A, factors)
 
 
-def semi_decoupled_term(A: ArrayLike, I: Iterable[int], J: Iterable[int],
+def semi_decoupled_spec(d: int, I: Iterable[int], J: Iterable[int],
                         factors: Sequence[np.ndarray],
-                        factors_bar: Sequence[np.ndarray]) -> float:
-    """One semi-decoupled term of the decoupling inequality's right-hand side.
+                        factors_bar: Sequence[np.ndarray]) -> dict:
+    """:func:`pair_contraction` spec of one semi-decoupled term of the decoupling
+    inequality's right-hand side.
 
     Sums A over the diagonal of the pairs in I \\ J, weights the pairs in J by
     (x^2 - 1), and contracts the complement axes against x and the independent
     copy x_bar.  Well defined for every J subset of I; the decoupling bound
-    itself only sums the terms with I \\ J != [d].
+    itself only sums the terms with I \\ J != [d].  The factors may be single
+    vectors or batches of them, one row per sample.
     """
-    data, d = _as_doubled(A)
     I = frozenset(I)
     J = frozenset(J)
     if not J <= I or not I <= set(range(1, d + 1)):
@@ -168,37 +166,26 @@ def semi_decoupled_term(A: ArrayLike, I: Iterable[int], J: Iterable[int],
             spec[l] = ("tie_sum",)
         else:
             spec[l] = ("vec2", factors[l - 1], factors_bar[l - 1])
-    return pair_contraction(A, spec)
+    return spec
 
 
 def backbone_term(A: ArrayLike, I: Iterable[int], J: Iterable[int],
                   factors: Sequence[np.ndarray]) -> float:
     """The coupled term with pairwise-distinct off-diagonal coordinates.
 
-    Same as :func:`semi_decoupled_term` with factors_bar = factors, except the
-    complement axes are restricted to coordinate pairs with i_l != i'_l.
+    The semi-decoupled term with factors_bar = factors, except the complement
+    axes are restricted to coordinate pairs with i_l != i'_l.
     Summed over all valid (I, J) these terms reconstruct X^T A X exactly.
     """
     data, d = _as_doubled(A)
     I = frozenset(I)
-    J = frozenset(J)
-    if not J <= I or not I <= set(range(1, d + 1)):
-        raise AxisSetError(f"need J <= I <= [{d}], got I={sorted(I)}, J={sorted(J)}")
+    spec = semi_decoupled_spec(d, I, J, factors, factors)
     comp = sorted(set(range(1, d + 1)) - I)
     total = 0.0
     # inclusion-exclusion over which complement axes are forced onto the diagonal
     for K in subsets(comp):
-        spec = {}
-        for l in range(1, d + 1):
-            if l in J:
-                spec[l] = ("tie_weight", np.asarray(factors[l - 1]) ** 2 - 1.0)
-            elif l in I:
-                spec[l] = ("tie_sum",)
-            elif l in K:
-                spec[l] = ("tie_weight", np.asarray(factors[l - 1]) ** 2)
-            else:
-                spec[l] = ("vec2", factors[l - 1], factors[l - 1])
-        total += (-1) ** len(K) * pair_contraction(A, spec)
+        forced = {l: ("tie_weight", np.asarray(factors[l - 1]) ** 2) for l in K}
+        total += (-1) ** len(K) * pair_contraction(A, {**spec, **forced})
     return total
 
 

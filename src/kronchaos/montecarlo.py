@@ -22,7 +22,7 @@ from numpy.random import Generator, Philox
 from scipy.special import gammaln, ndtri
 
 from .errors import ArgumentError, ShapeError, SizeError
-from .identities import pair_contraction
+from .identities import pair_contraction, semi_decoupled_spec
 from .tensor import ArrayLike, Dims
 
 # Largest Kronecker vector the samplers will materialize.
@@ -30,9 +30,7 @@ KRON_MATERIALIZE_CAP = 2**26
 
 _MASK64 = (1 << 64) - 1
 
-# Stream-role constants; suites combine them with small per-role offsets.
-STREAM_FACTORS = 0x10
-STREAM_FACTORS_BAR = 0x20
+# Stream offset of the bootstrap resampling of a batch drawn on stream s: s + STREAM_BOOTSTRAP.
 STREAM_BOOTSTRAP = 0x30
 
 # Grid on which the subgaussian norms sup_p ||Y||_p / sqrt(p) were evaluated.
@@ -160,25 +158,6 @@ class FactorSampler:
         return [m[0] for m in self.batch(s, 1)]
 
 
-def sample_factors(dims: Dims, dist: DistributionSpec, seed: int,
-                   stream: int = STREAM_FACTORS, sample: int = 0) -> list[np.ndarray]:
-    """The d independent factor vectors of one sample."""
-    return FactorSampler(dims, dist, seed, stream).factors(sample)
-
-
-def kronecker_vector(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product of the factor vectors, built by outer-product expansion."""
-    total = 1
-    for f in factors:
-        total *= len(f)
-    if total > KRON_MATERIALIZE_CAP:
-        raise SizeError(f"Kronecker vector of length {total} exceeds {KRON_MATERIALIZE_CAP}")
-    x = np.asarray(factors[0], dtype=np.float64)
-    for f in factors[1:]:
-        x = (x[:, None] * np.asarray(f, dtype=np.float64)[None, :]).reshape(-1)
-    return x
-
-
 def kronecker_batch(factor_mats: Sequence[np.ndarray]) -> np.ndarray:
     """Row-wise Kronecker product: (S, n_1), ..., (S, n_d) -> (S, N)."""
     S = factor_mats[0].shape[0]
@@ -199,15 +178,6 @@ def _trace_reduced(A: np.ndarray) -> float:
     return float(np.add.reduce(np.ascontiguousarray(np.diagonal(A))))
 
 
-def chaos_statistic(A: np.ndarray, factors: Sequence[np.ndarray]) -> float:
-    """X^T A X - trace(A) for X the Kronecker product of the factors."""
-    A = np.asarray(A, dtype=np.float64)
-    x = kronecker_vector(factors)
-    if A.shape != (x.size, x.size):
-        raise ShapeError(f"matrix shape {A.shape} does not match N = {x.size}")
-    return float(np.add.reduce(x * (A @ x))) - _trace_reduced(A)
-
-
 def chaos_batch(A: np.ndarray, factor_mats: Sequence[np.ndarray]) -> np.ndarray:
     """Vector of chaos statistics across a sample batch."""
     A = np.asarray(A, dtype=np.float64)
@@ -215,17 +185,6 @@ def chaos_batch(A: np.ndarray, factor_mats: Sequence[np.ndarray]) -> np.ndarray:
     if A.shape != (X.shape[1], X.shape[1]):
         raise ShapeError(f"matrix shape {A.shape} does not match N = {X.shape[1]}")
     return np.add.reduce(X * (X @ A.T), axis=1) - _trace_reduced(A)
-
-
-def norm_statistic(A: np.ndarray, factors: Sequence[np.ndarray]) -> float:
-    """||A X||_2 - ||A||_F (signed; tail suites take the absolute value)."""
-    A = np.asarray(A, dtype=np.float64)
-    x = kronecker_vector(factors)
-    if A.shape[1] != x.size:
-        raise ShapeError(f"matrix has {A.shape[1]} columns, expected {x.size}")
-    y = A @ x
-    fro = math.sqrt(float(np.add.reduce((A * A).reshape(-1))))
-    return float(np.sqrt(np.add.reduce(y * y))) - fro
 
 
 def norm_batch(A: np.ndarray, factor_mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -243,19 +202,7 @@ def semi_decoupled_batch(A: ArrayLike, I, J,
                          factor_mats: Sequence[np.ndarray],
                          factor_bar_mats: Sequence[np.ndarray]) -> np.ndarray:
     """Semi-decoupled term values across a sample batch (one einsum)."""
-    I = frozenset(I)
-    J = frozenset(J)
-    d = len(factor_mats)
-    if not J <= I or not I <= set(range(1, d + 1)):
-        raise ArgumentError(f"need J <= I <= [{d}], got I={sorted(I)}, J={sorted(J)}")
-    spec = {}
-    for l in range(1, d + 1):
-        if l in J:
-            spec[l] = ("tie_weight", factor_mats[l - 1] ** 2 - 1.0)
-        elif l in I:
-            spec[l] = ("tie_sum",)
-        else:
-            spec[l] = ("vec2", factor_mats[l - 1], factor_bar_mats[l - 1])
+    spec = semi_decoupled_spec(len(factor_mats), I, J, factor_mats, factor_bar_mats)
     return pair_contraction(A, spec, batch=True)
 
 

@@ -20,13 +20,13 @@ import numpy as np
 
 from .errors import ArgumentError, AxisSetError, SizeError
 from .partitions import Partition
-from .tensor import ArrayLike, PartialArray, TensorArray, as_partial, doubled_order, frobenius
-
-_LETTERS = string.ascii_lowercase
+from .tensor import _LETTERS, ArrayLike, PartialArray, TensorArray, as_partial, doubled_order, frobenius
 
 # Grid size cap for the brute-force candidate product.
 _BRUTE_COMBO_CAP = 2_000_000
 _BRUTE_BLOCK_CAP = 16
+# Random unit candidates per block in the brute-force grid, halved until the grid fits the cap.
+_BRUTE_RANDOM = 32
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,6 @@ class NormOptions:
     seed: int = 0
     threads: int = 1
     keep_restarts: bool = False
-    brute_random: int = 32
     extra_inits: tuple = ()
 
     def __post_init__(self):
@@ -228,7 +227,7 @@ def _brute_estimate(pa: PartialArray, P: Partition, opts: NormOptions) -> NormEs
         raise ArgumentError(f"brute-force requires every block dimension product <= {_BRUTE_BLOCK_CAP}")
 
     rng = np.random.default_rng((opts.seed, 0x62727574))
-    n_random = opts.brute_random
+    n_random = _BRUTE_RANDOM
     while True:
         cand = []
         for m in sizes:

@@ -1,7 +1,8 @@
 """Verification suites: exact identities plus seeded Monte Carlo checks.
 
 Every suite returns a JSON-serializable report embedding its full
-configuration; identical configurations produce bit-identical reports.
+configuration, including a digest of its input array and every option that
+changes a value; identical configurations produce bit-identical reports.
 Inequality suites compare confidence bands and only fail on a separated
 violation: overlapping bands count as an inconclusive pass, flagged as such,
 because the underlying inequalities hold with unknown constants and sampling
@@ -11,13 +12,13 @@ noise must not raise false alarms.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .version import __version__
+from .arrayio import array_digest
 from .bounds import (
-    MomentValue,
     check_symmetry,
     hanson_wright_exponent,
     main_norm_table,
@@ -65,11 +66,41 @@ _STREAMS = {
     "hanson-wright": 0x0600,
 }
 
+# Smallest sample count per suite; the empirical estimators need 100.
+_MIN_SAMPLES = {"decoupling": 1000, "ax-tail": 10_000}
+
 
 def _config(suite: str, **kwargs) -> dict:
     cfg = {"suite": suite, "version": __version__}
     cfg.update(kwargs)
     return cfg
+
+
+def _check_samples(suite: str, S: int) -> None:
+    floor = _MIN_SAMPLES.get(suite, 100)
+    if S < floor:
+        raise PreconditionError(f"{suite} suite needs S >= {floor}, got {S}")
+
+
+def _norm_config(opts: NormOptions) -> dict:
+    """The NormOptions fields that change a norm value."""
+    return {"restarts": opts.restarts, "seed": opts.seed, "max_iter": opts.max_iter,
+            "tol": opts.tol}
+
+
+def _report(config: dict, status: str, flags: list[str],
+            sampled: np.ndarray | None = None, **body) -> dict:
+    """A Monte Carlo suite report.  With ``sampled``, the centered statistics
+    the report rests on, it carries their mean-sanity check, and a failed
+    check adds a flag."""
+    report = {"suite": config["suite"], "config": config, **body,
+              "status": status, "flags": flags}
+    if sampled is not None:
+        sanity = report["mean_sanity"] = _mean_sanity(sampled)
+        if not sanity["ok"]:
+            flags.append(f"mean sanity: |mean| = {abs(sanity['mean']):.3g} of the centered "
+                         f"statistic exceeds 5 std / sqrt(S) = {sanity['limit']:.3g}")
+    return report
 
 
 def _moment_dict(m: EmpiricalMoment) -> dict:
@@ -108,10 +139,6 @@ def _check_p_grid(p_grid: Sequence[float], low: float) -> list[float]:
     if not p_grid or any(not low <= p <= P_CAP for p in p_grid):
         raise PreconditionError(f"p grid must lie in [{low:g}, {P_CAP:g}], got {p_grid}")
     return p_grid
-
-
-def _moment_warnings(m: MomentValue) -> list[str]:
-    return list(dict.fromkeys(m.warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +217,7 @@ def verify_decoupling(A: np.ndarray, dims: Dims, dist: DistributionSpec,
     """Empirical check that the centered chaos L_p norm is bounded by the
     weighted sum of semi-decoupled term L_p norms."""
     p_grid = _check_p_grid(p_grid, 1.0)
-    if S < 1000:
-        raise PreconditionError(f"decoupling suite needs S >= 1000, got {S}")
+    _check_samples("decoupling", S)
     A = np.asarray(A, dtype=np.float64)
     d = dims.order
     base = _STREAMS["decoupling"]
@@ -228,27 +254,44 @@ def verify_decoupling(A: np.ndarray, dims: Dims, dist: DistributionSpec,
             "terms": term_rows, "verdict": verdict,
         })
 
-    status = _overall(r["verdict"] for r in results)
     flags = []
     for r in results:
         if r["verdict"] == "inconclusive":
             flags.append(f"p={r['p']:g}: LHS and RHS confidence bands overlap")
         elif r["verdict"] == "fail":
             flags.append(f"p={r['p']:g}: separated violation, LHS band above RHS band")
-    return {
-        "suite": "decoupling",
-        "config": _config("decoupling", seed=int(seed), S=S, dims=list(dims.sizes),
-                          dist=dist.label, p_grid=p_grid, resamples=resamples,
-                          p_cap_note=_P_CAP_NOTE),
-        "results": results,
-        "mean_sanity": _mean_sanity(lhs_vals),
-        "status": status,
-        "flags": flags,
-    }
+    config = _config("decoupling", seed=int(seed), S=S, dims=list(dims.sizes),
+                     dist=dist.label, p_grid=p_grid, resamples=resamples,
+                     p_cap_note=_P_CAP_NOTE, input_sha256=array_digest(A))
+    return _report(config, _overall(r["verdict"] for r in results), flags, lhs_vals,
+                   results=results)
 
 
 # ---------------------------------------------------------------------------
 # moment sandwich suites
+
+
+def _moment_ratios(suite: str, A: np.ndarray, dims: Dims, dist: DistributionSpec,
+                   p_grid: list[float], S: int, seed: int, norm_opts: NormOptions,
+                   resamples: int) -> tuple[list[dict], list[str], np.ndarray]:
+    """Per p, the empirical centered-chaos L_p norm of A over its main moment
+    functional; returns the result rows, the norm-table warnings and the
+    sampled statistics."""
+    A2d = rearrange_matrix(A, dims)
+    table = main_norm_table(A2d, norm_opts)
+    base = _STREAMS[suite]
+    vals = chaos_batch(A, FactorSampler(dims, dist, seed, base).batch(0, S))
+    batch = SampleBatch(seed, base, S, vals)
+
+    results = []
+    warnings: set[str] = set()
+    for p in p_grid:
+        m = mp_main(A2d, p, dist.bound_L, table=table)
+        warnings.update(m.warnings)
+        lp = estimate_lp(batch, p, resamples)
+        ratio = lp.estimate / m.value if m.value > 0 else 0.0
+        results.append({"p": p, "lhs": _moment_dict(lp), "mp": m.value, "ratio": ratio})
+    return results, sorted(warnings), vals
 
 
 def verify_main_upper(A: np.ndarray, dims: Dims, dist: DistributionSpec,
@@ -262,49 +305,23 @@ def verify_main_upper(A: np.ndarray, dims: Dims, dist: DistributionSpec,
     passes when every ratio stays below the configured acceptance ceiling.
     """
     p_grid = _check_p_grid(p_grid, 2.0)
+    _check_samples("main-upper", S)
     A = np.asarray(A, dtype=np.float64)
-    base = _STREAMS["main-upper"]
     norm_opts = norm_opts or NormOptions(seed=seed)
-    L = dist.bound_L
-
+    config = _config("main-upper", seed=int(seed), S=S, dims=list(dims.sizes),
+                     dist=dist.label, p_grid=p_grid, L=dist.bound_L, ceiling=ceiling,
+                     p_cap_note=_P_CAP_NOTE, resamples=resamples,
+                     norm_options=_norm_config(norm_opts), input_sha256=array_digest(A))
     if not np.any(A):
-        return {
-            "suite": "main-upper",
-            "config": _config("main-upper", seed=int(seed), S=S, dims=list(dims.sizes),
-                              dist=dist.label, p_grid=p_grid, L=L, ceiling=ceiling,
-                              p_cap_note=_P_CAP_NOTE),
-            "results": [{"p": p, "ratio": 0.0} for p in p_grid],
-            "constant_estimate": 0.0,
-            "status": "pass",
-            "flags": ["zero matrix: both sides vanish, ratio defined as 0"],
-        }
+        return _report(config, "pass", ["zero matrix: both sides vanish, ratio defined as 0"],
+                       results=[{"p": p, "ratio": 0.0} for p in p_grid],
+                       constant_estimate=0.0)
 
-    A2d = rearrange_matrix(A, dims)
-    table = main_norm_table(A2d, norm_opts)
-    vals = chaos_batch(A, FactorSampler(dims, dist, seed, base).batch(0, S))
-    batch = SampleBatch(seed, base, S, vals)
-
-    results = []
-    warnings: list[str] = []
-    for p in p_grid:
-        m = mp_main(A2d, p, L, table=table)
-        warnings.extend(_moment_warnings(m))
-        lp = estimate_lp(batch, p, resamples)
-        ratio = lp.estimate / m.value if m.value > 0 else 0.0
-        results.append({"p": p, "lhs": _moment_dict(lp), "mp": m.value, "ratio": ratio})
+    results, flags, vals = _moment_ratios("main-upper", A, dims, dist, p_grid, S, seed,
+                                          norm_opts, resamples)
     c_hat = max(r["ratio"] for r in results)
-    status = "pass" if c_hat <= ceiling else "fail"
-    return {
-        "suite": "main-upper",
-        "config": _config("main-upper", seed=int(seed), S=S, dims=list(dims.sizes),
-                          dist=dist.label, p_grid=p_grid, L=L, ceiling=ceiling,
-                          p_cap_note=_P_CAP_NOTE),
-        "results": results,
-        "constant_estimate": c_hat,
-        "mean_sanity": _mean_sanity(vals),
-        "status": status,
-        "flags": sorted(set(warnings)),
-    }
+    return _report(config, "pass" if c_hat <= ceiling else "fail", flags, vals,
+                   results=results, constant_estimate=c_hat)
 
 
 def verify_main_lower(A: np.ndarray, dims: Dims, p_grid: Sequence[float] = (2.0, 4.0, 8.0),
@@ -318,57 +335,59 @@ def verify_main_lower(A: np.ndarray, dims: Dims, p_grid: Sequence[float] = (2.0,
     and must be strictly positive.
     """
     p_grid = _check_p_grid(p_grid, 2.0)
+    _check_samples("main-lower", S)
     A = np.asarray(A, dtype=np.float64)
-    base = _STREAMS["main-lower"]
     norm_opts = norm_opts or NormOptions(seed=seed)
-    dist = _gaussian()
-
+    dist = distribution("gaussian")
+    common = dict(seed=int(seed), S=S, dims=list(dims.sizes), p_grid=p_grid,
+                  p_cap_note=_P_CAP_NOTE, resamples=resamples,
+                  norm_options=_norm_config(norm_opts), input_sha256=array_digest(A))
     if not np.any(A):
-        return {
-            "suite": "main-lower",
-            "config": _config("main-lower", seed=int(seed), S=S, dims=list(dims.sizes),
-                              p_grid=p_grid, p_cap_note=_P_CAP_NOTE),
-            "results": [],
-            "status": "pass",
-            "flags": ["degenerate input: zero matrix skipped"],
-        }
+        return _report(_config("main-lower", **common), "pass",
+                       ["degenerate input: zero matrix skipped"], results=[])
 
     sym = symmetrize(rearrange_matrix(A, dims))
     if not check_symmetry(sym):
         raise PreconditionError("symmetrized array failed the exact symmetry check")
-    A_sym = unrearrange_matrix(sym)
-    table = main_norm_table(sym, norm_opts)
-    vals = chaos_batch(A_sym, FactorSampler(dims, dist, seed, base).batch(0, S))
-    batch = SampleBatch(seed, base, S, vals)
-
-    results = []
-    warnings: list[str] = []
-    for p in p_grid:
-        m = mp_main(sym, p, dist.bound_L, table=table)
-        warnings.extend(_moment_warnings(m))
-        lp = estimate_lp(batch, p, resamples)
-        ratio = lp.estimate / m.value if m.value > 0 else 0.0
-        results.append({"p": p, "lhs": _moment_dict(lp), "mp": m.value, "ratio": ratio})
+    results, flags, vals = _moment_ratios("main-lower", unrearrange_matrix(sym), dims, dist,
+                                          p_grid, S, seed, norm_opts, resamples)
     c_tilde = min(r["ratio"] for r in results)
-    status = "pass" if c_tilde > 0.0 else "fail"
-    return {
-        "suite": "main-lower",
-        "config": _config("main-lower", seed=int(seed), S=S, dims=list(dims.sizes),
-                          p_grid=p_grid, L=dist.bound_L, p_cap_note=_P_CAP_NOTE),
-        "results": results,
-        "constant_estimate": c_tilde,
-        "mean_sanity": _mean_sanity(vals),
-        "status": status,
-        "flags": sorted(set(warnings)),
-    }
-
-
-def _gaussian() -> DistributionSpec:
-    return distribution("gaussian")
+    return _report(_config("main-lower", **common, L=dist.bound_L),
+                   "pass" if c_tilde > 0.0 else "fail", flags, vals,
+                   results=results, constant_estimate=c_tilde)
 
 
 # ---------------------------------------------------------------------------
 # tail suites
+
+
+def _tail_fit(config: dict, batch: SampleBatch, t_grid: list[float], log_prefactor: float,
+              exponent: Callable[[float], tuple[float, dict]],
+              bound: Callable[[float, float], dict], cap: float | None) -> dict:
+    """Fit the largest c with exp(log_prefactor - c e(t)) above every empirical
+    upper confidence limit, capped at ``cap``, and check that the bound at that
+    c dominates.  ``exponent(t)`` gives e(t) and its row fields, ``bound(t, c)``
+    the row fields of the bound, "bound" among them."""
+    fitted = math.inf
+    rows = []
+    for t in t_grid:
+        freq = estimate_tail(batch, t)
+        e, fields = exponent(t)
+        if freq.ci_high > 0.0 and e > 0.0:
+            fitted = min(fitted, (log_prefactor - math.log(freq.ci_high)) / e)
+        rows.append({"t": t, "frequency": freq.frequency, "ci_high": freq.ci_high, **fields})
+
+    c_used = min(fitted, cap) if cap is not None else fitted
+    finite_c = c_used if math.isfinite(c_used) else 1.0
+    for row in rows:
+        row.update(bound(row["t"], finite_c))
+        row["dominated"] = bool(row["frequency"] <= row["bound"])
+    return _report(config, "pass" if all(row["dominated"] for row in rows) else "fail",
+                   [] if math.isfinite(fitted) else
+                   ["no exceedances on the grid: any constant keeps the bound above the curve"],
+                   results=rows,
+                   fitted_constant=None if not math.isfinite(fitted) else fitted,
+                   constant_used=finite_c)
 
 
 def verify_ax_tail(A: np.ndarray, dims: Dims, dist: DistributionSpec,
@@ -380,51 +399,31 @@ def verify_ax_tail(A: np.ndarray, dims: Dims, dist: DistributionSpec,
     upper confidence limit and reports it; the fitted curve then dominates the
     empirical curve at every grid point by construction.
     """
-    if S < 10_000:
-        raise PreconditionError(f"tail suite needs S >= 10000, got {S}")
+    _check_samples("ax-tail", S)
     t_grid = [float(t) for t in t_grid]
     A = np.asarray(A, dtype=np.float64)
     base = _STREAMS["ax-tail"]
     vals = norm_batch(A, FactorSampler(dims, dist, seed, base).batch(0, S))
-    batch = SampleBatch(seed, base, S, vals)
 
-    fitted = math.inf
-    rows = []
-    for t in t_grid:
-        freq = estimate_tail(batch, t)
+    def exponent(t: float) -> tuple[float, dict]:
         exps = tail_regimes_ax(A, dims, t)
-        e_max = max(exps.values())
-        if freq.ci_high > 0.0 and e_max > 0.0:
-            fitted = min(fitted, (2.0 - math.log(freq.ci_high)) / e_max)
-        rows.append({"t": t, "frequency": freq.frequency,
-                     "ci_high": freq.ci_high, "exponents": exps})
+        return max(exps.values()), {"exponents": exps}
 
-    c_used = min(fitted, C_d) if C_d is not None else fitted
-    finite_c = c_used if math.isfinite(c_used) else 1.0
-    dominated = True
-    for row in rows:
-        bound = tail_bound_ax(A, dims, row["t"], finite_c)
-        row["bound"] = bound.value
-        row["regime"] = bound.regime
-        row["dominated"] = bool(row["frequency"] <= bound.value)
-        dominated = dominated and row["dominated"]
-    return {
-        "suite": "ax-tail",
-        "config": _config("ax-tail", seed=int(seed), S=S, dims=list(dims.sizes),
-                          dist=dist.label, t_grid=t_grid, C_d=C_d),
-        "results": rows,
-        "fitted_constant": None if not math.isfinite(fitted) else fitted,
-        "constant_used": finite_c,
-        "status": "pass" if dominated else "fail",
-        "flags": [] if math.isfinite(fitted) else
-                 ["no exceedances on the grid: any constant keeps the bound above the curve"],
-    }
+    def bound(t: float, c: float) -> dict:
+        tb = tail_bound_ax(A, dims, t, c)
+        return {"bound": tb.value, "regime": tb.regime}
+
+    config = _config("ax-tail", seed=int(seed), S=S, dims=list(dims.sizes),
+                     dist=dist.label, t_grid=t_grid, C_d=C_d, input_sha256=array_digest(A))
+    return _tail_fit(config, SampleBatch(seed, base, S, vals), t_grid, 2.0, exponent, bound,
+                     C_d)
 
 
 def verify_hanson_wright(A: np.ndarray, dist: DistributionSpec,
                          t_grid: Sequence[float], S: int = 100_000,
                          seed: int = 0, c: float | None = None) -> dict:
     """Order-1 baseline: empirical quadratic-form tail vs the two-regime bound."""
+    _check_samples("hanson-wright", S)
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise PreconditionError(f"need a square matrix, got shape {A.shape}")
@@ -433,36 +432,15 @@ def verify_hanson_wright(A: np.ndarray, dist: DistributionSpec,
     base = _STREAMS["hanson-wright"]
     K = dist.psi2_bound
     vals = chaos_batch(A, FactorSampler(dims, dist, seed, base).batch(0, S))
-    batch = SampleBatch(seed, base, S, vals)
 
-    fitted = math.inf
-    rows = []
-    for t in t_grid:
-        freq = estimate_tail(batch, t)
-        expo = hanson_wright_exponent(A, K, t)
-        if freq.ci_high > 0.0 and expo > 0.0:
-            fitted = min(fitted, (math.log(2.0) - math.log(freq.ci_high)) / expo)
-        rows.append({"t": t, "frequency": freq.frequency, "ci_high": freq.ci_high,
-                     "exponent": expo})
+    def exponent(t: float) -> tuple[float, dict]:
+        e = hanson_wright_exponent(A, K, t)
+        return e, {"exponent": e}
 
-    c_used = min(fitted, c) if c is not None else fitted
-    finite_c = c_used if math.isfinite(c_used) else 1.0
-    dominated = True
-    for row in rows:
-        row["bound"] = tail_bound_hanson_wright(A, row["t"], K, finite_c)
-        row["dominated"] = bool(row["frequency"] <= row["bound"])
-        dominated = dominated and row["dominated"]
-    return {
-        "suite": "hanson-wright",
-        "config": _config("hanson-wright", seed=int(seed), S=S, n=A.shape[0],
-                          dist=dist.label, t_grid=t_grid, K=K, c=c),
-        "results": rows,
-        "fitted_constant": None if not math.isfinite(fitted) else fitted,
-        "constant_used": finite_c,
-        "status": "pass" if dominated else "fail",
-        "flags": [] if math.isfinite(fitted) else
-                 ["no exceedances on the grid: any constant keeps the bound above the curve"],
-    }
+    config = _config("hanson-wright", seed=int(seed), S=S, n=A.shape[0],
+                     dist=dist.label, t_grid=t_grid, K=K, c=c, input_sha256=array_digest(A))
+    return _tail_fit(config, SampleBatch(seed, base, S, vals), t_grid, math.log(2.0), exponent,
+                     lambda t, c_fit: {"bound": tail_bound_hanson_wright(A, t, K, c_fit)}, c)
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +452,12 @@ def verify_gaussian_decoupling(a: np.ndarray, p_grid: Sequence[float] = (2.0, 4.
                                resamples: int = 200) -> dict:
     """Check || sum a_k (g_k^2 - 1) ||_p <= 2 || sum a_k g_k gbar_k ||_p empirically."""
     p_grid = _check_p_grid(p_grid, 1.0)
+    _check_samples("gaussian-decoupling", S)
     a = np.asarray(a, dtype=np.float64).reshape(-1)
-    dims = Dims([max(1, a.size)])
-    dist = _gaussian()
+    if a.size == 0:
+        raise PreconditionError("gaussian-decoupling needs at least one coefficient")
+    dims = Dims([a.size])
+    dist = distribution("gaussian")
     base = _STREAMS["gaussian-decoupling"]
     g = FactorSampler(dims, dist, seed, base).batch(0, S)[0]
     gbar = FactorSampler(dims, dist, seed, base + 1).batch(0, S)[0]
@@ -497,13 +478,10 @@ def verify_gaussian_decoupling(a: np.ndarray, p_grid: Sequence[float] = (2.0, 4.
             row["exact_lhs"] = math.sqrt(2.0) * norm_a
             row["exact_rhs_times_2"] = 2.0 * norm_a
         results.append(row)
-    status = _overall(r["verdict"] for r in results)
-    flags = [f"p={r['p']:g}: bands overlap" for r in results if r["verdict"] == "inconclusive"]
-    return {
-        "suite": "gaussian-decoupling",
-        "config": _config("gaussian-decoupling", seed=int(seed), S=S, n=int(a.size),
-                          p_grid=p_grid, p_cap_note=_P_CAP_NOTE),
-        "results": results,
-        "status": status,
-        "flags": flags,
-    }
+    config = _config("gaussian-decoupling", seed=int(seed), S=S, n=int(a.size),
+                     p_grid=p_grid, p_cap_note=_P_CAP_NOTE, resamples=resamples,
+                     input_sha256=array_digest(a))
+    return _report(config, _overall(r["verdict"] for r in results),
+                   [f"p={r['p']:g}: bands overlap" for r in results
+                    if r["verdict"] == "inconclusive"],
+                   results=results)

@@ -14,6 +14,7 @@ places its second argument on the shifted axes l + d.
 from __future__ import annotations
 
 import itertools
+import string
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -29,6 +30,9 @@ from .errors import (
 
 # Largest flat-buffer length a Dims may address.
 MAX_TOTAL_SIZE = 2**62
+
+# einsum subscript letters, one per array axis
+_LETTERS = string.ascii_lowercase
 
 
 @dataclass(frozen=True)
@@ -327,10 +331,7 @@ def rearrange_matrix(A: np.ndarray, dims: Dims) -> TensorArray:
 
 def unrearrange_matrix(ta: TensorArray) -> np.ndarray:
     """Inverse of :func:`rearrange_matrix`."""
-    d = doubled_order(ta.dims)
-    N = 1
-    for n in ta.dims.sizes[:d]:
-        N *= n
+    N = Dims(ta.dims.sizes[: doubled_order(ta.dims)]).total
     return ta.data.reshape(N, N, order="C").copy()
 
 

@@ -13,11 +13,9 @@ from kronchaos import (
     PartialIndex,
     all_indices,
     build_reduced_array,
-    build_reduced_array_diag,
     check_gram_norm_bounds,
     check_symmetry,
     compare_norm_deviation,
-    expected_chaos,
     main_norm_table,
     moments_to_tail,
     mp_decoupled,
@@ -31,7 +29,8 @@ from kronchaos import (
 )
 from kronchaos.bounds import gram_norm_table, tail_regimes_ax
 from kronchaos.errors import ArgumentError, AxisSetError, DegenerateInputError
-from kronchaos.identities import chaos_quadratic
+from kronchaos.identities import chaos_quadratic, expected_quadratic
+from kronchaos.norms import diagonal_restrict
 
 OPTS = NormOptions(restarts=32, seed=0)
 
@@ -42,10 +41,10 @@ OPTS = NormOptions(restarts=32, seed=0)
 
 def test_expected_chaos_is_trace():
     rng = np.random.default_rng(0)
-    assert expected_chaos(rearrange_matrix(np.eye(6), Dims([2, 3]))) == 6.0
-    assert expected_chaos(rearrange_matrix(np.zeros((4, 4)), Dims([2, 2]))) == 0.0
+    assert expected_quadratic(rearrange_matrix(np.eye(6), Dims([2, 3]))) == 6.0
+    assert expected_quadratic(rearrange_matrix(np.zeros((4, 4)), Dims([2, 2]))) == 0.0
     A = rng.standard_normal((4, 4))
-    got = expected_chaos(rearrange_matrix(A, Dims([2, 2])))
+    got = expected_quadratic(rearrange_matrix(A, Dims([2, 2])))
     assert got == pytest.approx(np.trace(A), rel=1e-14)
 
 
@@ -58,7 +57,7 @@ def test_build_reduced_array_identity_and_scalar():
     assert np.array_equal(same.data, A.data)
     scalar = build_reduced_array(A, [1, 2])
     assert scalar.axes == ()
-    assert float(scalar.data) == pytest.approx(expected_chaos(A), rel=1e-14)
+    assert float(scalar.data) == pytest.approx(expected_quadratic(A), rel=1e-14)
     # d=1, I={1}, identity matrix: the scalar 2
     one = build_reduced_array(rearrange_matrix(np.eye(2), Dims([2])), [1])
     assert float(one.data) == 2.0
@@ -76,25 +75,30 @@ def test_build_reduced_array_matches_loop():
             assert red.data[i1 - 1, i1p - 1] == pytest.approx(s, rel=1e-14)
 
 
+def reduced_array_diag(A, I, J):
+    """Reduced array over I \\ J with the pairs in J restricted to their diagonal."""
+    return build_reduced_array(diagonal_restrict(A, J), set(I) - set(J))
+
+
 def test_build_reduced_array_diag_examples_and_loop():
     rng = np.random.default_rng(3)
     dims = Dims([2, 3])
     A = rearrange_matrix(rng.standard_normal((6, 6)), dims)
     # J = empty coincides with the plain reduction
     plain = build_reduced_array(A, [2])
-    viaj = build_reduced_array_diag(A, [2], [])
+    viaj = reduced_array_diag(A, [2], [])
     assert viaj.axes == plain.axes
     assert np.array_equal(viaj.data, plain.data)
 
     # d=1, I=J={1}: diagonal placed on the diagonal slots, off-diagonal zero
     M = rng.standard_normal((4, 4))
     A1 = rearrange_matrix(M, Dims([4]))
-    D = build_reduced_array_diag(A1, [1], [1])
+    D = reduced_array_diag(A1, [1], [1])
     assert D.axes == (1, 2)
     assert np.array_equal(D.data, np.diag(np.diag(M)))
 
     # d=2, I={1,2}, J={1}: nonzero only where the first coordinates agree
-    full = build_reduced_array_diag(A, [1, 2], [1])
+    full = reduced_array_diag(A, [1, 2], [1])
     assert full.axes == (1, 3)
     for i1 in range(1, 3):
         for i1p in range(1, 3):
@@ -104,14 +108,14 @@ def test_build_reduced_array_diag_examples_and_loop():
                 s = sum(A.entry(PartialIndex({1: i1, 2: k, 3: i1p, 4: k})) for k in range(1, 4))
                 assert full.data[i1 - 1, i1p - 1] == pytest.approx(s, rel=1e-14)
     with pytest.raises(AxisSetError):
-        build_reduced_array_diag(A, [1], [2])
+        reduced_array_diag(A, [1], [3])
 
 
 def test_build_reduced_array_diag_loop_general():
     rng = np.random.default_rng(4)
     dims = Dims([2, 2])
     A = rearrange_matrix(rng.standard_normal((4, 4)), dims)
-    got = build_reduced_array_diag(A, [2], [2])
+    got = reduced_array_diag(A, [2], [2])
     assert got.axes == (1, 2, 3, 4)
     for idx in all_indices(A.dims):
         i, ip, j, jp = idx[1], idx[3], idx[2], idx[4]

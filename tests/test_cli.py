@@ -166,3 +166,80 @@ def test_bounds_rectangular_matrix(tmp_path):
     assert report["mp_norm"]
     assert report["tail_curve"]
     assert any("not square" in w for w in report["warnings"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "main-upper", "--dims", "2,2", "--samples", "-5"),
+    ("verify", "main-lower", "--dims", "2,2", "--samples", "-5"),
+    ("verify", "gaussian-decoupling", "--samples", "-5"),
+    ("verify", "hanson-wright", "--samples", "-5"),
+    ("verify", "gaussian-decoupling", "--vector", ","),
+])
+def test_bad_samples_or_empty_vector_is_usage_error(tmp_path, capsys, argv):
+    assert run(*argv, "--cache", tmp_path / "c") == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "needs S >= 100" in err or "needs at least one coefficient" in err
+    assert not (tmp_path / "c").exists()
+
+
+def _slots(cache):
+    return sorted(p.name for p in cache.iterdir())
+
+
+def test_cache_slot_depends_on_matrix_file(tmp_path, capsys):
+    rng = np.random.default_rng(12)
+    for name in ("a.csv", "b.csv"):
+        save_matrix_csv(tmp_path / name, rng.standard_normal((4, 4)))
+        assert run("verify", "main-upper", "--dims", "2,2", "--matrix", tmp_path / name,
+                   "--p", "2", "--samples", "2000", "--restarts", "2",
+                   "--cache", tmp_path / "c") == EXIT_OK
+        assert "written to" in capsys.readouterr().out
+    assert len(_slots(tmp_path / "c")) == 2
+
+
+def test_cache_slot_depends_on_vector(tmp_path, capsys):
+    for vector in ("1,2", "5,-7"):
+        assert run("verify", "gaussian-decoupling", "--vector", vector, "--samples", "2000",
+                   "--cache", tmp_path / "c") == EXIT_OK
+        assert "written to" in capsys.readouterr().out
+    assert len(_slots(tmp_path / "c")) == 2
+
+
+def test_cache_slot_depends_on_restarts(tmp_path, id4, capsys):
+    for restarts in ("1", "2"):
+        assert run("verify", "main-lower", "--dims", "2,2", "--matrix", id4, "--p", "2",
+                   "--samples", "2000", "--restarts", restarts,
+                   "--cache", tmp_path / "c") == EXIT_OK
+        assert "written to" in capsys.readouterr().out
+    assert len(_slots(tmp_path / "c")) == 2
+
+
+def test_cache_slot_depends_on_code(tmp_path, monkeypatch, capsys):
+    import kronchaos.cli as cli
+
+    argv = ("verify", "identities", "--seed", "1", "--cache", tmp_path / "c")
+    run(*argv)
+    monkeypatch.setattr(cli, "_code_fingerprint", lambda: "edited source")
+    run(*argv)
+    assert "written to" in capsys.readouterr().out.splitlines()[-1]
+    assert len(_slots(tmp_path / "c")) == 2
+
+
+def test_interrupted_write_leaves_no_report(tmp_path, monkeypatch, capsys):
+    import kronchaos.cli as cli
+
+    def crash(src, dst):
+        raise KeyboardInterrupt
+
+    argv = ("verify", "identities", "--seed", "1", "--cache", tmp_path / "c")
+    monkeypatch.setattr(cli.os, "replace", crash)
+    with pytest.raises(KeyboardInterrupt):
+        run(*argv)
+    slot = tmp_path / "c" / _slots(tmp_path / "c")[0]
+    assert not any(p.name in ("report.json", "report.csv", "runinfo.json")
+                   for p in slot.iterdir())
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert run(*argv) == EXIT_OK
+    assert "written to" in capsys.readouterr().out
+    assert json.loads((slot / "report.json").read_text())["suite"] == "identities"

@@ -1,0 +1,106 @@
+"""Golden reports: the exact report.json bytes of one small seeded run per report kind.
+
+Refactors must leave every file under tests/golden/ byte-identical.  A change
+that moves report values on purpose re-baselines them with
+
+    PYTHONPATH=src python tests/test_golden_reports.py --write
+
+and records the re-baseline in its change notes.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from kronchaos import (
+    Dims,
+    distribution,
+    run_identity_suite,
+    verify_ax_tail,
+    verify_decoupling,
+    verify_gaussian_decoupling,
+    verify_hanson_wright,
+    verify_main_lower,
+    verify_main_upper,
+)
+from kronchaos.arrayio import save_matrix_csv
+from kronchaos.cli import _report_json, main
+
+GOLDEN = Path(__file__).resolve().with_name("golden")
+GAUSS = distribution("gaussian")
+RADEMACHER = distribution("rademacher")
+D22 = Dims([2, 2])
+
+
+def _matrix(rows: int, cols: int, seed: int) -> np.ndarray:
+    return np.random.default_rng((seed, 0x60_1D)).standard_normal((rows, cols))
+
+
+def _bounds(*argv: str, matrix: np.ndarray | None = None) -> str:
+    """report.json of a `kronchaos bounds` run; a --matrix CSV gets a fixed
+    relative path, because the report's config records it."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            if matrix is not None:
+                save_matrix_csv("matrix.csv", matrix)
+                argv += ("--matrix", "matrix.csv")
+            assert main(["bounds", *argv, "--cache", "cache", "--formats", "json"]) == 0
+            return next(Path("cache").iterdir()).joinpath("report.json").read_text()
+        finally:
+            os.chdir(cwd)
+
+
+def _hw_matrix() -> np.ndarray:
+    M = _matrix(5, 5, 6)
+    return (M + M.T) / 2
+
+
+CASES = {
+    "identities": lambda: run_identity_suite(seed=5, instances=3, d_values=(1, 2, 3)),
+    "decoupling": lambda: verify_decoupling(_matrix(4, 4, 1), D22, GAUSS, (2.0, 4.0),
+                                            S=1000, seed=1),
+    "main-upper-zero": lambda: verify_main_upper(np.zeros((4, 4)), D22, GAUSS, (2.0, 4.0),
+                                                 S=1000, seed=2),
+    "main-upper": lambda: verify_main_upper(_matrix(4, 4, 2), D22, RADEMACHER, (2.0, 4.0),
+                                            S=1000, seed=2),
+    "main-lower-zero": lambda: verify_main_lower(np.zeros((4, 4)), D22, (2.0, 4.0),
+                                                 S=1000, seed=3),
+    "main-lower": lambda: verify_main_lower(_matrix(4, 4, 3), D22, (2.0, 4.0), S=1000, seed=3),
+    "ax-tail": lambda: verify_ax_tail(_matrix(3, 4, 4), D22, GAUSS, [0.5, 1.0, 2.0],
+                                      S=10_000, seed=4),
+    "hanson-wright": lambda: verify_hanson_wright(_hw_matrix(), RADEMACHER, [1.0, 2.0, 4.0],
+                                                  S=10_000, seed=5),
+    "gaussian-decoupling": lambda: verify_gaussian_decoupling(_matrix(1, 5, 7)[0],
+                                                              (2.0, 4.0, 8.0), S=2000, seed=7),
+    "bounds-square": lambda: _bounds("--dims", "2,2", "--p", "2,4", "--t", "0.5,1",
+                                     "--seed", "8"),
+    "bounds-rectangular": lambda: _bounds("--dims", "2,2", "--t", "0.5,1", "--seed", "9",
+                                          matrix=_matrix(3, 4, 9)),
+}
+
+
+def render(name: str) -> str:
+    out = CASES[name]()
+    return out if isinstance(out, str) else _report_json(out)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_bytes_match_golden(name):
+    assert render(name).encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden_reports.py --write")
+    GOLDEN.mkdir(exist_ok=True)
+    for name in sorted(CASES):
+        (GOLDEN / f"{name}.json").write_bytes(render(name).encode())
+        print(f"wrote {GOLDEN / name}.json")

@@ -13,14 +13,21 @@ from kronchaos import (
     dot_plus,
     dot_times,
     rearrange_matrix,
-    semi_decoupled_term,
 )
 from kronchaos.errors import AxisSetError
 from kronchaos.identities import (
     coupled_expansion_sides,
     expected_quadratic,
+    pair_contraction,
+    semi_decoupled_spec,
     squared_product_sides,
 )
+
+
+def semi_decoupled_term(A, I, J, x, xbar):
+    """The semi-decoupled term of one realization: its spec, contracted without
+    a sample axis (test_montecarlo checks the batch evaluator against this)."""
+    return pair_contraction(A, semi_decoupled_spec(len(x), I, J, x, xbar))
 
 
 def semi_decoupled_loop(A, dims, I, J, x, xbar):

@@ -11,17 +11,14 @@ from kronchaos import (
     Dims,
     FactorSampler,
     SampleBatch,
-    chaos_statistic,
+    chaos_quadratic,
     distribution,
     estimate_lp,
     estimate_tail,
-    kronecker_vector,
-    norm_statistic,
     rearrange_matrix,
-    sample_factors,
 )
 from kronchaos.errors import ArgumentError, ShapeError, SizeError
-from kronchaos.identities import semi_decoupled_term
+from kronchaos.identities import pair_contraction, semi_decoupled_spec
 from kronchaos.montecarlo import (
     PSI2_GAUSSIAN,
     PSI2_RADEMACHER,
@@ -34,6 +31,11 @@ from kronchaos.montecarlo import (
 )
 
 DIMS = Dims([3, 4])
+
+
+def one_sample(*vectors):
+    """One-sample factor batch: each vector as a (1, n) matrix."""
+    return [np.asarray(v, dtype=np.float64)[None, :] for v in vectors]
 
 
 def test_sampler_determinism_and_streams():
@@ -63,8 +65,9 @@ def test_sampler_counter_based_regeneration():
 
 
 def test_sample_factors_shapes():
-    fams = sample_factors(DIMS, distribution("gaussian"), seed=0)
-    assert [len(f) for f in fams] == [3, 4]
+    fs = FactorSampler(DIMS, distribution("gaussian"), seed=0, stream=0)
+    assert [f.shape for f in fs.factors(0)] == [(3,), (4,)]
+    assert [m.shape for m in fs.batch(5, 7)] == [(7, 3), (7, 4)]
 
 
 def test_rademacher_support():
@@ -119,23 +122,25 @@ def test_two_point_q_validation():
 
 def test_kronecker_vector_examples():
     x = np.array([2.0, -1.0])
-    assert np.array_equal(kronecker_vector([x]), x)
-    got = kronecker_vector([np.array([1.0, 0.0]), np.array([3.0, 4.0])])
-    assert np.array_equal(got, np.array([3.0, 4.0, 0.0, 0.0]))
+    assert np.array_equal(kronecker_batch(one_sample(x)), x[None, :])
+    got = kronecker_batch(one_sample([1.0, 0.0], [3.0, 4.0]))
+    assert np.array_equal(got, np.array([[3.0, 4.0, 0.0, 0.0]]))
 
 
 def test_kronecker_vector_against_np_kron():
     rng = np.random.default_rng(0)
     factors = [rng.standard_normal(n) for n in (2, 3, 4)]
     want = np.kron(np.kron(factors[0], factors[1]), factors[2])
-    np.testing.assert_allclose(kronecker_vector(factors), want, rtol=1e-15)
+    X = kronecker_batch(one_sample(*factors))
+    assert X.shape == (1, 24)
+    np.testing.assert_allclose(X[0], want, rtol=1e-15)
     norms = np.prod([np.linalg.norm(f) for f in factors])
-    assert np.linalg.norm(kronecker_vector(factors)) == pytest.approx(norms, rel=1e-12)
+    assert np.linalg.norm(X[0]) == pytest.approx(norms, rel=1e-12)
 
 
 def test_kronecker_vector_size_cap():
     with pytest.raises(SizeError):
-        kronecker_vector([np.ones(2**9), np.ones(2**9), np.ones(2**9)])
+        kronecker_batch(one_sample(np.ones(2**9), np.ones(2**9), np.ones(2**9)))
 
 
 def test_kronecker_batch_matches_single():
@@ -143,7 +148,7 @@ def test_kronecker_batch_matches_single():
     mats = [rng.standard_normal((10, n)) for n in (2, 3)]
     X = kronecker_batch(mats)
     for s in range(10):
-        np.testing.assert_allclose(X[s], kronecker_vector([m[s] for m in mats]), rtol=1e-15)
+        np.testing.assert_allclose(X[s], np.kron(mats[0][s], mats[1][s]), rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +156,13 @@ def test_kronecker_batch_matches_single():
 
 
 def test_chaos_statistic_zero_matrix():
-    x = [np.array([1.0, 2.0]), np.array([0.5, -0.5])]
-    assert chaos_statistic(np.zeros((4, 4)), x) == 0.0
+    x = one_sample([1.0, 2.0], [0.5, -0.5])
+    assert np.array_equal(chaos_batch(np.zeros((4, 4)), x), [0.0])
 
 
 def test_chaos_statistic_shape_error():
     with pytest.raises(ShapeError):
-        chaos_statistic(np.zeros((3, 3)), [np.ones(2), np.ones(2)])
+        chaos_batch(np.zeros((3, 3)), one_sample(np.ones(2), np.ones(2)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 16, 37, 64])
@@ -168,19 +173,22 @@ def test_rademacher_diagonal_chaos_exactly_zero(n):
     fs = FactorSampler(Dims([n]), dist, seed=5, stream=2)
     vals = chaos_batch(D, fs.batch(0, 500))
     assert np.all(vals == 0.0)
-    single = chaos_statistic(D, fs.factors(17))
-    assert single == 0.0
+    single = chaos_batch(D, fs.batch(17, 1))
+    assert np.array_equal(single, [0.0])
 
 
 def test_chaos_batch_matches_single():
+    # against the order-2d contraction of one realization, minus the trace
     rng = np.random.default_rng(2)
     dims = Dims([2, 3])
     A = rng.standard_normal((6, 6))
     fs = FactorSampler(dims, distribution("uniform_sym"), 8, 3)
     mats = fs.batch(0, 50)
     vals = chaos_batch(A, mats)
+    A2d = rearrange_matrix(A, dims)
     for s in (0, 13, 49):
-        assert vals[s] == pytest.approx(chaos_statistic(A, fs.factors(s)), rel=1e-12)
+        want = chaos_quadratic(A2d, fs.factors(s)) - np.trace(A)
+        assert vals[s] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_chaos_gaussian_l2_anchor():
@@ -197,11 +205,11 @@ def test_norm_statistic_examples():
     A = np.zeros((1, 4))
     A[0, 2] = 1.0
     x = [rng.standard_normal(2), rng.standard_normal(2)]
-    X = kronecker_vector(x)
-    assert norm_statistic(A, x) == pytest.approx(abs(X[2]) - 1.0, rel=1e-12)
+    X = np.kron(x[0], x[1])
+    assert norm_batch(A, one_sample(*x))[0] == pytest.approx(abs(X[2]) - 1.0, rel=1e-12)
     # identity with rademacher factors: exactly zero
-    signs = [np.array([1.0, -1.0]), np.array([-1.0, 1.0])]
-    assert norm_statistic(np.eye(4), signs) == 0.0
+    signs = one_sample([1.0, -1.0], [-1.0, 1.0])
+    assert np.array_equal(norm_batch(np.eye(4), signs), [0.0])
     vals = norm_batch(np.eye(4), FactorSampler(Dims([2, 2]), distribution("rademacher"), 1, 0).batch(0, 200))
     assert np.all(vals == 0.0)
 
@@ -221,7 +229,9 @@ def test_norm_batch_matches_single():
     fs = FactorSampler(Dims([2, 3]), distribution("gaussian"), 21, 9)
     vals = norm_batch(A, fs.batch(0, 40))
     for s in (0, 39):
-        assert vals[s] == pytest.approx(norm_statistic(A, fs.factors(s)), rel=1e-12)
+        x = fs.factors(s)
+        want = np.linalg.norm(A @ np.kron(x[0], x[1])) - np.linalg.norm(A)
+        assert vals[s] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_semi_decoupled_batch_matches_single():
@@ -234,8 +244,16 @@ def test_semi_decoupled_batch_matches_single():
     for I, J in [((), ()), ((1,), ()), ((1,), (1,)), ((1, 2), (2,))]:
         vals = semi_decoupled_batch(A, I, J, mats, bmats)
         for s in (0, 29):
-            want = semi_decoupled_term(A, I, J, fs.factors(s), fsb.factors(s))
+            # the same spec contracted for one realization, without the sample axis
+            spec = semi_decoupled_spec(2, I, J, fs.factors(s), fsb.factors(s))
+            want = pair_contraction(A, spec)
             assert vals[s] == pytest.approx(want, rel=1e-11, abs=1e-12)
+    # the fully decoupled term is the bilinear form X^T A Xbar
+    vals = semi_decoupled_batch(A, (), (), mats, bmats)
+    for s in (0, 29):
+        x, xb = fs.factors(s), fsb.factors(s)
+        want = np.kron(x[0], x[1]) @ A.data.reshape(4, 4) @ np.kron(xb[0], xb[1])
+        assert vals[s] == pytest.approx(want, rel=1e-11, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

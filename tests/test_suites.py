@@ -217,3 +217,21 @@ def test_reports_embed_config():
     assert cfg["seed"] == 8 and cfg["S"] == 2000
     assert cfg["dims"] == [2, 2] and cfg["dist"] == "gaussian"
     assert "version" in cfg and "L" in cfg
+
+
+@pytest.mark.parametrize("make", [
+    lambda: verify_decoupling(np.eye(4), Dims([2, 2]), GAUSS, p_grid=(2.0,), S=2000, seed=0),
+    lambda: verify_main_upper(np.eye(4), Dims([2, 2]), GAUSS, p_grid=(2.0,), S=2000, seed=0),
+    lambda: verify_main_lower(np.eye(4), Dims([2, 2]), p_grid=(2.0,), S=2000, seed=0),
+], ids=["decoupling", "main-upper", "main-lower"])
+def test_failed_mean_sanity_is_flagged(monkeypatch, make):
+    import kronchaos.suites as suites
+
+    ok = make()
+    assert ok["mean_sanity"]["ok"]
+    assert not any("mean sanity" in f for f in ok["flags"])
+    shift = suites.chaos_batch
+    monkeypatch.setattr(suites, "chaos_batch", lambda A, mats: shift(A, mats) + 3.0)
+    rep = make()
+    assert not rep["mean_sanity"]["ok"]
+    assert any(f.startswith("mean sanity: |mean|") for f in rep["flags"])
