@@ -23,7 +23,6 @@ from .errors import (
 )
 from .tensor import (
     Dims,
-    DoubledDims,
     EMPTY_INDEX,
     PartialArray,
     PartialIndex,

@@ -97,8 +97,11 @@ class NormTableRow:
 
     reduced_axes: tuple[int, ...]
     partition: Partition
-    kappa: int
     estimate: NormEstimate
+
+    @property
+    def kappa(self) -> int:
+        return self.partition.kappa
 
     @property
     def value(self) -> float:
@@ -114,36 +117,29 @@ class MomentValue:
     value: float
     rows: list[NormTableRow]
     kappa_sums: dict[int, float] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
 
 
-def _collect_warnings(rows: Sequence[NormTableRow]) -> list[str]:
-    out = []
-    for row in rows:
-        for w in row.estimate.warnings:
-            out.append(f"I={row.reduced_axes} P={row.partition}: {w}")
-    return out
+def table_warnings(rows: Sequence[NormTableRow]) -> list[str]:
+    """The estimator warnings of a norm table, each tagged with its row."""
+    return [f"I={row.reduced_axes} P={row.partition}: {w}"
+            for row in rows for w in row.estimate.warnings]
 
 
 def _partition_rows(B: PartialArray, I: tuple[int, ...], opts: NormOptions) -> list[NormTableRow]:
     """Norms of B over every partition of its axes, by increasing block count."""
-    return [NormTableRow(I, P, kappa, tensor_norm(B, P, opts))
+    return [NormTableRow(I, P, tensor_norm(B, P, opts))
             for kappa in range(1, B.order + 1) for P in partitions_into(B.axes, kappa)]
-
-
-def decoupled_norm_table(B: ArrayLike, opts: NormOptions | None = None) -> list[NormTableRow]:
-    """Norms of an order-d array over every partition of its axes."""
-    return _partition_rows(as_partial(B), (), opts or DEFAULT_OPTIONS)
 
 
 def mp_decoupled(B: ArrayLike, p: float, opts: NormOptions | None = None,
                  table: list[NormTableRow] | None = None) -> MomentValue:
-    """Decoupled-chaos moment functional: sum of p^(kappa/2) partition norms."""
+    """Decoupled-chaos moment functional: sum of p^(kappa/2) partition norms
+    of an order-d array over every partition of its axes."""
     if p < 1:
         raise ArgumentError(f"p = {p} must be >= 1")
-    rows = table if table is not None else decoupled_norm_table(B, opts)
+    rows = table if table is not None else _partition_rows(as_partial(B), (), opts or DEFAULT_OPTIONS)
     value = sum(p ** (row.kappa / 2.0) * row.value for row in rows)
-    return MomentValue(p, 1.0, value, rows, warnings=_collect_warnings(rows))
+    return MomentValue(p, 1.0, value, rows)
 
 
 def _check_p_L(p: float, L: float) -> None:
@@ -185,7 +181,7 @@ def mp_main(A: TensorArray, p: float, L: float = 1.0, opts: NormOptions | None =
     d = doubled_order(A.dims)
     rows = table if table is not None else main_norm_table(A, opts)
     value = L ** (2 * d) * sum(p ** (row.kappa / 2.0) * row.value for row in rows)
-    return MomentValue(p, L, value, rows, _kappa_sums(rows, d), _collect_warnings(rows))
+    return MomentValue(p, L, value, rows, _kappa_sums(rows, d))
 
 
 def gram_norm_table(A: np.ndarray, dims: Dims, opts: NormOptions | None = None) -> list[NormTableRow]:
@@ -218,7 +214,7 @@ def mp_norm(A: np.ndarray, dims: Dims, p: float, L: float = 1.0,
         min(p ** (k / 2.0) * mk / fro, p ** (k / 4.0) * math.sqrt(mk))
         for k, mk in kappa_sums.items()
     )
-    return MomentValue(p, L, value, rows, kappa_sums, _collect_warnings(rows))
+    return MomentValue(p, L, value, rows, kappa_sums)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +228,6 @@ class TailBound:
     t: float
     value: float
     regime: str
-    regimes: dict[str, float]
     exponents: dict[str, float]
 
 
@@ -279,7 +274,7 @@ def tail_bound_ax(A: np.ndarray, dims: Dims, t: float, C_d: float = 1.0) -> Tail
     exponents = tail_regimes_ax(A, dims, t)
     regimes = {name: min(1.0, math.e**2 * math.exp(-C_d * e)) for name, e in exponents.items()}
     regime = min(regimes, key=lambda k: (regimes[k], k))
-    return TailBound(t, regimes[regime], regime, regimes, exponents)
+    return TailBound(t, regimes[regime], regime, exponents)
 
 
 def hanson_wright_exponent(A: np.ndarray, K: float, t: float) -> float:
@@ -366,9 +361,7 @@ class BoundReport:
     """
 
     dims: Dims
-    p_grid: list[float]
     L: float
-    C_tail: float
     matrix_fro: float
     main_rows: list[NormTableRow]
     gram_rows: list[NormTableRow]
@@ -440,20 +433,19 @@ def compute_bound_report(A: np.ndarray, dims: Dims, p_grid: Sequence[float],
     if A.shape[0] == A.shape[1]:
         A2d = rearrange_matrix(A, dims)
         main_rows = main_norm_table(A2d, opts)
+        warnings += table_warnings(main_rows)
         for p in p_grid:
-            m = mp_main(A2d, p, L, table=main_rows)
-            mp_main_values[p] = m.value
-            warnings.extend(m.warnings)
+            mp_main_values[p] = mp_main(A2d, p, L, table=main_rows).value
     else:
         warnings.append("matrix is not square: skipping the quadratic-form functional")
 
     if np.any(A):
         gram_rows = gram_norm_table(A, dims, opts)
+        warnings += table_warnings(gram_rows)
         for p in p_grid:
             m = mp_norm(A, dims, p, L, table=gram_rows)
             mp_norm_values[p] = m.value
             mp_kappa = m.kappa_sums
-            warnings.extend(m.warnings)
     else:
         warnings.append("zero matrix: norm-deviation functional undefined")
 
@@ -465,9 +457,7 @@ def compute_bound_report(A: np.ndarray, dims: Dims, p_grid: Sequence[float],
 
     return BoundReport(
         dims=dims,
-        p_grid=list(p_grid),
         L=L,
-        C_tail=C_tail,
         matrix_fro=float(np.linalg.norm(A)),
         main_rows=main_rows,
         gram_rows=gram_rows,

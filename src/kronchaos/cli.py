@@ -32,7 +32,7 @@ import numpy as np
 from .arrayio import array_digest, load_matrix_csv
 from .bounds import compute_bound_report, main_norm_table
 from .errors import KronChaosError
-from .montecarlo import distribution
+from .montecarlo import FAMILIES, distribution
 from .norms import NormOptions
 from .suites import (
     run_identity_suite,
@@ -165,11 +165,15 @@ def _write_atomic(path: Path, text: str) -> None:
 def write_report(report: dict, cache: Path, formats: list[str]) -> tuple[Path, bool]:
     """Store a report under its config hash; existing reports are immutable.
 
-    report.json is written last, so a slot that has one is complete.
+    report.json is written last, so a slot that has one is complete.  A
+    cached slot gains the requested formats it lacks, rendered from its
+    report.json.
     """
     slot = cache / _config_hash(report["config"])
     target = slot / "report.json"
     if target.exists():
+        if "csv" in formats and not (slot / "report.csv").exists():
+            _write_atomic(slot / "report.csv", report_to_csv(json.loads(target.read_text())))
         return slot, False
     slot.mkdir(parents=True, exist_ok=True)
     if "csv" in formats:
@@ -337,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("suite", help=f"one of: {', '.join(SUITES)}")
     common(pv)
     pv.add_argument("--dist", default="gaussian",
-                    choices=["gaussian", "rademacher", "uniform_sym", "two_point"])
+                    choices=list(FAMILIES))
     pv.add_argument("--q", type=float, default=0.25, help="two_point hit probability")
     pv.add_argument("--samples", type=int, default=100_000)
     pv.add_argument("--ceiling", type=float, default=50.0,

@@ -12,19 +12,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import AxisSetError, ShapeError
+from .errors import AxisSetError
 from .partitions import subsets
-from .tensor import _LETTERS, ArrayLike, PartialArray, as_partial
-
-
-def _as_doubled(A: ArrayLike) -> tuple[np.ndarray, int]:
-    pa = as_partial(A)
-    if pa.axes != tuple(range(1, pa.order + 1)):
-        raise AxisSetError("need a full order-2d array")
-    d = pa.order // 2
-    if pa.order % 2 != 0 or pa.sizes[:d] != pa.sizes[d:]:
-        raise ShapeError(f"not a doubled array: sizes {pa.sizes}")
-    return pa.data, d
+from .tensor import _LETTERS, ArrayLike, Dims, PartialArray, as_partial, doubled_order
 
 
 def pair_contraction(A: ArrayLike, spec: dict, batch: bool = False) -> float | np.ndarray:
@@ -36,9 +26,12 @@ def pair_contraction(A: ArrayLike, spec: dict, batch: bool = False) -> float | n
       ("vec2", u, v)          -- contract u on axis l and v on axis l+d
       ("kernel", M)           -- contract matrix M over the pair (l, l+d)
     With ``batch=True`` every payload carries a leading sample axis and the
-    result is a vector over samples.
+    result is a vector over samples, so at least one entry needs a payload.
     """
-    data, d = _as_doubled(A)
+    pa = as_partial(A)
+    if pa.axes != tuple(range(1, pa.order + 1)):
+        raise AxisSetError("need a full order-2d array")
+    d = doubled_order(Dims(pa.sizes))
     if set(spec) != set(range(1, d + 1)):
         raise AxisSetError(f"spec must cover every axis in [{d}]")
     letters = list(_LETTERS[: 2 * d])
@@ -64,22 +57,24 @@ def pair_contraction(A: ArrayLike, spec: dict, batch: bool = False) -> float | n
             subs.append((sample if batch else "") + la + lb)
         else:
             raise AxisSetError(f"unknown spec kind {kind!r}")
+    if batch and not operands:
+        raise AxisSetError("batch contraction needs a sample axis, but every spec entry is "
+                           "'tie_sum' and no payload carries one")
     out = sample if batch else ""
     expr = "".join(letters) + ("," + ",".join(subs) if subs else "") + "->" + out
-    result = np.einsum(expr, data, *operands)
+    result = np.einsum(expr, pa.data, *operands)
     return result if batch else float(result)
 
 
 def chaos_quadratic(A: ArrayLike, factors: Sequence[np.ndarray]) -> float:
     """X^T A X for X the Kronecker product of the factors, via the order-2d sum."""
-    data, d = _as_doubled(A)
-    spec = {l: ("vec2", factors[l - 1], factors[l - 1]) for l in range(1, d + 1)}
+    spec = {l: ("vec2", x, x) for l, x in enumerate(factors, start=1)}
     return pair_contraction(A, spec)
 
 
 def expected_quadratic(A: ArrayLike) -> float:
     """Expectation of X^T A X for isotropic factors: the all-pairs diagonal sum."""
-    data, d = _as_doubled(A)
+    d = as_partial(A).order // 2
     return pair_contraction(A, {l: ("tie_sum",) for l in range(1, d + 1)})
 
 
@@ -128,7 +123,7 @@ def coupled_expansion_sides(A: ArrayLike, factors: Sequence[np.ndarray]) -> tupl
     Left: sum over subsets I of the term with kernel x x^T - Id on the pairs
     in I and a diagonal sum on the rest.  Right: X^T A X itself.
     """
-    data, d = _as_doubled(A)
+    d = len(factors)
     kernels = {}
     for l in range(1, d + 1):
         x = np.asarray(factors[l - 1])
@@ -177,7 +172,7 @@ def backbone_term(A: ArrayLike, I: Iterable[int], J: Iterable[int],
     axes are restricted to coordinate pairs with i_l != i'_l.
     Summed over all valid (I, J) these terms reconstruct X^T A X exactly.
     """
-    data, d = _as_doubled(A)
+    d = len(factors)
     I = frozenset(I)
     spec = semi_decoupled_spec(d, I, J, factors, factors)
     comp = sorted(set(range(1, d + 1)) - I)

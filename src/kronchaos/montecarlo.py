@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -37,30 +37,54 @@ STREAM_BOOTSTRAP = 0x30
 _PSI2_P_GRID = np.linspace(1.0, 200.0, 20000)
 
 
-def _lp_norm_curve(family: str, q: float, p: np.ndarray) -> np.ndarray:
-    """Analytic ||Y||_p for each supported entry family."""
-    if family == "gaussian":
-        return np.sqrt(2.0) * np.exp((gammaln((p + 1.0) / 2.0) - gammaln(0.5)) / p)
-    if family == "rademacher":
-        return np.ones_like(p)
-    if family == "uniform_sym":
-        return np.sqrt(3.0) * (p + 1.0) ** (-1.0 / p)
-    if family == "two_point":
-        return (2.0 * q) ** (1.0 / p - 0.5)
-    raise ArgumentError(f"unknown family {family!r}")
-
-
-def psi2_numeric(family: str, q: float = 0.25) -> float:
-    """sup_p ||Y||_p / sqrt(p) evaluated on a dense p grid."""
-    curve = _lp_norm_curve(family, q, _PSI2_P_GRID) / np.sqrt(_PSI2_P_GRID)
-    return float(curve.max())
-
-
 # Analytic values for gaussian / rademacher (the sup is attained at p = 1);
 # grid-computed upper bounds, rounded up to 3 digits, for the others.
 PSI2_GAUSSIAN = math.sqrt(2.0 / math.pi)
 PSI2_RADEMACHER = 1.0
 PSI2_UNIFORM_SYM = 0.867
+
+
+class Family(NamedTuple):
+    """One entry family: ``lp_norm(p, q)`` is the analytic ||Y||_p, ``draw(u, q)``
+    maps uniforms to entries and ``psi2`` is the stored subgaussian-norm bound
+    (None: computed from q)."""
+
+    lp_norm: Callable[[np.ndarray, float], np.ndarray]
+    draw: Callable[[np.ndarray, float], np.ndarray]
+    psi2: float | None
+
+
+def _two_point(u: np.ndarray, q: float) -> np.ndarray:
+    v = math.sqrt(1.0 / (2.0 * q))
+    return np.where(u < q, v, np.where(u >= 1.0 - q, -v, 0.0))
+
+
+# Uniforms lie on the lattice {0, ..., 2^53 - 1} / 2^53; the half-ulp shift
+# keeps the gaussian map finite and exactly symmetric.
+FAMILIES = {
+    "gaussian": Family(
+        lambda p, q: np.sqrt(2.0) * np.exp((gammaln((p + 1.0) / 2.0) - gammaln(0.5)) / p),
+        lambda u, q: ndtri(u + 2.0**-54), PSI2_GAUSSIAN),
+    "rademacher": Family(lambda p, q: np.ones_like(p),
+                         lambda u, q: np.where(u < 0.5, -1.0, 1.0), PSI2_RADEMACHER),
+    "uniform_sym": Family(lambda p, q: np.sqrt(3.0) * (p + 1.0) ** (-1.0 / p),
+                          lambda u, q: (2.0 * (u + 2.0**-54) - 1.0) * math.sqrt(3.0),
+                          PSI2_UNIFORM_SYM),
+    "two_point": Family(lambda p, q: (2.0 * q) ** (1.0 / p - 0.5), _two_point, None),
+}
+
+
+def _family(name: str) -> Family:
+    try:
+        return FAMILIES[name]
+    except KeyError:
+        raise ArgumentError(f"unknown family {name!r}") from None
+
+
+def psi2_numeric(family: str, q: float = 0.25) -> float:
+    """sup_p ||Y||_p / sqrt(p) evaluated on a dense p grid."""
+    curve = _family(family).lp_norm(_PSI2_P_GRID, q) / np.sqrt(_PSI2_P_GRID)
+    return float(curve.max())
 
 
 @dataclass(frozen=True)
@@ -88,32 +112,12 @@ class DistributionSpec:
 
 def distribution(family: str, q: float = 0.25) -> DistributionSpec:
     """DistributionSpec with the stored subgaussian-norm constant for the family."""
-    if family == "gaussian":
-        return DistributionSpec("gaussian", PSI2_GAUSSIAN)
-    if family == "rademacher":
-        return DistributionSpec("rademacher", PSI2_RADEMACHER)
-    if family == "uniform_sym":
-        return DistributionSpec("uniform_sym", PSI2_UNIFORM_SYM)
-    if family == "two_point":
-        if not 0.0 < q <= 0.5:
-            raise ArgumentError(f"two_point needs 0 < q <= 1/2, got {q}")
-        return DistributionSpec("two_point", math.ceil(psi2_numeric("two_point", q) * 1000) / 1000, q)
-    raise ArgumentError(f"unknown family {family!r}")
-
-
-def _map_uniforms(u: np.ndarray, dist: DistributionSpec) -> np.ndarray:
-    # u lies on the lattice {0, ..., 2^53 - 1} / 2^53; the half-ulp shift
-    # keeps the gaussian map finite and exactly symmetric.
-    if dist.family == "gaussian":
-        return ndtri(u + 2.0**-54)
-    if dist.family == "rademacher":
-        return np.where(u < 0.5, -1.0, 1.0)
-    if dist.family == "uniform_sym":
-        return (2.0 * (u + 2.0**-54) - 1.0) * math.sqrt(3.0)
-    if dist.family == "two_point":
-        v = math.sqrt(1.0 / (2.0 * dist.q))
-        return np.where(u < dist.q, v, np.where(u >= 1.0 - dist.q, -v, 0.0))
-    raise ArgumentError(f"unknown family {dist.family!r}")
+    psi2 = _family(family).psi2
+    if psi2 is not None:
+        return DistributionSpec(family, psi2)
+    if not 0.0 < q <= 0.5:
+        raise ArgumentError(f"two_point needs 0 < q <= 1/2, got {q}")
+    return DistributionSpec(family, math.ceil(psi2_numeric(family, q) * 1000) / 1000, q)
 
 
 class FactorSampler:
@@ -147,7 +151,7 @@ class FactorSampler:
             bg.advance(start * self.stride_blocks)
         u = Generator(bg).random(count * self.stride_blocks * 4)
         u = u.reshape(count, self.stride_blocks * 4)
-        values = _map_uniforms(u, self.dist)
+        values = _family(self.dist.family).draw(u, self.dist.q)
         return [
             np.ascontiguousarray(values[:, off : off + n])
             for off, n in zip(self.offsets, self.dims.sizes)

@@ -31,15 +31,18 @@ _BRUTE_RANDOM = 32
 
 @dataclass(frozen=True)
 class NormOptions:
-    """Knobs for the iterative norm estimators."""
+    """Knobs for the iterative norm estimators.
+
+    ``restarts``, ``max_iter``, ``tol`` and ``seed`` change the estimated
+    values, so every report config records them.  ``threads`` only spreads the
+    restarts over a thread pool and changes no value.
+    """
 
     restarts: int = 32
     max_iter: int = 500
     tol: float = 1e-10
     seed: int = 0
     threads: int = 1
-    keep_restarts: bool = False
-    extra_inits: tuple = ()
 
     def __post_init__(self):
         # ALS keeps the best restart, so it needs at least one.
@@ -70,7 +73,6 @@ class NormEstimate:
     converged: bool = True
     iterations: int = 0
     factors: tuple[np.ndarray, ...] | None = None
-    restarts: list[RestartResult] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -166,45 +168,38 @@ def _als_run(data, positions, update_subs, init_factors, max_iter, tol, rng) -> 
     return RestartResult(value, tuple(factors), converged, iterations)
 
 
-def _als_estimate(pa: PartialArray, P: Partition, opts: NormOptions, method: str) -> NormEstimate:
+def _run_estimate(best: RestartResult, method: str, P: Partition, runs: int,
+                  max_iter: int) -> NormEstimate:
+    """The certified lower bound set by the best of ``runs`` alternating runs."""
+    est = NormEstimate(best.value, method, P, runs, True, best.converged, best.iterations,
+                       best.factors)
+    if not best.converged:
+        est.warnings.append(f"als did not converge within {max_iter} iterations")
+    return est
+
+
+def _als_estimate(pa: PartialArray, P: Partition, opts: NormOptions, method: str,
+                  start: Sequence[np.ndarray] | None = None) -> NormEstimate:
+    """Best of ``opts.restarts`` seeded random restarts, plus one run from
+    ``start`` under the next restart index when given."""
     positions = _block_positions(pa, P)
     update_subs, _ = _subscripts(pa.order, positions)
     shapes = [tuple(pa.sizes[p] for p in pos) for pos in positions]
-    data = pa.data
+    starts = [None] * opts.restarts + ([list(start)] if start is not None else [])
 
-    inits: list[tuple[int, tuple]] = []
-    for r in range(opts.restarts):
-        inits.append((r, None))
-    for j, extra in enumerate(opts.extra_inits):
-        inits.append((opts.restarts + j, tuple(extra)))
-
-    def run(item):
-        idx, init = item
+    def run(idx: int) -> RestartResult:
         rng = np.random.default_rng((opts.seed, 0x6E6F726D, idx))
-        start = list(init) if init is not None else _random_factors(shapes, rng)
-        return _als_run(data, positions, update_subs, start, opts.max_iter, opts.tol, rng)
+        init = starts[idx] if starts[idx] is not None else _random_factors(shapes, rng)
+        return _als_run(pa.data, positions, update_subs, init, opts.max_iter, opts.tol, rng)
 
     if opts.threads > 1:
         with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-            results = list(pool.map(run, inits))
+            results = list(pool.map(run, range(len(starts))))
     else:
-        results = [run(item) for item in inits]
+        results = [run(idx) for idx in range(len(starts))]
 
     best = max(range(len(results)), key=lambda i: (results[i].value, -i))
-    est = NormEstimate(
-        value=results[best].value,
-        method=method,
-        partition=P,
-        restarts_used=len(results),
-        certified_lower_bound=True,
-        converged=results[best].converged,
-        iterations=results[best].iterations,
-        factors=results[best].factors,
-        restarts=results if opts.keep_restarts else [],
-    )
-    if not est.converged:
-        est.warnings.append(f"als did not converge within {opts.max_iter} iterations")
-    return est
+    return _run_estimate(results[best], method, P, len(results), opts.max_iter)
 
 
 def _sign_candidates(m: int) -> np.ndarray:
@@ -259,17 +254,7 @@ def _brute_estimate(pa: PartialArray, P: Partition, opts: NormOptions) -> NormEs
 
     update_subs, _ = _subscripts(pa.order, positions)
     polished = _als_run(pa.data, positions, update_subs, start, opts.max_iter, opts.tol, rng)
-    est = NormEstimate(
-        value=polished.value,
-        method="brute-force",
-        partition=P,
-        restarts_used=combos,
-        certified_lower_bound=True,
-        converged=polished.converged,
-        iterations=polished.iterations,
-        factors=polished.factors,
-    )
-    return est
+    return _run_estimate(polished, "brute-force", P, combos, opts.max_iter)
 
 
 def tensor_norm(B: ArrayLike, P, opts: NormOptions | None = None, method: str | None = None) -> NormEstimate:
@@ -343,8 +328,6 @@ def _lift_merged_factor(block_a, block_b, fa: np.ndarray, fb: np.ndarray) -> np.
 class MergeSplitReport:
     """Outcome of checking the two norm inequalities between a partition and a coarsening."""
 
-    split_partition: Partition
-    merged_partition: Partition
     split_value: float
     merged_value: float
     factor_bound: float
@@ -360,8 +343,8 @@ def verify_merge_split(B: ArrayLike, P_split, merge_pair: tuple[int, int],
                        opts: NormOptions | None = None, slack: float = 1e-6) -> MergeSplitReport:
     """Check ||B||_split <= ||B||_merged <= sqrt(min(N_a, N_b)) * ||B||_split.
 
-    The first inequality is made robust by lifting every split feasible point
-    to a merged feasible point of equal objective; the second by deriving a
+    The first inequality is made robust by lifting the split optimizer to a
+    merged feasible point of equal objective; the second by deriving a
     split feasible point from the merged optimizer through an exact singular
     value decomposition of the contracted matrix.
     """
@@ -374,44 +357,29 @@ def verify_merge_split(B: ArrayLike, P_split, merge_pair: tuple[int, int],
     union = tuple(sorted(block_a + block_b))
     scale = max(1.0, frobenius(pa))
 
-    split_opts = replace(opts, keep_restarts=True)
-    est_split = tensor_norm(pa, P_split, split_opts)
+    est_split = tensor_norm(pa, P_split, opts)
     est_merged = tensor_norm(pa, P_merged, opts)
 
-    # Constructive direction: every split feasible point lifts to a merged
-    # feasible point with the same objective.
-    restarts = est_split.restarts or (
-        [RestartResult(est_split.value, est_split.factors, True, 0)] if est_split.factors else []
-    )
+    # Constructive direction: the split optimizer lifts to a merged feasible
+    # point with the same objective.
     lift_err = 0.0
-    best_lift = 0.0
-    merged_order = {block: r for r, block in enumerate(P_merged.blocks)}
-    for res in restarts:
-        lifted = [None] * P_merged.kappa
-        fa = fb = None
-        for block, f in zip(P_split.blocks, res.factors):
-            if block == block_a:
-                fa = f
-            elif block == block_b:
-                fb = f
-            else:
-                lifted[merged_order[block]] = f
-        lifted[merged_order[union]] = _lift_merged_factor(block_a, block_b, fa, fb)
-        val = norm_objective(pa, P_merged, lifted)
-        lift_err = max(lift_err, abs(val - res.value))
-        best_lift = max(best_lift, val)
-    merged_value = max(est_merged.value, best_lift)
+    merged_value = est_merged.value
+    if est_split.factors is not None:
+        by_block = dict(zip(P_split.blocks, est_split.factors))
+        by_block[union] = _lift_merged_factor(block_a, block_b, by_block.pop(block_a),
+                                              by_block.pop(block_b))
+        val = norm_objective(pa, P_merged, [by_block[b] for b in P_merged.blocks])
+        lift_err = abs(val - est_split.value)
+        merged_value = max(merged_value, val)
 
     # Reverse direction: contract against the merged optimizer's other blocks,
     # take the top singular pair of the resulting matrix as a split point.
     split_value = est_split.value
     if est_merged.factors is not None:
-        others = [(block, f) for block, f in zip(P_merged.blocks, est_merged.factors) if block != union]
-        axes_sub = _LETTERS[: pa.order]
-        subs = ["".join(axes_sub[pa.axes.index(a)] for a in block) for block, _ in others]
-        out = "".join(axes_sub[pa.axes.index(a)] for a in union)
-        lhs = axes_sub + ("," + ",".join(subs) if subs else "")
-        tilde = np.einsum(f"{lhs}->{out}", pa.data, *[f for _, f in others])
+        r = P_merged.blocks.index(union)
+        update_subs, _ = _subscripts(pa.order, _block_positions(pa, P_merged))
+        others = [f for q, f in enumerate(est_merged.factors) if q != r]
+        tilde = np.einsum(update_subs[r], pa.data, *others)
         tilde_pa = PartialArray(union, [pa.size(a) for a in union], tilde, copy=False)
         sigma = float(np.linalg.svd(matricize(tilde_pa, block_a, block_b), compute_uv=False)[0])
         split_value = max(split_value, sigma)
@@ -423,8 +391,6 @@ def verify_merge_split(B: ArrayLike, P_split, merge_pair: tuple[int, int],
     ineq1 = split_value <= merged_value + slack * scale
     ineq2 = merged_value <= factor_bound * split_value * (1.0 + slack) + 1e-300
     return MergeSplitReport(
-        split_partition=P_split,
-        merged_partition=P_merged,
         split_value=split_value,
         merged_value=merged_value,
         factor_bound=factor_bound,
@@ -477,8 +443,8 @@ def verify_diagonal_restriction(A: TensorArray, I: Iterable[int], P,
     if lhs.value > rhs.value * (1.0 + slack) and rhs.method == "als" and lhs.factors is not None:
         # the restricted optimizer is a feasible point for the full array too
         retried = True
-        boosted = replace(opts, restarts=2 * opts.restarts, extra_inits=(lhs.factors,))
-        rhs = tensor_norm(A, P, boosted)
+        rhs = _als_estimate(as_partial(A), rhs.partition, replace(opts, restarts=2 * opts.restarts),
+                            "als", start=lhs.factors)
     return DiagonalRestrictionReport(
         restricted_value=lhs.value,
         full_value=rhs.value,

@@ -24,6 +24,7 @@ from .bounds import (
     main_norm_table,
     mp_main,
     symmetrize,
+    table_warnings,
     tail_bound_ax,
     tail_bound_hanson_wright,
     tail_regimes_ax,
@@ -284,14 +285,12 @@ def _moment_ratios(suite: str, A: np.ndarray, dims: Dims, dist: DistributionSpec
     batch = SampleBatch(seed, base, S, vals)
 
     results = []
-    warnings: set[str] = set()
     for p in p_grid:
         m = mp_main(A2d, p, dist.bound_L, table=table)
-        warnings.update(m.warnings)
         lp = estimate_lp(batch, p, resamples)
         ratio = lp.estimate / m.value if m.value > 0 else 0.0
         results.append({"p": p, "lhs": _moment_dict(lp), "mp": m.value, "ratio": ratio})
-    return results, sorted(warnings), vals
+    return results, sorted(set(table_warnings(table))), vals
 
 
 def verify_main_upper(A: np.ndarray, dims: Dims, dist: DistributionSpec,

@@ -73,21 +73,6 @@ class Dims:
         return self.sizes[axis - 1]
 
 
-@dataclass(frozen=True)
-class DoubledDims:
-    """Order-2d dims (n_1,...,n_d, n_1,...,n_d) derived from a base of order d."""
-
-    base: Dims
-
-    @property
-    def dims(self) -> Dims:
-        return Dims(self.base.sizes + self.base.sizes)
-
-    @property
-    def d(self) -> int:
-        return self.base.order
-
-
 def doubled_order(dims: Dims) -> int:
     """Half order d of doubled dims; raises unless the two halves match."""
     k = dims.order
@@ -326,7 +311,7 @@ def rearrange_matrix(A: np.ndarray, dims: Dims) -> TensorArray:
     N = dims.total
     if A.shape != (N, N):
         raise ShapeError(f"matrix shape {A.shape} does not match N = {N}")
-    return TensorArray(DoubledDims(dims).dims, A.reshape(dims.sizes + dims.sizes, order="C"))
+    return TensorArray(Dims(dims.sizes + dims.sizes), A.reshape(dims.sizes + dims.sizes, order="C"))
 
 
 def unrearrange_matrix(ta: TensorArray) -> np.ndarray:

@@ -214,6 +214,18 @@ def test_cache_slot_depends_on_restarts(tmp_path, id4, capsys):
     assert len(_slots(tmp_path / "c")) == 2
 
 
+def test_cache_hit_adds_missing_formats(tmp_path, capsys):
+    argv = ("verify", "identities", "--seed", "3", "--cache", tmp_path / "c")
+    assert run(*argv, "--formats", "json") == EXIT_OK
+    slot = tmp_path / "c" / _slots(tmp_path / "c")[0]
+    assert not (slot / "report.csv").exists()
+    report_bytes = (slot / "report.json").read_bytes()
+    assert run(*argv, "--formats", "json,csv") == EXIT_OK
+    assert "cached at" in capsys.readouterr().out.splitlines()[-1]
+    assert (slot / "report.csv").read_text().startswith("check,max_relative_error\n")
+    assert (slot / "report.json").read_bytes() == report_bytes
+
+
 def test_cache_slot_depends_on_code(tmp_path, monkeypatch, capsys):
     import kronchaos.cli as cli
 

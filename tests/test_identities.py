@@ -14,7 +14,7 @@ from kronchaos import (
     dot_times,
     rearrange_matrix,
 )
-from kronchaos.errors import AxisSetError
+from kronchaos.errors import AxisSetError, ShapeError
 from kronchaos.identities import (
     coupled_expansion_sides,
     expected_quadratic,
@@ -186,3 +186,11 @@ def test_coupled_expansion_sides_identity(instance):
     dims, A, x, _ = instance
     lhs, rhs = coupled_expansion_sides(A, x)
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_pair_contraction_needs_a_doubled_array():
+    spec = {1: ("tie_sum",)}
+    assert pair_contraction(np.eye(3), spec) == pytest.approx(3.0, rel=1e-15)
+    for bad in (np.ones((2, 3)), np.ones((2, 2, 2))):
+        with pytest.raises(ShapeError):
+            pair_contraction(bad, spec)

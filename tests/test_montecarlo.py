@@ -17,7 +17,7 @@ from kronchaos import (
     estimate_tail,
     rearrange_matrix,
 )
-from kronchaos.errors import ArgumentError, ShapeError, SizeError
+from kronchaos.errors import ArgumentError, AxisSetError, ShapeError, SizeError
 from kronchaos.identities import pair_contraction, semi_decoupled_spec
 from kronchaos.montecarlo import (
     PSI2_GAUSSIAN,
@@ -254,6 +254,15 @@ def test_semi_decoupled_batch_matches_single():
         x, xb = fs.factors(s), fsb.factors(s)
         want = np.kron(x[0], x[1]) @ A.data.reshape(4, 4) @ np.kron(xb[0], xb[1])
         assert vals[s] == pytest.approx(want, rel=1e-11, abs=1e-12)
+
+
+def test_semi_decoupled_batch_trace_term_has_no_sample_axis():
+    # I \ J = [d]: every pair is tied and summed, so no operand carries samples
+    dims = Dims([2, 2])
+    A = rearrange_matrix(np.eye(4), dims)
+    mats = FactorSampler(dims, distribution("gaussian"), 0, 1).batch(0, 3)
+    with pytest.raises(AxisSetError, match="sample axis"):
+        semi_decoupled_batch(A, (1, 2), (), mats, mats)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ from kronchaos import (
     verify_merge_split,
 )
 from kronchaos.errors import ArgumentError, AxisSetError
-from kronchaos.norms import diagonal_restrict, merge_blocks
+from kronchaos.norms import _als_estimate, diagonal_restrict, merge_blocks
+from kronchaos.tensor import as_partial
 
 OPTS = NormOptions(restarts=32, seed=0)
 
@@ -191,16 +192,28 @@ def test_nonconvergence_flagged():
     assert est.warnings
 
 
-def test_keep_restarts_and_determinism():
+def test_als_is_deterministic():
     rng = np.random.default_rng(10)
     T = rng.standard_normal((2, 2, 2))
-    opts = NormOptions(restarts=8, seed=42, keep_restarts=True)
+    opts = NormOptions(restarts=8, seed=42)
     a = tensor_norm(T, [[1], [2], [3]], opts)
     b = tensor_norm(T, [[1], [2], [3]], opts)
     assert a.value == b.value
-    assert len(a.restarts) == 8
-    for ra, rb in zip(a.restarts, b.restarts):
-        assert ra.value == rb.value
+    assert a.restarts_used == 8
+    for fa, fb in zip(a.factors, b.factors, strict=True):
+        assert np.array_equal(fa, fb)
+
+
+def test_als_start_runs_after_the_seeded_restarts():
+    rng = np.random.default_rng(20)
+    T = rng.standard_normal((2, 3, 2))
+    P = Partition([[1], [2], [3]])
+    opts = NormOptions(restarts=4, seed=7)
+    best = tensor_norm(T, P, OPTS)
+    seeded = tensor_norm(T, P, opts)
+    est = _als_estimate(as_partial(T), P, opts, "als", start=best.factors)
+    assert est.restarts_used == 5
+    assert est.value >= max(seeded.value, best.value * (1 - 1e-12))
 
 
 @pytest.mark.parametrize("restarts", [0, -1])

@@ -1,5 +1,6 @@
 """The verification suites on small, fast configurations."""
 
+import dataclasses
 import json
 import math
 
@@ -18,6 +19,8 @@ from kronchaos import (
     verify_main_upper,
 )
 from kronchaos.errors import PreconditionError
+from kronchaos.norms import NormOptions
+from kronchaos.suites import _norm_config
 
 GAUSS = distribution("gaussian")
 RADEMACHER = distribution("rademacher")
@@ -235,3 +238,10 @@ def test_failed_mean_sanity_is_flagged(monkeypatch, make):
     rep = make()
     assert not rep["mean_sanity"]["ok"]
     assert any(f.startswith("mean sanity: |mean|") for f in rep["flags"])
+
+
+def test_norm_config_records_every_value_changing_option():
+    # the report cache keys on the config, so a value-changing NormOptions field
+    # missing from it would let the cache return a report computed with other options
+    fields = {f.name for f in dataclasses.fields(NormOptions)} - {"threads"}
+    assert set(_norm_config(NormOptions())) == fields

@@ -7,7 +7,6 @@ import pytest
 
 from kronchaos import (
     Dims,
-    DoubledDims,
     EMPTY_INDEX,
     PartialIndex,
     TensorArray,
@@ -57,12 +56,6 @@ def test_dims_validation():
         Dims([2, 0])
     with pytest.raises(SizeError):
         Dims([2**31, 2**31, 2**31])
-
-
-def test_doubled_dims():
-    dd = DoubledDims(Dims([2, 3]))
-    assert dd.dims.sizes == (2, 3, 2, 3)
-    assert dd.d == 2
 
 
 def test_flatten_index_trivial_and_derived():
