@@ -26,7 +26,6 @@ from .tensor import (
     EMPTY_INDEX,
     PartialArray,
     PartialIndex,
-    TensorArray,
     all_indices,
     dot_plus,
     dot_times,

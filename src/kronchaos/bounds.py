@@ -26,7 +26,6 @@ from .tensor import (
     ArrayLike,
     Dims,
     PartialArray,
-    TensorArray,
     as_partial,
     doubled_order,
     rearrange_matrix,
@@ -37,13 +36,13 @@ from .tensor import (
 # reduced arrays and symmetrization
 
 
-def build_reduced_array(A: TensorArray, I: Iterable[int]) -> PartialArray:
+def build_reduced_array(A: PartialArray, I: Iterable[int]) -> PartialArray:
     """Partial trace of an order-2d array over the paired axes in I.
 
     The result lives on the surviving axes (I^c) u (I^c + d); I = [d] yields
     the scalar :func:`identities.expected_quadratic`, I = empty returns the array unchanged.
     """
-    d = doubled_order(A.dims)
+    d = doubled_order(A)
     I = sorted(set(I))
     if any(not 1 <= l <= d for l in I):
         raise AxisSetError(f"I = {I} is not a subset of [{d}]")
@@ -53,7 +52,7 @@ def build_reduced_array(A: TensorArray, I: Iterable[int]) -> PartialArray:
     keep = [l for l in range(1, 2 * d + 1) if l not in I and l - d not in I]
     out = "".join(letters[l - 1] for l in keep)
     data = np.einsum("".join(letters) + "->" + out, A.data)
-    return PartialArray(keep, [A.dims.size(l) for l in keep], data)
+    return PartialArray(keep, [A.size(l) for l in keep], data)
 
 
 def _swap_axes_perm(d: int, I: Iterable[int]) -> list[int]:
@@ -63,7 +62,7 @@ def _swap_axes_perm(d: int, I: Iterable[int]) -> list[int]:
     return perm
 
 
-def symmetrize(A: TensorArray) -> TensorArray:
+def symmetrize(A: PartialArray) -> PartialArray:
     """Average the order-2d array over all swaps of paired axes.
 
     Generalizes (A + A^T) / 2: the quadratic form X^T A X is preserved for
@@ -71,16 +70,16 @@ def symmetrize(A: TensorArray) -> TensorArray:
     condition exactly (iterated two-term averages are exactly swap-invariant
     in floating point).
     """
-    d = doubled_order(A.dims)
+    d = doubled_order(A)
     data = A.data
     for l in range(1, d + 1):
         data = 0.5 * (data + data.transpose(_swap_axes_perm(d, [l])))
-    return TensorArray(A.dims, data)
+    return PartialArray(A.axes, A.sizes, data)
 
 
-def check_symmetry(A: TensorArray) -> bool:
+def check_symmetry(A: PartialArray) -> bool:
     """True iff the array equals every single-pair axis swap of itself, exactly."""
-    d = doubled_order(A.dims)
+    d = doubled_order(A)
     return all(
         np.array_equal(A.data, A.data.transpose(_swap_axes_perm(d, [l])))
         for l in range(1, d + 1)
@@ -158,9 +157,9 @@ def _kappa_sums(rows: Sequence[NormTableRow], d: int) -> dict[int, float]:
     return sums
 
 
-def main_norm_table(A: TensorArray, opts: NormOptions | None = None) -> list[NormTableRow]:
+def main_norm_table(A: PartialArray, opts: NormOptions | None = None) -> list[NormTableRow]:
     """Norms of every reduced array over every partition of its surviving axes."""
-    d = doubled_order(A.dims)
+    d = doubled_order(A)
     opts = opts or DEFAULT_OPTIONS
     rows = []
     for I in subsets(range(1, d + 1)):
@@ -169,7 +168,7 @@ def main_norm_table(A: TensorArray, opts: NormOptions | None = None) -> list[Nor
     return rows
 
 
-def mp_main(A: TensorArray, p: float, L: float = 1.0, opts: NormOptions | None = None,
+def mp_main(A: PartialArray, p: float, L: float = 1.0, opts: NormOptions | None = None,
             table: list[NormTableRow] | None = None) -> MomentValue:
     """Main moment functional of the order-2d rearrangement of a square matrix.
 
@@ -178,7 +177,7 @@ def mp_main(A: TensorArray, p: float, L: float = 1.0, opts: NormOptions | None =
     no partitions and contribute nothing.
     """
     _check_p_L(p, L)
-    d = doubled_order(A.dims)
+    d = doubled_order(A)
     rows = table if table is not None else main_norm_table(A, opts)
     value = L ** (2 * d) * sum(p ** (row.kappa / 2.0) * row.value for row in rows)
     return MomentValue(p, L, value, rows, _kappa_sums(rows, d))
@@ -484,7 +483,7 @@ class ReductionLiftReport:
     passed: bool
 
 
-def verify_reduction_lift(A: TensorArray, I: Iterable[int], P,
+def verify_reduction_lift(A: PartialArray, I: Iterable[int], P,
                           opts: NormOptions | None = None,
                           slack: float = 1e-6) -> ReductionLiftReport:
     """Check ||A^(I)||_P <= sqrt(prod_{l in I} n_l) * ||A||_{P + pairs(I)}.
@@ -496,7 +495,7 @@ def verify_reduction_lift(A: TensorArray, I: Iterable[int], P,
     certified lower bounds on both sides.
     """
     opts = opts or DEFAULT_OPTIONS
-    d = doubled_order(A.dims)
+    d = doubled_order(A)
     I = tuple(sorted(set(I)))
     reduced = build_reduced_array(A, I)
     est_red = tensor_norm(reduced, P, opts)
@@ -508,7 +507,7 @@ def verify_reduction_lift(A: TensorArray, I: Iterable[int], P,
 
     scale = 1.0
     for l in I:
-        scale *= A.dims.size(l)
+        scale *= A.size(l)
     scale = math.sqrt(scale)
 
     lift_error = 0.0
@@ -516,7 +515,7 @@ def verify_reduction_lift(A: TensorArray, I: Iterable[int], P,
     if est_red.factors is not None:
         by_block = dict(zip(P_red.blocks, est_red.factors))
         for l in I:
-            n = A.dims.size(l)
+            n = A.size(l)
             by_block[(l, l + d)] = np.eye(n) / math.sqrt(n)
         lifted = [by_block[b] for b in P_ext.blocks]
         val = norm_objective(A, P_ext, lifted)

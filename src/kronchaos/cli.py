@@ -22,6 +22,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -58,11 +59,26 @@ class UsageError(Exception):
     pass
 
 
-def _parse_floats(text: str) -> list[float]:
+def _finite(text: str) -> float:
+    """A finite float; nan, inf and non-numbers are usage errors."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as e:
-        raise UsageError(f"bad numeric list {text!r}: {e}") from None
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise UsageError(f"not a finite number: {text!r}")
+    return x
+
+
+def _parse_floats(text: str) -> list[float]:
+    return [_finite(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _parse_formats(text: str) -> list[str]:
+    formats = text.split(",")
+    if not set(formats) <= {"json", "csv"}:
+        raise UsageError(f"unknown report format in {text!r}; choose from json, csv")
+    return formats
 
 
 def _parse_dims(text: str) -> Dims:
@@ -72,16 +88,14 @@ def _parse_dims(text: str) -> Dims:
         raise UsageError(f"bad dims {text!r}: {e}") from None
 
 
-def _load_matrix(args, dims: Dims | None, seed: int) -> tuple[np.ndarray, str]:
-    """Matrix from --matrix CSV, or a seeded standard-normal square one."""
+def _load_matrix(args, dims: Dims, seed: int) -> tuple[np.ndarray, str]:
+    """Matrix from --matrix CSV, or a seeded standard-normal square one of size N."""
     if args.matrix:
         path = Path(args.matrix)
         if not path.exists():
             raise UsageError(f"matrix file not found: {path}")
         A = load_matrix_csv(path)
         return A, str(path)
-    if dims is None:
-        raise UsageError("--dims is required to generate a random matrix")
     N = dims.total
     rng = np.random.default_rng((seed, 0x6D6174))
     return rng.standard_normal((N, N)), f"random-normal(seed={seed})"
@@ -120,14 +134,12 @@ def report_to_csv(report: dict) -> str:
     lines = []
     if suite == "bounds":
         lines.append("table,I,partition,kappa,method,value,converged")
-        for row in report.get("norm_rows", []):
-            lines.append("main,{I},{partition},{kappa},{method},{value!r},{converged}".format(**row))
-        for row in report.get("gram_rows", []):
-            lines.append("gram,{I},{partition},{kappa},{method},{value!r},{converged}".format(**row))
-        for p, v in report.get("mp_main", {}).items():
-            lines.append(f"mp_main,,,,,{v!r},p={p}")
-        for p, v in report.get("mp_norm", {}).items():
-            lines.append(f"mp_norm,,,,,{v!r},p={p}")
+        for table, key in (("main", "norm_rows"), ("gram", "gram_rows")):
+            for row in report.get(key, []):
+                lines.append("{},{I},{partition},{kappa},{method},{value!r},{converged}".format(table, **row))
+        for key in ("mp_main", "mp_norm"):
+            for p, v in report.get(key, {}).items():
+                lines.append(f"{key},,,,,{v!r},p={p}")
         for row in report.get("tail_curve", []):
             lines.append("tail,,,,{regime},{bound!r},t={t}".format(**row))
     elif suite in ("ax-tail", "hanson-wright"):
@@ -144,7 +156,8 @@ def report_to_csv(report: dict) -> str:
     elif suite in ("main-upper", "main-lower"):
         lines.append("p,lhs,mp,ratio")
         for row in report["results"]:
-            lines.append(f"{row['p']},{row['lhs']['estimate']!r},{row['mp']!r},{row['ratio']!r}")
+            lhs = row["lhs"]["estimate"] if "lhs" in row else ""  # zero matrix: p and ratio only
+            lines.append(f"{row['p']},{lhs},{row.get('mp', '')},{row['ratio']!r}")
     elif suite == "identities":
         lines.append("check,max_relative_error")
         for name, err in report["max_relative_errors"].items():
@@ -194,8 +207,6 @@ def cmd_bounds(args) -> int:
     dims = _parse_dims(args.dims)
     seed = args.seed
     A, source = _load_matrix(args, dims, seed)
-    if A.shape[1] != dims.total:
-        raise UsageError(f"matrix has {A.shape[1]} columns but dims give N = {dims.total}")
     p_grid = _parse_floats(args.p) if args.p else [2.0, 4.0, 8.0]
     t_grid = _parse_floats(args.t) if args.t else []
 
@@ -209,7 +220,7 @@ def cmd_bounds(args) -> int:
     result = compute_bound_report(A, dims, p_grid, args.L, args.C_tail, t_grid,
                                   _norm_opts(args, seed))
     report = {"suite": "bounds", "config": config, **result.to_dict()}
-    slot, fresh = write_report(report, _cache_dir(args), args.formats.split(","))
+    slot, fresh = write_report(report, _cache_dir(args), args.formats)
     print(f"bounds: report {'written to' if fresh else 'cached at'} {slot}")
     for w in report["warnings"]:
         print(f"  warning: {w}")
@@ -235,7 +246,7 @@ def cmd_verify(args) -> int:
         report = verify_gaussian_decoupling(a, p_grid or (2.0, 4.0, 8.0), S, seed)
     elif suite == "hanson-wright":
         dist = distribution(args.dist, args.q)
-        A, _ = _load_matrix(args, None if args.matrix else Dims([args.n]), seed)
+        A, _ = _load_matrix(args, Dims([args.n]), seed)
         sigma = 2.0 * np.linalg.norm(A)  # rough scale of the centered statistic
         report = verify_hanson_wright(A, dist, t_grid or [0.5 * sigma, sigma, 2.0 * sigma],
                                       S, seed, args.c)
@@ -261,7 +272,7 @@ def cmd_verify(args) -> int:
                                     t_grid or [0.25 * fro, 0.5 * fro, fro],
                                     S, seed, args.C_tail)
 
-    slot, fresh = write_report(report, _cache_dir(args), args.formats.split(","))
+    slot, fresh = write_report(report, _cache_dir(args), args.formats)
     status = report["status"]
     print(f"verify {suite}: {status} ({'written to' if fresh else 'cached at'} {slot})")
     for flag in report.get("flags", []):
@@ -328,12 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--restarts", type=int, default=32)
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--cache", help="cache directory (default $KRONCHAOS_CACHE or ./kronchaos-cache)")
-        p.add_argument("--formats", default="json,csv", help="report formats: json,csv")
+        p.add_argument("--formats", type=_parse_formats, default="json,csv",
+                       help="report formats: json,csv")
 
     pb = sub.add_parser("bounds", help="compute bound reports for a matrix")
     common(pb)
-    pb.add_argument("--L", type=float, default=1.0, help="subgaussian-norm bound (>= 1)")
-    pb.add_argument("--C-tail", dest="C_tail", type=float, default=1.0,
+    pb.add_argument("--L", type=_finite, default=1.0, help="subgaussian-norm bound (>= 1)")
+    pb.add_argument("--C-tail", dest="C_tail", type=_finite, default=1.0,
                     help="constant knob of the norm-deviation tail bound")
     pb.set_defaults(func=cmd_bounds)
 
@@ -342,13 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(pv)
     pv.add_argument("--dist", default="gaussian",
                     choices=list(FAMILIES))
-    pv.add_argument("--q", type=float, default=0.25, help="two_point hit probability")
+    pv.add_argument("--q", type=_finite, default=0.25, help="two_point hit probability")
     pv.add_argument("--samples", type=int, default=100_000)
     pv.add_argument("--ceiling", type=float, default=50.0,
                     help="acceptance ceiling for main-upper ratios")
-    pv.add_argument("--C-tail", dest="C_tail", type=float, default=None,
+    pv.add_argument("--C-tail", dest="C_tail", type=_finite, default=None,
                     help="cap for the fitted ax-tail constant")
-    pv.add_argument("--c", type=float, default=None, help="cap for the fitted order-1 constant")
+    pv.add_argument("--c", type=_finite, default=None, help="cap for the fitted order-1 constant")
     pv.add_argument("--n", type=int, default=8, help="size of the random order-1 matrix")
     pv.add_argument("--vector", help="comma list for gaussian-decoupling coefficients")
     pv.set_defaults(func=cmd_verify)
@@ -360,14 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # the type= parsers raise UsageError
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except KronChaosError as e:
+    except (UsageError, KronChaosError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import AxisSetError
 from .partitions import subsets
-from .tensor import _LETTERS, ArrayLike, Dims, PartialArray, as_partial, doubled_order
+from .tensor import _LETTERS, ArrayLike, PartialArray, as_partial, doubled_order
 
 
 def pair_contraction(A: ArrayLike, spec: dict, batch: bool = False) -> float | np.ndarray:
@@ -29,9 +29,7 @@ def pair_contraction(A: ArrayLike, spec: dict, batch: bool = False) -> float | n
     result is a vector over samples, so at least one entry needs a payload.
     """
     pa = as_partial(A)
-    if pa.axes != tuple(range(1, pa.order + 1)):
-        raise AxisSetError("need a full order-2d array")
-    d = doubled_order(Dims(pa.sizes))
+    d = doubled_order(pa)
     if set(spec) != set(range(1, d + 1)):
         raise AxisSetError(f"spec must cover every axis in [{d}]")
     letters = list(_LETTERS[: 2 * d])

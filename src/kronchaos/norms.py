@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ArgumentError, AxisSetError, SizeError
 from .partitions import Partition
-from .tensor import _LETTERS, ArrayLike, PartialArray, TensorArray, as_partial, doubled_order, frobenius
+from .tensor import _LETTERS, ArrayLike, PartialArray, as_partial, doubled_order, frobenius
 
 # Grid size cap for the brute-force candidate product.
 _BRUTE_COMBO_CAP = 2_000_000
@@ -403,22 +403,22 @@ def verify_merge_split(B: ArrayLike, P_split, merge_pair: tuple[int, int],
     )
 
 
-def diagonal_restrict(A: TensorArray, I: Iterable[int]) -> TensorArray:
+def diagonal_restrict(A: PartialArray, I: Iterable[int]) -> PartialArray:
     """Zero out entries of an order-2d array where coordinates l and l+d differ, l in I."""
-    d = doubled_order(A.dims)
+    d = doubled_order(A)
     I = sorted(set(I))
     if any(not 1 <= l <= d for l in I):
         raise AxisSetError(f"I = {I} not a subset of [{d}]")
     data = A.data.copy()
     for l in I:
-        n = A.dims.size(l)
+        n = A.size(l)
         shape_l = [1] * 2 * d
         shape_l[l - 1] = n
         shape_ld = [1] * 2 * d
         shape_ld[l - 1 + d] = n
         ar = np.arange(n)
         data = data * (ar.reshape(shape_l) == ar.reshape(shape_ld))
-    return TensorArray(A.dims, data, copy=False)
+    return PartialArray(A.axes, A.sizes, data, copy=False)
 
 
 @dataclass
@@ -431,7 +431,7 @@ class DiagonalRestrictionReport:
     passed: bool
 
 
-def verify_diagonal_restriction(A: TensorArray, I: Iterable[int], P,
+def verify_diagonal_restriction(A: PartialArray, I: Iterable[int], P,
                                 opts: NormOptions | None = None,
                                 slack: float = 1e-6) -> DiagonalRestrictionReport:
     """Check that restricting to diagonal entries cannot increase a partition norm."""
@@ -443,7 +443,7 @@ def verify_diagonal_restriction(A: TensorArray, I: Iterable[int], P,
     if lhs.value > rhs.value * (1.0 + slack) and rhs.method == "als" and lhs.factors is not None:
         # the restricted optimizer is a feasible point for the full array too
         retried = True
-        rhs = _als_estimate(as_partial(A), rhs.partition, replace(opts, restarts=2 * opts.restarts),
+        rhs = _als_estimate(A, rhs.partition, replace(opts, restarts=2 * opts.restarts),
                             "als", start=lhs.factors)
     return DiagonalRestrictionReport(
         restricted_value=lhs.value,

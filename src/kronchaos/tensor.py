@@ -5,15 +5,17 @@ are 0-based row-major with axis 1 slowest.  This flattening convention is
 the one induced by the Kronecker product: for x in R^{n_1}, y in R^{n_2},
 the entry (x (x) y)[flatten_index((i_1, i_2))] equals x_{i_1} * y_{i_2}.
 
-A square N x N matrix with N = n_1 ... n_d is identified with an array of
-order 2d; axis l holds the l-th row factor and axis l + d the l-th column
-factor.  ``dot_times`` combines disjoint partial indices, ``dot_plus``
-places its second argument on the shifted axes l + d.
+A square N x N matrix with N = n_1 ... n_d becomes a PartialArray on axes
+1..2d; axis l holds the l-th row factor and axis l + d the l-th column factor.
+Its partial traces are PartialArrays on the surviving labels.  ``dot_times``
+combines disjoint partial indices, ``dot_plus`` places its second argument on
+the shifted axes l + d.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import string
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -61,27 +63,13 @@ class Dims:
     @property
     def total(self) -> int:
         """N = n_1 * ... * n_d."""
-        total = 1
-        for n in self.sizes:
-            total *= n
-        return total
+        return math.prod(self.sizes)
 
     def size(self, axis: int) -> int:
         """Size of 1-based axis ``axis``."""
         if not 1 <= axis <= self.order:
             raise AxisSetError(f"axis {axis} not in [1, {self.order}]")
         return self.sizes[axis - 1]
-
-
-def doubled_order(dims: Dims) -> int:
-    """Half order d of doubled dims; raises unless the two halves match."""
-    k = dims.order
-    if k % 2 != 0:
-        raise ShapeError(f"order {k} is odd, not a doubled array")
-    d = k // 2
-    if dims.sizes[:d] != dims.sizes[d:]:
-        raise ShapeError(f"axes l and l+d differ in size: {dims.sizes}")
-    return d
 
 
 @dataclass(frozen=True)
@@ -202,55 +190,12 @@ def all_indices(dims: Dims, axes: Sequence[int] | None = None) -> Iterator[Parti
         yield PartialIndex(dict(zip(axes, combo)))
 
 
-class TensorArray:
-    """Dense order-k real array; immutable after construction."""
-
-    __slots__ = ("dims", "data")
-
-    def __init__(self, dims: Dims, data: np.ndarray, copy: bool = True):
-        data = np.asarray(data, dtype=np.float64)
-        if data.size != dims.total:
-            raise ShapeError(f"buffer of length {data.size} != product of dims {dims.total}")
-        data = data.reshape(dims.sizes, order="C")
-        if copy:
-            data = data.copy()
-        data.flags.writeable = False
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "data", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorArray is immutable")
-
-    @property
-    def order(self) -> int:
-        return self.dims.order
-
-    @property
-    def flat(self) -> np.ndarray:
-        """Row-major flat view (axis 1 slowest)."""
-        return self.data.reshape(-1)
-
-    def entry(self, i: PartialIndex) -> float:
-        """Entry at a full index; equals ``flat[flatten_index(i) - 1]``."""
-        if i.axes != tuple(range(1, self.order + 1)):
-            raise AxisSetError(f"need a full index on [{self.order}], got axes {i.axes}")
-        pos = tuple(v - 1 for v in i.values)
-        for axis, v in zip(i.axes, i.values):
-            if not 1 <= v <= self.dims.size(axis):
-                raise CoordinateError(f"coordinate {v} out of bound on axis {axis}")
-        return float(self.data[pos])
-
-    @classmethod
-    def zeros(cls, dims: Dims) -> "TensorArray":
-        return cls(dims, np.zeros(dims.sizes), copy=False)
-
-
 class PartialArray:
     """Dense real array over a sorted subset of labeled axes.
 
-    ``axes`` keeps the original 1-based labels (e.g. the surviving axes of a
-    reduced order-2d array); ``data`` has one ndarray axis per label, in label
-    order.  The empty axis set holds a single scalar entry.
+    ``axes`` keeps the 1-based labels (1..2d for a rearranged matrix, the
+    surviving ones for a partial trace); ``data`` has one ndarray axis per
+    label, in label order.  The empty axis set holds a single scalar entry.
     """
 
     __slots__ = ("axes", "sizes", "data")
@@ -262,7 +207,10 @@ class PartialArray:
             raise AxisSetError(f"axes must be sorted and distinct, got {axes}")
         if len(axes) != len(sizes):
             raise ShapeError("axes and sizes must align")
-        data = np.asarray(data, dtype=np.float64).reshape(sizes, order="C")
+        data = np.asarray(data, dtype=np.float64)
+        if data.size != math.prod(sizes):
+            raise ShapeError(f"buffer of length {data.size} != product of sizes {math.prod(sizes)}")
+        data = data.reshape(sizes, order="C")
         if copy:
             data = data.copy()
         data.flags.writeable = False
@@ -277,31 +225,47 @@ class PartialArray:
     def order(self) -> int:
         return len(self.axes)
 
-    @property
-    def axis_set(self) -> frozenset[int]:
-        return frozenset(self.axes)
-
     def size(self, axis: int) -> int:
         try:
             return self.sizes[self.axes.index(axis)]
         except ValueError:
             raise AxisSetError(f"axis {axis} not in {self.axes}") from None
 
+    def entry(self, i: PartialIndex) -> float:
+        """Entry at an index on exactly this array's axes."""
+        if i.axes != self.axes:
+            raise AxisSetError(f"need an index on axes {self.axes}, got axes {i.axes}")
+        for axis, v, n in zip(i.axes, i.values, self.sizes):
+            if not 1 <= v <= n:
+                raise CoordinateError(f"coordinate {v} out of bound [1, {n}] on axis {axis}")
+        return float(self.data[tuple(v - 1 for v in i.values)])
 
-ArrayLike = Union[TensorArray, PartialArray, np.ndarray]
+
+ArrayLike = Union[PartialArray, np.ndarray]
+
+
+def doubled_order(A: PartialArray) -> int:
+    """Half order d of a full doubled array: axes 1..2d, axes l and l+d of equal size."""
+    k = A.order
+    if A.axes != tuple(range(1, k + 1)):
+        raise AxisSetError(f"need a full doubled array on axes 1..{k}, got axes {A.axes}")
+    if k == 0 or k % 2 != 0:
+        raise ShapeError(f"order {k} is not a doubled order 2d >= 2")
+    d = k // 2
+    if A.sizes[:d] != A.sizes[d:]:
+        raise ShapeError(f"axes l and l+d differ in size: {A.sizes}")
+    return d
 
 
 def as_partial(B: ArrayLike) -> PartialArray:
     """View any supported array type as a PartialArray with labeled axes."""
     if isinstance(B, PartialArray):
         return B
-    if isinstance(B, TensorArray):
-        return PartialArray(tuple(range(1, B.order + 1)), B.dims.sizes, B.data, copy=False)
     data = np.asarray(B, dtype=np.float64)
     return PartialArray(tuple(range(1, data.ndim + 1)), data.shape, data, copy=False)
 
 
-def rearrange_matrix(A: np.ndarray, dims: Dims) -> TensorArray:
+def rearrange_matrix(A: np.ndarray, dims: Dims) -> PartialArray:
     """Regard a square N x N matrix as an order-2d array on doubled dims.
 
     The entry at (i dot_plus i') equals A[flatten_index(i), flatten_index(i')];
@@ -311,13 +275,14 @@ def rearrange_matrix(A: np.ndarray, dims: Dims) -> TensorArray:
     N = dims.total
     if A.shape != (N, N):
         raise ShapeError(f"matrix shape {A.shape} does not match N = {N}")
-    return TensorArray(Dims(dims.sizes + dims.sizes), A.reshape(dims.sizes + dims.sizes, order="C"))
+    sizes = dims.sizes + dims.sizes
+    return PartialArray(range(1, len(sizes) + 1), sizes, A)
 
 
-def unrearrange_matrix(ta: TensorArray) -> np.ndarray:
+def unrearrange_matrix(A: PartialArray) -> np.ndarray:
     """Inverse of :func:`rearrange_matrix`."""
-    N = Dims(ta.dims.sizes[: doubled_order(ta.dims)]).total
-    return ta.data.reshape(N, N, order="C").copy()
+    N = math.prod(A.sizes[: doubled_order(A)])
+    return A.data.reshape(N, N, order="C").copy()
 
 
 def frobenius(B: ArrayLike) -> float:

@@ -75,6 +75,32 @@ def test_build_reduced_array_matches_loop():
             assert red.data[i1 - 1, i1p - 1] == pytest.approx(s, rel=1e-14)
 
 
+def test_reduced_array_entry_matches_loop_trace():
+    rng = np.random.default_rng(5)
+    dims = Dims([2, 3, 2])
+    A = rearrange_matrix(rng.standard_normal((12, 12)), dims)
+    red = build_reduced_array(A, [1, 3])
+    assert red.axes == (2, 5)
+    for i2 in range(1, 4):
+        for i2p in range(1, 4):
+            s = sum(A.entry(PartialIndex({1: k, 2: i2, 3: m, 4: k, 5: i2p, 6: m}))
+                    for k in range(1, 3) for m in range(1, 3))
+            assert red.entry(PartialIndex({2: i2, 5: i2p})) == pytest.approx(s, rel=1e-14)
+    with pytest.raises(AxisSetError):
+        red.entry(PartialIndex({1: 1, 4: 1}))
+
+
+@pytest.mark.parametrize("fn", [
+    lambda B: build_reduced_array(B, []),
+    symmetrize,
+    lambda B: mp_main(B, 2.0),
+])
+def test_full_array_functions_reject_reduced_array(fn):
+    A = rearrange_matrix(np.eye(4), Dims([2, 2]))
+    with pytest.raises(AxisSetError):
+        fn(build_reduced_array(A, [1]))
+
+
 def reduced_array_diag(A, I, J):
     """Reduced array over I \\ J with the pairs in J restricted to their diagonal."""
     return build_reduced_array(diagonal_restrict(A, J), set(I) - set(J))
@@ -117,7 +143,7 @@ def test_build_reduced_array_diag_loop_general():
     A = rearrange_matrix(rng.standard_normal((4, 4)), dims)
     got = reduced_array_diag(A, [2], [2])
     assert got.axes == (1, 2, 3, 4)
-    for idx in all_indices(A.dims):
+    for idx in all_indices(Dims(A.sizes)):
         i, ip, j, jp = idx[1], idx[3], idx[2], idx[4]
         expected = A.entry(idx) if j == jp else 0.0
         assert got.data[i - 1, j - 1, ip - 1, jp - 1] == expected

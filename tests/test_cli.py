@@ -41,9 +41,17 @@ def test_bounds_missing_file(tmp_path):
                "--cache", tmp_path / "c") == EXIT_USAGE
 
 
-def test_bounds_dims_mismatch(tmp_path, id4):
+def test_bounds_dims_mismatch(tmp_path, id4, capsys):
     assert run("bounds", "--matrix", id4, "--dims", "2,3",
                "--cache", tmp_path / "c") == EXIT_USAGE
+    rect = tmp_path / "rect.csv"
+    save_matrix_csv(rect, np.ones((4, 3)))
+    assert run("bounds", "--matrix", rect, "--dims", "2,2",
+               "--cache", tmp_path / "c") == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all("does not match N =" in line for line in err)
+    assert not (tmp_path / "c").exists()
 
 
 def test_bounds_bad_dims_string(tmp_path, id4):
@@ -65,6 +73,30 @@ def test_bounds_missing_dims(tmp_path, id4, capsys):
 def test_zero_restarts_is_usage_error(tmp_path, capsys, argv):
     assert run(*argv, "--restarts", "0", "--cache", tmp_path / "c") == EXIT_USAGE
     assert "error: restarts must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--dims", "2,2", "--p", "nan,4"),
+    ("bounds", "--dims", "2,2", "--L", "nan"),
+    ("bounds", "--dims", "2,2", "--t", "nan"),
+    ("bounds", "--dims", "2,2", "--C-tail", "inf"),
+    ("verify", "ax-tail", "--dims", "2,2", "--t", "nan"),
+    ("verify", "ax-tail", "--dims", "2,2", "--C-tail=-inf"),
+    ("verify", "hanson-wright", "--c", "inf"),
+    ("verify", "decoupling", "--dims", "2,2", "--q", "nan"),
+    ("verify", "gaussian-decoupling", "--vector", "1,x"),
+])
+def test_non_finite_number_is_usage_error(tmp_path, capsys, argv):
+    assert run(*argv, "--cache", tmp_path / "c") == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: not a finite number: ")
+    assert not (tmp_path / "c").exists()
+
+
+def test_unknown_format_is_usage_error(tmp_path, capsys):
+    assert run("verify", "identities", "--formats", "json,xlsx",
+               "--cache", tmp_path / "c") == EXIT_USAGE
+    assert "unknown report format in 'json,xlsx'" in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
 
 

@@ -10,6 +10,7 @@ and records the re-baseline in its change notes.
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 import tempfile
@@ -30,7 +31,7 @@ from kronchaos import (
     verify_main_upper,
 )
 from kronchaos.arrayio import save_matrix_csv
-from kronchaos.cli import _report_json, main
+from kronchaos.cli import _report_json, main, report_to_csv
 
 GOLDEN = Path(__file__).resolve().with_name("golden")
 GAUSS = distribution("gaussian")
@@ -95,6 +96,36 @@ def render(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_match_golden(name):
     assert render(name).encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+CSV_HEADERS = {
+    "bounds": "table,I,partition,kappa,method,value,converged",
+    "ax-tail": "t,frequency,ci_high,bound,dominated",
+    "hanson-wright": "t,frequency,ci_high,bound,dominated",
+    "decoupling": "p,lhs,lhs_ci_low,lhs_ci_high,rhs,verdict",
+    "gaussian-decoupling": "p,lhs,lhs_ci_low,lhs_ci_high,rhs,verdict",
+    "main-upper": "p,lhs,mp,ratio",
+    "main-lower": "p,lhs,mp,ratio",
+    "identities": "check,max_relative_error",
+}
+
+
+def _result_rows(report: dict) -> int:
+    if report["suite"] == "bounds":
+        return sum(len(report[key]) for key in
+                   ("norm_rows", "gram_rows", "mp_main", "mp_norm", "tail_curve"))
+    if report["suite"] == "identities":
+        return len(report["max_relative_errors"])
+    return len(report["results"])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_report_renders_as_csv(name):
+    report = json.loads((GOLDEN / f"{name}.json").read_text())
+    header, *lines = report_to_csv(report).splitlines()
+    assert header == CSV_HEADERS[report["suite"]]
+    assert len(lines) == _result_rows(report)
+    assert all(line.count(",") == header.count(",") for line in lines)
 
 
 if __name__ == "__main__":

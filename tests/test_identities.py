@@ -5,6 +5,7 @@ import pytest
 
 from kronchaos import (
     Dims,
+    PartialArray,
     all_indices,
     axis_marginal,
     backbone_pairs,
@@ -194,3 +195,5 @@ def test_pair_contraction_needs_a_doubled_array():
     for bad in (np.ones((2, 3)), np.ones((2, 2, 2))):
         with pytest.raises(ShapeError):
             pair_contraction(bad, spec)
+    with pytest.raises(AxisSetError):
+        pair_contraction(PartialArray((2, 4), (3, 3), np.eye(3)), spec)

@@ -8,8 +8,8 @@ import pytest
 from kronchaos import (
     Dims,
     EMPTY_INDEX,
+    PartialArray,
     PartialIndex,
-    TensorArray,
     all_indices,
     dot_plus,
     dot_times,
@@ -136,7 +136,7 @@ def test_dot_times_restrict_roundtrip():
 
 
 def test_frobenius():
-    assert frobenius(TensorArray.zeros(Dims([3, 3]))) == 0.0
+    assert frobenius(PartialArray((1, 2), (3, 3), np.zeros(9))) == 0.0
     assert frobenius(np.array([[3.0, 4.0], [0.0, 0.0]])) == 5.0
     N = 16
     ta = rearrange_matrix(np.eye(N), Dims([4, 4]))
@@ -150,7 +150,7 @@ def test_rearrange_matrix_identity_cases():
     assert np.array_equal(ta.data, A)
     # Id_4 with n=(2,2): entry 1 exactly where both row factors equal both column factors
     ta = rearrange_matrix(np.eye(4), Dims([2, 2]))
-    for i in all_indices(ta.dims):
+    for i in all_indices(Dims(ta.sizes)):
         expected = 1.0 if (i[1], i[2]) == (i[3], i[4]) else 0.0
         assert ta.entry(i) == expected
 
@@ -210,17 +210,20 @@ def test_kronecker_consistency_exhaustive():
 def test_tensor_array_entry_flat_roundtrip():
     rng = np.random.default_rng(5)
     dims = Dims([2, 3, 2])
-    ta = TensorArray(dims, rng.standard_normal(12))
+    flat = rng.standard_normal(12)
+    ta = PartialArray((1, 2, 3), dims.sizes, flat)
     for i in all_indices(dims):
-        assert ta.entry(i) == ta.flat[flatten_index(i, dims) - 1]
+        assert ta.entry(i) == flat[flatten_index(i, dims) - 1]
+    with pytest.raises(ShapeError):
+        PartialArray((1, 2, 3), dims.sizes, flat[:11])
 
 
 def test_tensor_array_immutable():
-    ta = TensorArray.zeros(Dims([2, 2]))
+    ta = PartialArray((1, 2), (2, 2), np.zeros(4))
     with pytest.raises(ValueError):
         ta.data[0, 0] = 1.0
     with pytest.raises(AttributeError):
-        ta.dims = Dims([4])
+        ta.sizes = (4,)
 
 
 def test_matrix_csv_roundtrip(tmp_path):
