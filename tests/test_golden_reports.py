@@ -68,6 +68,8 @@ CASES = {
     "identities": lambda: run_identity_suite(seed=5, instances=3, d_values=(1, 2, 3)),
     "decoupling": lambda: verify_decoupling(_matrix(4, 4, 1), D22, GAUSS, (2.0, 4.0),
                                             S=1000, seed=1),
+    "decoupling-d3": lambda: verify_decoupling(_matrix(8, 8, 10), Dims([2, 2, 2]), RADEMACHER,
+                                               (2.0, 4.0), S=1000, seed=10),
     "main-upper-zero": lambda: verify_main_upper(np.zeros((4, 4)), D22, GAUSS, (2.0, 4.0),
                                                  S=1000, seed=2),
     "main-upper": lambda: verify_main_upper(_matrix(4, 4, 2), D22, RADEMACHER, (2.0, 4.0),
