@@ -70,6 +70,16 @@ def _finite(text: str) -> float:
     return x
 
 
+def _ceiling(text: str) -> float:
+    """A finite ceiling, or inf for none; nan, -inf and non-numbers are usage errors."""
+    try:
+        if float(text) == math.inf:
+            return math.inf
+    except ValueError:
+        pass
+    return _finite(text)
+
+
 def _parse_floats(text: str) -> list[float]:
     return [_finite(tok) for tok in text.split(",") if tok.strip()]
 
@@ -356,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=list(FAMILIES))
     pv.add_argument("--q", type=_finite, default=0.25, help="two_point hit probability")
     pv.add_argument("--samples", type=int, default=100_000)
-    pv.add_argument("--ceiling", type=float, default=50.0,
-                    help="acceptance ceiling for main-upper ratios")
+    pv.add_argument("--ceiling", type=_ceiling, default=50.0,
+                    help="acceptance ceiling for main-upper ratios (inf: none)")
     pv.add_argument("--C-tail", dest="C_tail", type=_finite, default=None,
                     help="cap for the fitted ax-tail constant")
     pv.add_argument("--c", type=_finite, default=None, help="cap for the fitted order-1 constant")

@@ -7,6 +7,11 @@ generation is vectorized.  Each entry consumes exactly one uniform double,
 mapped through the inverse normal CDF for Gaussian entries; independent
 copies use a distinct stream constant.
 
+The bootstrap of ``estimate_lp`` resamples a sample stream with one integer
+stream keyed by (seed, STREAM_BOOTSTRAP + stream).  Every statistic and every
+p evaluated on that sample stream share its indices, which are drawn once,
+and the indices do not depend on how many resamples are drawn at a time.
+
 All reductions run single threaded in fixed order (or over fixed chunk
 boundaries), so identical seeds give bit-identical results.
 """
@@ -212,7 +217,9 @@ def semi_decoupled_batch(A: ArrayLike, I, J,
 
 @dataclass
 class SampleBatch:
-    """One statistic per sample, with the stream coordinates that regenerate it."""
+    """Statistics per sample, with the stream coordinates that regenerate them:
+    ``values`` is (count,) for one statistic or (K, count) for K statistics
+    drawn on the same stream."""
 
     seed: int
     stream: int
@@ -231,40 +238,68 @@ class EmpiricalMoment:
     count: int
 
 
-def estimate_lp(batch: SampleBatch, p: float, resamples: int = 200) -> EmpiricalMoment:
-    """Empirical L_p norm ((1/S) sum |v|^p)^(1/p) with a bootstrap band.
+# Resample rows drawn and gathered at a time; the results do not depend on it.
+_BOOT_CHUNK = 10
 
-    Rescales by the batch maximum before taking powers, so large p cannot
-    overflow; the bootstrap reuses the batch seed on a dedicated stream.
+
+def estimate_lp(batch: SampleBatch, p_grid: Sequence[float],
+                resamples: int = 200) -> list[EmpiricalMoment] | list[list[EmpiricalMoment]]:
+    """Empirical L_p norms ((1/S) sum |v|^p)^(1/p) with bootstrap bands.
+
+    Returns one EmpiricalMoment per p for (S,) values, and one such row per
+    statistic for (K, S) values.  Each statistic is rescaled by its maximum
+    before taking powers, so large p cannot overflow.  The bootstrap draws one
+    resample stream per (seed, stream), on stream STREAM_BOOTSTRAP + stream,
+    and every statistic and p of the batch reuses it: each chunk of resample
+    indices is drawn once and gathered from every power |v / max|^p.  The
+    integer stream does not depend on the chunk size, so neither does any
+    value.
     """
-    if p < 1:
-        raise ArgumentError(f"p = {p} must be >= 1")
+    p_grid = [float(p) for p in p_grid]
+    if any(p < 1 for p in p_grid):
+        raise ArgumentError(f"p grid {p_grid} must lie in [1, inf)")
+    if resamples < 1:
+        raise ArgumentError(f"resamples = {resamples} must be >= 1")
     S = batch.count
     if S < 100:
         raise ArgumentError(f"need at least 100 samples, got {S}")
-    v = np.abs(np.asarray(batch.values, dtype=np.float64))
-    if v.size != S:
+    values = np.asarray(batch.values, dtype=np.float64)
+    if values.ndim not in (1, 2) or values.shape[-1] != S:
         raise ArgumentError("batch count does not match stored values")
-    m = float(v.max(initial=0.0))
-    if m == 0.0:
-        return EmpiricalMoment(p, 0.0, 0.0, 0.0, S)
-    t = (v / m) ** p
+    rows = values.reshape(-1, S)
+    scales = [float(np.abs(v).max(initial=0.0)) for v in rows]
+    live = [k for k, m in enumerate(scales) if m > 0.0]
 
-    def lp_of(mean: np.ndarray | float) -> np.ndarray | float:
-        return m * mean ** (1.0 / p)
+    def powers(k: int) -> list[np.ndarray]:
+        u = np.abs(rows[k]) / scales[k]
+        return [u ** p for p in p_grid]
 
-    est = float(lp_of(np.add.reduce(t) / S))
+    # sums[k, j, r]: sum over resample r of |v_k / max|^p_j
+    sums = np.empty((rows.shape[0], len(p_grid), resamples))
     rng = Generator(Philox(key=np.array([batch.seed & _MASK64,
                                          (STREAM_BOOTSTRAP + batch.stream) & _MASK64],
                                         dtype=np.uint64)))
-    stats = np.empty(resamples)
-    chunk = 20
-    for lo in range(0, resamples, chunk):
-        hi = min(lo + chunk, resamples)
+    gathered = np.empty((min(_BOOT_CHUNK, resamples), S))
+    for lo in range(0, resamples, _BOOT_CHUNK):
+        hi = min(lo + _BOOT_CHUNK, resamples)
         idx = rng.integers(0, S, size=(hi - lo, S))
-        stats[lo:hi] = lp_of(np.add.reduce(t[idx], axis=1) / S)
-    lo_q, hi_q = np.quantile(stats, [0.025, 0.975])
-    return EmpiricalMoment(p, est, min(float(lo_q), est), max(float(hi_q), est), S)
+        out = gathered[: hi - lo]
+        for k in live:
+            for j, t in enumerate(powers(k)):
+                # the indices lie in [0, S), so "wrap" moves none; unlike the
+                # default "raise", it writes straight into out without a copy
+                np.take(t, idx, out=out, mode="wrap")
+                sums[k, j, lo:hi] = np.add.reduce(out, axis=1)
+
+    result = [[EmpiricalMoment(p, 0.0, 0.0, 0.0, S) for p in p_grid] for _ in scales]
+    for k in live:
+        m = scales[k]
+        for j, (p, t) in enumerate(zip(p_grid, powers(k))):
+            est = float(m * (np.add.reduce(t) / S) ** (1.0 / p))
+            lo_q, hi_q = np.quantile(m * (sums[k, j] / S) ** (1.0 / p), [0.025, 0.975])
+            result[k][j] = EmpiricalMoment(p, est, min(float(lo_q), est), max(float(hi_q), est),
+                                           S)
+    return result if values.ndim == 2 else result[0]
 
 
 @dataclass

@@ -229,25 +229,25 @@ def verify_decoupling(A: np.ndarray, dims: Dims, dist: DistributionSpec,
 
     fm = FactorSampler(dims, dist, seed, base + 1).batch(0, S)
     fbm = FactorSampler(dims, dist, seed, base + 2).batch(0, S)
-    terms = []
-    for I, J in backbone_pairs(d):
-        weight = 4.0 ** (d - len(I))
-        vals = semi_decoupled_batch(A2d, I, J, fm, fbm)
-        terms.append({"I": list(I), "J": list(J), "weight": weight,
-                      "batch": SampleBatch(seed, base + 1, S, vals)})
+    pairs = backbone_pairs(d)
+    weights = [4.0 ** (d - len(I)) for I, _ in pairs]
+    term_vals = np.empty((len(pairs), S))
+    for row, (I, J) in zip(term_vals, pairs):
+        row[:] = semi_decoupled_batch(A2d, I, J, fm, fbm)
 
+    lhs_moments = estimate_lp(lhs_batch, p_grid, resamples)
+    term_moments = estimate_lp(SampleBatch(seed, base + 1, S, term_vals), p_grid, resamples)
     results = []
-    for p in p_grid:
-        lhs = estimate_lp(lhs_batch, p, resamples)
+    for j, (p, lhs) in enumerate(zip(p_grid, lhs_moments)):
         rhs_est = rhs_lo = rhs_hi = 0.0
         term_rows = []
-        for term in terms:
-            est = estimate_lp(term["batch"], p, resamples)
-            rhs_est += term["weight"] * est.estimate
-            rhs_lo += term["weight"] * est.ci_low
-            rhs_hi += term["weight"] * est.ci_high
-            term_rows.append({"I": term["I"], "J": term["J"],
-                              "weight": term["weight"], **_moment_dict(est)})
+        for (I, J), weight, moments in zip(pairs, weights, term_moments):
+            est = moments[j]
+            rhs_est += weight * est.estimate
+            rhs_lo += weight * est.ci_low
+            rhs_hi += weight * est.ci_high
+            term_rows.append({"I": list(I), "J": list(J), "weight": weight,
+                              **_moment_dict(est)})
         verdict = _verdict(lhs.ci_high, lhs.ci_low, rhs_lo, rhs_hi)
         results.append({
             "p": p, "lhs": _moment_dict(lhs),
@@ -285,9 +285,8 @@ def _moment_ratios(suite: str, A: np.ndarray, dims: Dims, dist: DistributionSpec
     batch = SampleBatch(seed, base, S, vals)
 
     results = []
-    for p in p_grid:
+    for p, lp in zip(p_grid, estimate_lp(batch, p_grid, resamples)):
         m = mp_main(A2d, p, dist.bound_L, table=table)
-        lp = estimate_lp(batch, p, resamples)
         ratio = lp.estimate / m.value if m.value > 0 else 0.0
         results.append({"p": p, "lhs": _moment_dict(lp), "mp": m.value, "ratio": ratio})
     return results, sorted(set(table_warnings(table))), vals
@@ -467,9 +466,8 @@ def verify_gaussian_decoupling(a: np.ndarray, p_grid: Sequence[float] = (2.0, 4.
 
     norm_a = float(np.linalg.norm(a))
     results = []
-    for p in p_grid:
-        lhs = estimate_lp(lhs_batch, p, resamples)
-        rhs = estimate_lp(rhs_batch, p, resamples)
+    for p, lhs, rhs in zip(p_grid, estimate_lp(lhs_batch, p_grid, resamples),
+                           estimate_lp(rhs_batch, p_grid, resamples)):
         verdict = _verdict(lhs.ci_high, lhs.ci_low, 2.0 * rhs.ci_low, 2.0 * rhs.ci_high)
         row = {"p": p, "lhs": _moment_dict(lhs), "rhs_times_2": 2.0 * rhs.estimate,
                "rhs": _moment_dict(rhs), "verdict": verdict}

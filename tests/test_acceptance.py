@@ -127,7 +127,7 @@ def test_acceptance_3_analytic_mc_anchors():
     t0 = time.monotonic()
     n = 4
     vals = chaos_batch(np.eye(n), FactorSampler(Dims([n]), GAUSS, 3001, 0).batch(0, S_FULL))
-    l2 = estimate_lp(SampleBatch(3001, 0, S_FULL, vals), 2.0).estimate
+    l2 = estimate_lp(SampleBatch(3001, 0, S_FULL, vals), [2.0])[0].estimate
     target = math.sqrt(2 * n)
     l2_ok = abs(l2 - target) / target <= 0.05
 

@@ -1,6 +1,7 @@
 """Command line contract: exit codes, caching, determinism, report merging."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -91,6 +92,23 @@ def test_non_finite_number_is_usage_error(tmp_path, capsys, argv):
     assert run(*argv, "--cache", tmp_path / "c") == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: not a finite number: ")
     assert not (tmp_path / "c").exists()
+
+
+MAIN_UPPER_SMALL = ("verify", "main-upper", "--dims", "2", "--samples", "200", "--p", "2",
+                    "--restarts", "2")
+
+
+@pytest.mark.parametrize("ceiling", ["nan", "-inf", "x"])
+def test_nan_ceiling_is_usage_error(tmp_path, capsys, ceiling):
+    assert run(*MAIN_UPPER_SMALL, f"--ceiling={ceiling}", "--cache", tmp_path / "c") == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: not a finite number: ")
+    assert not (tmp_path / "c").exists()
+
+
+def test_inf_ceiling_means_no_ceiling(tmp_path):
+    assert run(*MAIN_UPPER_SMALL, "--ceiling", "inf", "--cache", tmp_path / "c") == EXIT_OK
+    report = json.loads(next((tmp_path / "c").iterdir()).joinpath("report.json").read_text())
+    assert report["config"]["ceiling"] == math.inf and report["status"] == "pass"
 
 
 def test_unknown_format_is_usage_error(tmp_path, capsys):

@@ -5,11 +5,18 @@ that moves report values on purpose re-baselines them with
 
     PYTHONPATH=src python tests/test_golden_reports.py --write
 
-and records the re-baseline in its change notes.
+and records the re-baseline in its change notes.  To see what a change moves,
+
+    PYTHONPATH=src python tests/test_golden_reports.py --diff
+
+prints "identical" per case, or the largest relative difference over its
+numeric values and every other value that differs; it exits 1 on a difference.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import sys
@@ -53,7 +60,9 @@ def _bounds(*argv: str, matrix: np.ndarray | None = None) -> str:
             if matrix is not None:
                 save_matrix_csv("matrix.csv", matrix)
                 argv += ("--matrix", "matrix.csv")
-            assert main(["bounds", *argv, "--cache", "cache", "--formats", "json"]) == 0
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["bounds", *argv, "--cache", "cache", "--formats", "json"])
+            assert code == 0
             return next(Path("cache").iterdir()).joinpath("report.json").read_text()
         finally:
             os.chdir(cwd)
@@ -130,9 +139,51 @@ def test_golden_report_renders_as_csv(name):
     assert all(line.count(",") == header.count(",") for line in lines)
 
 
+def _leaves(node, path: str = ""):
+    """(path, value) for every scalar of a decoded report."""
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from _leaves(node[key], f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, node
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def diff(name: str) -> list[str]:
+    """Lines describing how the fresh report of a case differs from its golden file."""
+    fresh, golden = render(name), (GOLDEN / f"{name}.json").read_text()
+    if fresh == golden:
+        return ["identical"]
+    new, old = dict(_leaves(json.loads(fresh))), dict(_leaves(json.loads(golden)))
+    worst, where, lines = 0.0, None, []
+    for path in sorted(old.keys() | new.keys()):
+        a, b = old.get(path, "<missing>"), new.get(path, "<missing>")
+        if _is_number(a) and _is_number(b):
+            rel = 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
+            if not rel <= worst:  # a nan difference counts as the largest
+                worst, where = rel, path
+        elif a != b:
+            lines.append(f"  {path}: {a!r} -> {b!r}")
+    head = f"largest relative difference {worst:.3g}" + (f" at {where}" if where else "")
+    return [head, *lines]
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--diff"]:
+        same = True
+        for name in sorted(CASES):
+            lines = diff(name)
+            same = same and lines == ["identical"]
+            print(f"{name}: {lines[0]}", *lines[1:], sep="\n")
+        sys.exit(0 if same else 1)
     if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden_reports.py --write")
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden_reports.py --write | --diff")
     GOLDEN.mkdir(exist_ok=True)
     for name in sorted(CASES):
         (GOLDEN / f"{name}.json").write_bytes(render(name).encode())

@@ -18,6 +18,7 @@ from kronchaos import (
     rearrange_matrix,
 )
 from kronchaos.errors import ArgumentError, AxisSetError, ShapeError, SizeError
+from kronchaos import montecarlo, suites
 from kronchaos.identities import pair_contraction, semi_decoupled_spec
 from kronchaos.montecarlo import (
     PSI2_GAUSSIAN,
@@ -29,6 +30,7 @@ from kronchaos.montecarlo import (
     psi2_numeric,
     semi_decoupled_batch,
 )
+from kronchaos.norms import NormOptions
 
 DIMS = Dims([3, 4])
 
@@ -276,37 +278,42 @@ def _batch(values, seed=0, stream=0):
 
 def test_estimate_lp_constant_batch():
     b = _batch(np.full(200, -2.5))
-    for p in (1.0, 2.0, 7.0):
-        m = estimate_lp(b, p)
+    for m in estimate_lp(b, (1.0, 2.0, 7.0)):
         assert m.estimate == pytest.approx(2.5, rel=1e-12)
         assert m.ci_low <= m.estimate <= m.ci_high
 
 
 def test_estimate_lp_balanced_signs():
     b = _batch(np.array([-1.0, 1.0] * 100))
-    for p in (1.0, 3.0, 8.0):
-        assert estimate_lp(b, p).estimate == pytest.approx(1.0, rel=1e-12)
+    for m in estimate_lp(b, (1.0, 3.0, 8.0)):
+        assert m.estimate == pytest.approx(1.0, rel=1e-12)
 
 
 def test_estimate_lp_gaussian_p2():
     S = 50_000
     v = FactorSampler(Dims([1]), distribution("gaussian"), 2, 0).batch(0, S)[0].ravel()
-    m = estimate_lp(_batch(v, seed=2), 2.0)
+    m, = estimate_lp(_batch(v, seed=2), [2.0])
     assert m.estimate == pytest.approx(1.0, rel=0.03)
 
 
 def test_estimate_lp_zero_batch_and_errors():
-    assert estimate_lp(_batch(np.zeros(150)), 4.0).estimate == 0.0
+    assert estimate_lp(_batch(np.zeros(150)), [4.0])[0].estimate == 0.0
     with pytest.raises(ArgumentError):
-        estimate_lp(_batch(np.ones(50)), 2.0)
+        estimate_lp(_batch(np.ones(50)), [2.0])
     with pytest.raises(ArgumentError):
-        estimate_lp(_batch(np.ones(150)), 0.5)
+        estimate_lp(_batch(np.ones(150)), [0.5])
+
+
+@pytest.mark.parametrize("resamples", [0, -3])
+def test_estimate_lp_rejects_resamples_below_one(resamples):
+    with pytest.raises(ArgumentError, match="resamples"):
+        estimate_lp(_batch(np.ones(150)), [2.0], resamples)
 
 
 def test_estimate_lp_deterministic():
     v = np.random.default_rng(0).standard_normal(500)
-    a = estimate_lp(_batch(v, seed=7, stream=3), 4.0)
-    b = estimate_lp(_batch(v, seed=7, stream=3), 4.0)
+    a, = estimate_lp(_batch(v, seed=7, stream=3), [4.0])
+    b, = estimate_lp(_batch(v, seed=7, stream=3), [4.0])
     assert (a.estimate, a.ci_low, a.ci_high) == (b.estimate, b.ci_low, b.ci_high)
 
 
@@ -316,7 +323,63 @@ def test_estimate_lp_deterministic():
 def test_estimate_lp_monotone_in_p(values, p1, p2):
     b = _batch(np.array(values))
     lo, hi = sorted((p1, p2))
-    assert estimate_lp(b, lo, resamples=2).estimate <= estimate_lp(b, hi, resamples=2).estimate * (1 + 1e-12)
+    lo_m, hi_m = estimate_lp(b, [lo, hi], resamples=2)
+    assert lo_m.estimate <= hi_m.estimate * (1 + 1e-12)
+
+
+def _stacked(S=301):
+    """Three statistics on one stream, the middle one all zero; S is odd."""
+    rng = np.random.default_rng(11)
+    values = np.stack([rng.standard_normal(S), np.zeros(S), rng.standard_t(3, S)])
+    return SampleBatch(5, 9, S, values)
+
+
+def test_estimate_lp_stacked_rows_match_one_row_calls():
+    b = _stacked()
+    grid = (1.0, 2.0, 4.0, 7.5)
+    stacked = estimate_lp(b, grid, 50)
+    assert len(stacked) == 3 and all(len(row) == len(grid) for row in stacked)
+    for v, row in zip(b.values, stacked):
+        assert row == estimate_lp(SampleBatch(b.seed, b.stream, b.count, v), grid, 50)
+    assert all(m.estimate == m.ci_low == m.ci_high == 0.0 for m in stacked[1])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 20])
+def test_estimate_lp_does_not_depend_on_the_chunk(monkeypatch, chunk):
+    b = _stacked()
+    reference = estimate_lp(b, (2.0, 4.0), 50)
+    monkeypatch.setattr(montecarlo, "_BOOT_CHUNK", chunk)
+    assert estimate_lp(b, (2.0, 4.0), 50) == reference
+
+
+def _count_calls(monkeypatch) -> list[int]:
+    calls = []
+
+    def counted(batch, p_grid, resamples):
+        calls.append(np.ndim(batch.values))
+        return estimate_lp(batch, p_grid, resamples)
+
+    monkeypatch.setattr(suites, "estimate_lp", counted)
+    return calls
+
+
+@pytest.mark.parametrize("suite, run, expected", [
+    ("decoupling", lambda: suites.verify_decoupling(
+        np.random.default_rng(1).standard_normal((8, 8)), Dims([2, 2, 2]),
+        distribution("rademacher"), (2.0, 4.0), S=1000, seed=1), [1, 2]),
+    ("gaussian-decoupling", lambda: suites.verify_gaussian_decoupling(
+        np.arange(1.0, 4.0), (2.0, 4.0, 8.0), S=500, seed=1), [1, 1]),
+    ("main-upper", lambda: suites.verify_main_upper(
+        np.eye(4), Dims([2, 2]), distribution("gaussian"), (2.0, 4.0, 8.0), S=500, seed=1,
+        norm_opts=NormOptions(restarts=2)), [1]),
+    ("main-lower", lambda: suites.verify_main_lower(
+        np.eye(4), Dims([2, 2]), (2.0, 4.0, 8.0), S=500, seed=1,
+        norm_opts=NormOptions(restarts=2)), [1]),
+])
+def test_one_estimate_lp_call_per_sample_stream(monkeypatch, suite, run, expected):
+    calls = _count_calls(monkeypatch)
+    assert run()["suite"] == suite
+    assert calls == expected
 
 
 def test_estimate_tail_edges():
