@@ -230,7 +230,6 @@ def verify_decoupling(A: np.ndarray, dims: Dims, dist: DistributionSpec,
     fm = FactorSampler(dims, dist, seed, base + 1).batch(0, S)
     fbm = FactorSampler(dims, dist, seed, base + 2).batch(0, S)
     pairs = backbone_pairs(d)
-    weights = [4.0 ** (d - len(I)) for I, _ in pairs]
     term_vals = np.empty((len(pairs), S))
     for row, (I, J) in zip(term_vals, pairs):
         row[:] = semi_decoupled_batch(A2d, I, J, fm, fbm)
@@ -241,8 +240,8 @@ def verify_decoupling(A: np.ndarray, dims: Dims, dist: DistributionSpec,
     for j, (p, lhs) in enumerate(zip(p_grid, lhs_moments)):
         rhs_est = rhs_lo = rhs_hi = 0.0
         term_rows = []
-        for (I, J), weight, moments in zip(pairs, weights, term_moments):
-            est = moments[j]
+        for (I, J), moments in zip(pairs, term_moments):
+            weight, est = 4.0 ** (d - len(I)), moments[j]
             rhs_est += weight * est.estimate
             rhs_lo += weight * est.ci_low
             rhs_hi += weight * est.ci_high
