@@ -80,6 +80,17 @@ def _ceiling(text: str) -> float:
     return _finite(text)
 
 
+def _nonnegative_int(text: str) -> int:
+    """A base-10 integer >= 0; negatives and non-integers are usage errors."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise UsageError(f"not a non-negative integer: {text!r}")
+    return n
+
+
 def _parse_floats(text: str) -> list[float]:
     return [_finite(tok) for tok in text.split(",") if tok.strip()]
 
@@ -345,9 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dims", help="comma list of per-axis sizes, e.g. 2,2")
         p.add_argument("--p", help="comma list of moment orders")
         p.add_argument("--t", help="comma list of tail thresholds")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_nonnegative_int, default=0)
         p.add_argument("--restarts", type=int, default=32)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="changes nothing (the ALS restarts run as one batch); "
+                            "kept until the next change to the benchmark")
         p.add_argument("--cache", help="cache directory (default $KRONCHAOS_CACHE or ./kronchaos-cache)")
         p.add_argument("--formats", type=_parse_formats, default="json,csv",
                        help="report formats: json,csv")

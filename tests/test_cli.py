@@ -98,6 +98,18 @@ MAIN_UPPER_SMALL = ("verify", "main-upper", "--dims", "2", "--samples", "200", "
                     "--restarts", "2")
 
 
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--dims", "2", "--seed", "-1"),
+    ("verify", "identities", "--seed", "-2"),
+    (*MAIN_UPPER_SMALL, "--seed", "-1"),
+    ("verify", "identities", "--seed", "1.5"),
+])
+def test_negative_seed_is_usage_error(tmp_path, capsys, argv):
+    assert run(*argv, "--cache", tmp_path / "c") == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: not a non-negative integer: ")
+    assert not (tmp_path / "c").exists()
+
+
 @pytest.mark.parametrize("ceiling", ["nan", "-inf", "x"])
 def test_nan_ceiling_is_usage_error(tmp_path, capsys, ceiling):
     assert run(*MAIN_UPPER_SMALL, f"--ceiling={ceiling}", "--cache", tmp_path / "c") == EXIT_USAGE

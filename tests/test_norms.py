@@ -19,7 +19,16 @@ from kronchaos import (
     verify_merge_split,
 )
 from kronchaos.errors import ArgumentError, AxisSetError
-from kronchaos.norms import _als_estimate, diagonal_restrict, merge_blocks
+from kronchaos.norms import (
+    RestartResult,
+    _als_estimate,
+    _als_runs,
+    _block_positions,
+    _random_factors,
+    _subscripts,
+    diagonal_restrict,
+    merge_blocks,
+)
 from kronchaos.tensor import as_partial
 
 OPTS = NormOptions(restarts=32, seed=0)
@@ -220,6 +229,109 @@ def test_als_start_runs_after_the_seeded_restarts():
 def test_restarts_below_one_rejected(restarts):
     with pytest.raises(ArgumentError):
         NormOptions(restarts=restarts)
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ArgumentError, match="seed must be >= 0"):
+        NormOptions(seed=-1)
+
+
+def _runner_args(T, P):
+    pa = as_partial(T)
+    positions = _block_positions(pa, Partition(P))
+    update_subs, _ = _subscripts(pa.order, positions)
+    shapes = [tuple(pa.sizes[p] for p in pos) for pos in positions]
+    return (pa.data, positions, update_subs), shapes
+
+
+def _als_loop(data, update_subs, init, rng, max_iter, tol):
+    """Reference: the alternating updates of one restart, one einsum per block."""
+    factors = [np.asarray(f, dtype=np.float64) for f in init]
+    value, prev = 0.0, -np.inf
+    for it in range(1, max_iter + 1):
+        for r, sub in enumerate(update_subs):
+            v = np.einsum(sub, data, *(f for q, f in enumerate(factors) if q != r))
+            nv = float(np.sqrt((v * v).sum()))
+            if nv == 0.0:
+                factors[r] = _random_factors([v.shape], rng)[0]
+                continue
+            factors[r] = v / nv
+            value = nv
+        if value - prev <= tol * max(abs(value), 1e-300):
+            return RestartResult(value, tuple(factors), True, it)
+        prev = value
+    return RestartResult(value, tuple(factors), False, max_iter)
+
+
+def _batch_and_one_start_calls(T, P, inits, max_iter, seed=0):
+    """One `_als_runs` call over every start, one call per start and the
+    reference loop per start; the restart rngs are seeded by index, so all
+    three start each restart in the same state."""
+    args, _ = _runner_args(T, P)
+    data, _, update_subs = args
+    rngs = [np.random.default_rng((seed, i)) for i in range(len(inits))]
+    batch = _als_runs(*args, inits, rngs, max_iter, 1e-10)
+    for i, (b, init) in enumerate(zip(batch, inits, strict=True)):
+        [a] = _als_runs(*args, [init], [np.random.default_rng((seed, i))], max_iter, 1e-10)
+        ref = _als_loop(data, update_subs, init, np.random.default_rng((seed, i)), max_iter, 1e-10)
+        for run in (a, ref):
+            assert (b.value, b.converged, b.iterations) == (run.value, run.converged, run.iterations)
+            for fb, f in zip(b.factors, run.factors, strict=True):
+                assert fb.shape == f.shape and fb.tobytes() == f.tobytes()
+    return batch
+
+
+@pytest.mark.parametrize("shape,P", [
+    ((2, 3, 2), [[1], [2], [3]]),
+    ((3, 3, 3), [[1], [2], [3]]),
+    ((2, 2, 2, 2), [[1], [2], [3], [4]]),
+    ((2, 3, 2, 2), [[1, 3], [2], [4]]),
+    ((2, 2, 2, 2), [[1, 4], [2], [3]]),
+    ((2, 2, 2, 2, 2, 2), [[1, 4], [2, 5], [3, 6]]),
+    ((2, 2, 2, 2, 2, 2), [[1], [2, 3], [4], [5, 6]]),
+    ((2, 2, 2, 2, 2, 2), [[1], [2], [3], [4], [5], [6]]),
+])
+def test_batched_restarts_equal_one_start_calls(shape, P):
+    rng = np.random.default_rng(len(shape) * 10 + len(P))
+    T = rng.standard_normal(shape)
+    _, shapes = _runner_args(T, P)
+    inits = [_random_factors(shapes, rng) for _ in range(6)]
+    runs = _batch_and_one_start_calls(T, P, inits, max_iter=500)
+    # cap the iterations so the slowest start stops at max_iter while the others converge
+    cap = max(r.iterations for r in runs) - 1
+    capped = _batch_and_one_start_calls(T, P, inits, max_iter=cap)
+    assert any(r.converged for r in capped)
+    assert any(not r.converged and r.iterations == cap for r in capped)
+
+
+def test_stalled_restart_rerandomizes_from_its_own_rng():
+    # T = e1 (x) e1 (x) e1: from (e1, e1, e2) the first two block updates vanish
+    T = np.zeros((2, 2, 2))
+    T[0, 0, 0] = 1.0
+    e1, e2 = np.eye(2)
+    rng = np.random.default_rng(3)
+    inits = [_random_factors([(2,), (2,), (2,)], rng) for _ in range(4)]
+    inits.insert(2, [e1, e1, e2])
+    runs = _batch_and_one_start_calls(T, [[1], [2], [3]], inits, max_iter=500)
+    assert runs[2].value == pytest.approx(1.0, rel=1e-12) and runs[2].converged
+    # the stalled start's draws came from its own rng: another rng moves its factors
+    args, _ = _runner_args(T, [[1], [2], [3]])
+    [other] = _als_runs(*args, [[e1, e1, e2]], [np.random.default_rng((0, 99))], 500, 1e-10)
+    assert any(f.tobytes() != g.tobytes() for f, g in zip(other.factors, runs[2].factors))
+
+
+def test_als_estimate_factors_own_their_data():
+    rng = np.random.default_rng(13)
+    T = rng.standard_normal((2, 3, 2))
+    P = Partition([[1], [2], [3]])
+    estimates = [
+        tensor_norm(T, P, OPTS),
+        tensor_norm(T, P, OPTS, method="brute-force"),
+        _als_estimate(as_partial(T), P, NormOptions(restarts=3), "als",
+                      start=[np.ones(2) / np.sqrt(2), np.ones(3) / np.sqrt(3), np.ones(2) / np.sqrt(2)]),
+    ]
+    for est in estimates:
+        assert all(f.base is None for f in est.factors)
 
 
 def test_threads_do_not_change_result():
