@@ -8,11 +8,12 @@ trip.  :func:`array_digest` identifies an input array in report configs.
 from __future__ import annotations
 
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ArgumentError, ShapeError
 
 
 def array_digest(A) -> str:
@@ -23,19 +24,25 @@ def array_digest(A) -> str:
     return h.hexdigest()
 
 
-def _parse_value(tok: str) -> float:
-    return float.fromhex(tok) if ("0x" in tok or "0X" in tok) else float(tok)
+def _parse_value(path, tok: str) -> float:
+    try:
+        x = float.fromhex(tok) if ("0x" in tok or "0X" in tok) else float(tok)
+    except (ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ArgumentError(f"{path}: not a finite number: {tok!r}")
+    return x
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    """Read a dense matrix from CSV, one row per line."""
+    """Read a dense matrix of finite values from CSV, one row per line."""
     rows = []
     width = None
     for ln in Path(path).read_text().splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
-        row = [_parse_value(tok) for tok in ln.split(",")]
+        row = [_parse_value(path, tok) for tok in ln.split(",")]
         if width is None:
             width = len(row)
         elif len(row) != width:

@@ -422,7 +422,14 @@ def compute_bound_report(A: np.ndarray, dims: Dims, p_grid: Sequence[float],
     if A.ndim != 2 or A.shape[1] != dims.total:
         raise ShapeError(f"matrix shape {A.shape} does not match N = {dims.total}")
     opts = opts or DEFAULT_OPTIONS
+    for p in p_grid:
+        _check_p_L(p, L)
     warnings: list[str] = []
+    tail_curve: list[TailBound] = []
+    if t_grid and len(set(dims.sizes)) == 1 and np.any(A):
+        tail_curve = [tail_bound_ax(A, dims, t, C_tail) for t in t_grid]
+    elif t_grid:
+        warnings.append("tail curve skipped: needs equal per-axis dims and a nonzero matrix")
     main_rows: list[NormTableRow] = []
     gram_rows: list[NormTableRow] = []
     mp_main_values: dict[float, float] = {}
@@ -447,12 +454,6 @@ def compute_bound_report(A: np.ndarray, dims: Dims, p_grid: Sequence[float],
             mp_kappa = m.kappa_sums
     else:
         warnings.append("zero matrix: norm-deviation functional undefined")
-
-    tail_curve: list[TailBound] = []
-    if t_grid and len(set(dims.sizes)) == 1 and np.any(A):
-        tail_curve = [tail_bound_ax(A, dims, t, C_tail) for t in t_grid]
-    elif t_grid:
-        warnings.append("tail curve skipped: needs equal per-axis dims and a nonzero matrix")
 
     return BoundReport(
         dims=dims,

@@ -313,7 +313,9 @@ def cmd_report(args) -> int:
             continue
         try:
             report = json.loads(target.read_text())
-        except (OSError, json.JSONDecodeError) as e:
+            if not isinstance(report, dict):
+                raise ValueError("not a JSON object")
+        except (OSError, ValueError) as e:  # json.JSONDecodeError is a ValueError
             print(f"report: skipping corrupt entry {slot.name}: {e}", file=sys.stderr)
             continue
         cfg = report.get("config", {})

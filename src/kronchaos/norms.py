@@ -12,21 +12,14 @@ batch on a leading axis, and each keeps the arithmetic of a run on its own.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, AxisSetError, SizeError
+from .errors import ArgumentError, AxisSetError
 from .partitions import Partition
 from .tensor import _LETTERS, ArrayLike, PartialArray, as_partial, doubled_order, frobenius
-
-# Grid size cap for the brute-force candidate product.
-_BRUTE_COMBO_CAP = 2_000_000
-_BRUTE_BLOCK_CAP = 16
-# Random unit candidates per block in the brute-force grid, halved until the grid fits the cap.
-_BRUTE_RANDOM = 32
 
 
 @dataclass(frozen=True)
@@ -71,7 +64,7 @@ class NormEstimate:
     """A partition-norm value plus provenance of how it was obtained."""
 
     value: float
-    method: str  # frobenius-exact | spectral-exact | als | brute-force
+    method: str  # frobenius-exact | spectral-exact | als
     partition: Partition
     restarts_used: int = 0
     certified_lower_bound: bool = False
@@ -209,20 +202,11 @@ def _als_runs(data, positions, update_subs, inits, rngs, max_iter, tol) -> list[
     return results
 
 
-def _run_estimate(best: RestartResult, method: str, P: Partition, runs: int,
-                  max_iter: int) -> NormEstimate:
-    """The certified lower bound set by the best of ``runs`` alternating runs."""
-    est = NormEstimate(best.value, method, P, runs, True, best.converged, best.iterations,
-                       best.factors)
-    if not best.converged:
-        est.warnings.append(f"als did not converge within {max_iter} iterations")
-    return est
-
-
-def _als_estimate(pa: PartialArray, P: Partition, opts: NormOptions, method: str,
+def _als_estimate(pa: PartialArray, P: Partition, opts: NormOptions,
                   start: Sequence[np.ndarray] | None = None) -> NormEstimate:
-    """Best of ``opts.restarts`` seeded random restarts, plus one run from
-    ``start`` under the next restart index when given."""
+    """The certified lower bound set by the best of ``opts.restarts`` seeded
+    random restarts, plus one run from ``start`` under the next restart index
+    when given."""
     positions = _block_positions(pa, P)
     update_subs, _ = _subscripts(pa.order, positions)
     shapes = [tuple(pa.sizes[p] for p in pos) for pos in positions]
@@ -232,72 +216,23 @@ def _als_estimate(pa: PartialArray, P: Partition, opts: NormOptions, method: str
     if start is not None:
         inits.append(list(start))
     results = _als_runs(pa.data, positions, update_subs, inits, rngs, opts.max_iter, opts.tol)
-    best = max(range(len(results)), key=lambda i: (results[i].value, -i))
-    return _run_estimate(results[best], method, P, len(results), opts.max_iter)
-
-
-def _sign_candidates(m: int) -> np.ndarray:
-    """All +-1 patterns of length m with leading +, normalized to unit norm."""
-    rows = []
-    for mask in range(1 << (m - 1)):
-        v = np.ones(m)
-        for i in range(m - 1):
-            if mask >> i & 1:
-                v[i + 1] = -1.0
-        rows.append(v / np.sqrt(m))
-    return np.array(rows)
-
-
-def _brute_estimate(pa: PartialArray, P: Partition, opts: NormOptions) -> NormEstimate:
-    positions = _block_positions(pa, P)
-    shapes = [tuple(pa.sizes[p] for p in pos) for pos in positions]
-    sizes = [int(np.prod(s)) for s in shapes]
-    if any(m > _BRUTE_BLOCK_CAP for m in sizes):
-        raise ArgumentError(f"brute-force requires every block dimension product <= {_BRUTE_BLOCK_CAP}")
-
-    rng = np.random.default_rng((opts.seed, 0x62727574))
-    n_random = _BRUTE_RANDOM
-    while True:
-        cand = []
-        for m in sizes:
-            mats = [np.eye(m)]
-            if m <= 5:
-                mats.append(_sign_candidates(m))
-            if n_random > 0:
-                r = rng.standard_normal((n_random, m))
-                mats.append(r / np.linalg.norm(r, axis=1, keepdims=True))
-            cand.append(np.concatenate(mats, axis=0))
-        combos = int(np.prod([c.shape[0] for c in cand]))
-        if combos <= _BRUTE_COMBO_CAP or n_random == 0:
-            break
-        n_random //= 2
-    if combos > _BRUTE_COMBO_CAP:
-        raise SizeError(f"brute-force grid of {combos} combinations is too large")
-
-    kappa = len(positions)
-    axes_sub = _LETTERS[: pa.order]
-    cand_letters = string.ascii_uppercase[:kappa]
-    terms = [cand_letters[r] + "".join(axes_sub[p] for p in positions[r]) for r in range(kappa)]
-    sub = axes_sub + "," + ",".join(terms) + "->" + cand_letters
-    grid = np.einsum(sub, pa.data, *cand)
-    flat = np.argmax(np.abs(grid))
-    picks = np.unravel_index(flat, grid.shape)
-    start = [cand[r][picks[r]].reshape(shapes[r]) for r in range(kappa)]
-    if grid[picks] < 0:
-        start[0] = -start[0]
-
-    update_subs, _ = _subscripts(pa.order, positions)
-    [polished] = _als_runs(pa.data, positions, update_subs, [start], [rng], opts.max_iter, opts.tol)
-    return _run_estimate(polished, "brute-force", P, combos, opts.max_iter)
+    best = results[max(range(len(results)), key=lambda i: (results[i].value, -i))]
+    est = NormEstimate(best.value, "als", P, len(results), True, best.converged, best.iterations,
+                       best.factors)
+    if not best.converged:
+        est.warnings.append(f"als did not converge within {opts.max_iter} iterations")
+    return est
 
 
 def tensor_norm(B: ArrayLike, P, opts: NormOptions | None = None, method: str | None = None) -> NormEstimate:
     """Partition norm of B, exact where possible.
 
-    ``method`` may force "als" or "brute-force"; by default kappa = 1 uses the
-    Frobenius norm, kappa = 2 the largest singular value of the matricization,
-    and kappa >= 3 alternating maximization with restarts.
+    ``method`` may force "als"; by default kappa = 1 uses the Frobenius norm,
+    kappa = 2 the largest singular value of the matricization, and kappa >= 3
+    alternating maximization with restarts.
     """
+    if method not in (None, "als"):
+        raise ArgumentError(f"unknown method {method!r}")
     opts = opts or DEFAULT_OPTIONS
     pa = as_partial(B)
     P = _coerce_partition(pa, P)
@@ -312,13 +247,8 @@ def tensor_norm(B: ArrayLike, P, opts: NormOptions | None = None, method: str | 
             factors=None,
         )
 
-    if method == "brute-force":
-        return _brute_estimate(pa, P, opts)
     if method == "als":
-        return _als_estimate(pa, P, opts, "als")
-    if method not in (None,):
-        raise ArgumentError(f"unknown method {method!r}")
-
+        return _als_estimate(pa, P, opts)
     if kappa == 1:
         value = frobenius(pa)
         return NormEstimate(
@@ -337,7 +267,7 @@ def tensor_norm(B: ArrayLike, P, opts: NormOptions | None = None, method: str | 
             partition=P,
             factors=(u[:, 0].reshape(shapes[0]), vt[0].reshape(shapes[1])),
         )
-    return _als_estimate(pa, P, opts, "als")
+    return _als_estimate(pa, P, opts)
 
 
 def merge_blocks(P: Partition, i: int, j: int) -> Partition:
@@ -478,7 +408,7 @@ def verify_diagonal_restriction(A: PartialArray, I: Iterable[int], P,
         # the restricted optimizer is a feasible point for the full array too
         retried = True
         rhs = _als_estimate(A, rhs.partition, replace(opts, restarts=2 * opts.restarts),
-                            "als", start=lhs.factors)
+                            start=lhs.factors)
     return DiagonalRestrictionReport(
         restricted_value=lhs.value,
         full_value=rhs.value,

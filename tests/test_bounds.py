@@ -27,7 +27,8 @@ from kronchaos import (
     tensor_norm,
     verify_reduction_lift,
 )
-from kronchaos.bounds import gram_norm_table, tail_regimes_ax
+from kronchaos import bounds
+from kronchaos.bounds import compute_bound_report, gram_norm_table, tail_regimes_ax
 from kronchaos.errors import ArgumentError, AxisSetError, DegenerateInputError
 from kronchaos.identities import chaos_quadratic, expected_quadratic
 from kronchaos.norms import diagonal_restrict
@@ -344,6 +345,26 @@ def test_mp_norm_random_against_oracle_resum():
 def test_mp_norm_zero_matrix():
     with pytest.raises(DegenerateInputError):
         mp_norm(np.zeros((2, 4)), Dims([2, 2]), 2.0)
+
+
+def test_bound_report_checks_arguments_before_norm_tables(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("norm table built before the argument checks")
+
+    monkeypatch.setattr(bounds, "main_norm_table", no_table)
+    monkeypatch.setattr(bounds, "gram_norm_table", no_table)
+    dims = Dims([2, 2, 2])
+    with pytest.raises(ArgumentError, match="p = 1.5 must be >= 2"):
+        compute_bound_report(np.eye(8), dims, [4, 1.5])
+    with pytest.raises(ArgumentError, match="t = -1 must be >= 0"):
+        compute_bound_report(np.eye(8), dims, [2], t_grid=[1, -1])
+    with pytest.raises(ArgumentError, match="C_d = 0 must be > 0"):
+        compute_bound_report(np.eye(8), dims, [2], C_tail=0, t_grid=[1])
+
+
+def test_bound_report_checks_p_for_nonsquare_zero_matrix():
+    with pytest.raises(ArgumentError, match="p = 1 must be >= 2"):
+        compute_bound_report(np.zeros((3, 2)), Dims([2]), [1])
 
 
 def test_mp_monotone_in_p():

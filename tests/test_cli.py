@@ -94,6 +94,25 @@ def test_non_finite_number_is_usage_error(tmp_path, capsys, argv):
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("argv,row", [
+    (("bounds", "--dims", "2"), "1,nan"),
+    (("bounds", "--dims", "2"), "1,inf"),
+    (("bounds", "--dims", "2"), "1,,2"),
+    (("bounds", "--dims", "2"), "1,x"),
+    (("bounds", "--dims", "2"), "1,0x1p2000"),
+    (("verify", "decoupling", "--dims", "2", "--samples", "1000"), "1,nan"),
+    (("verify", "main-upper", "--dims", "2", "--samples", "200", "--p", "2"), "1,inf"),
+    (("verify", "hanson-wright", "--samples", "200"), "1,inf"),
+])
+def test_non_finite_matrix_entry_is_usage_error(tmp_path, capsys, argv, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{row}\n0,1\n")
+    assert run(*argv, "--matrix", path, "--cache", tmp_path / "c") == EXIT_USAGE
+    bad = row.split(",")[1]
+    assert capsys.readouterr().err == f"error: {path}: not a finite number: {bad!r}\n"
+    assert not (tmp_path / "c").exists()
+
+
 MAIN_UPPER_SMALL = ("verify", "main-upper", "--dims", "2", "--samples", "200", "--p", "2",
                     "--restarts", "2")
 
@@ -197,6 +216,18 @@ def test_report_merging_and_corrupt_entry(tmp_path, capsys):
     assert "identities" in out.out and "hanson-wright" in out.out
     assert "deadbeef0000" in out.err  # corrupt entry skipped with a warning
     assert "fitted-constant history" in out.out
+
+
+def test_report_skips_entry_that_is_not_an_object(tmp_path, capsys):
+    cache = tmp_path / "c"
+    run("verify", "identities", "--seed", "1", "--cache", cache)
+    bad = cache / "deadbeef0000"
+    bad.mkdir()
+    (bad / "report.json").write_text("[1, 2]")
+    assert run("report", "--cache", cache) == EXIT_OK
+    out = capsys.readouterr()
+    assert "identities" in out.out
+    assert "skipping corrupt entry deadbeef0000" in out.err
 
 
 def test_report_empty_cache(tmp_path):

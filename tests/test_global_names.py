@@ -1,10 +1,14 @@
-"""Every global name a function in the package looks up must exist.
+"""Every global name a function in the package looks up must exist, and
+every name a module imports must be used.
 
 Python resolves a global name only when the function body runs, so an
 import left out of a module passes collection and fails at call time.  This
-walks each module's symbol table instead of running it.
+walks each module's symbol table instead of running it.  The converse check
+walks each module's syntax tree, annotations included, for imports that a
+deletion left behind.
 """
 
+import ast
 import builtins
 import symtable
 from pathlib import Path
@@ -15,6 +19,11 @@ import kronchaos
 
 PACKAGE = Path(kronchaos.__file__).parent
 MODULE_GLOBALS = {"__file__", "__name__", "__doc__", "__spec__", "__package__"}
+# Imports kept on purpose although the module never reads them.
+KEPT_IMPORTS = {
+    # bench/test_bench.py patches cli.main_norm_table, so the CLI must bind it
+    ("cli.py", "main_norm_table"),
+}
 
 
 def undefined_globals(source: str, filename: str) -> list[tuple[str, str]]:
@@ -54,3 +63,35 @@ def test_checker_finds_missing_import():
 def test_module_globals_are_defined(module):
     path = PACKAGE / module
     assert undefined_globals(path.read_text(), str(path)) == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports (outside ``from __future__``) but never reads."""
+    tree = ast.parse(source)
+    imported = [alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_checker_finds_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from typing import Sequence, Iterable as It\n"
+        "import numpy as np\n"
+        "def f(x: Sequence) -> np.ndarray:\n"
+        "    return x\n"
+    )
+    assert unused_imports(source) == ["os", "It"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")
+                                          if p.name != "__init__.py"))
+def test_module_imports_are_used(module):
+    # __init__.py is left out: its imports are the package's public names
+    unused = unused_imports((PACKAGE / module).read_text())
+    assert [name for name in unused if (module, name) not in KEPT_IMPORTS] == []

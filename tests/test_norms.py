@@ -117,13 +117,11 @@ def test_rank_one_all_partitions():
         assert est.value == pytest.approx(1.0, abs=1e-8), str(P)
 
 
-def test_als_against_brute_force_and_frobenius():
+def test_als_against_frobenius():
     rng = np.random.default_rng(3)
     for _ in range(10):
         T = rng.standard_normal((2, 2, 2))
         als = tensor_norm(T, [[1], [2], [3]], OPTS)
-        bf = tensor_norm(T, [[1], [2], [3]], OPTS, method="brute-force")
-        assert als.value >= bf.value - 1e-6
         assert als.value <= frobenius(T) + 1e-9
         assert als.certified_lower_bound
         assert als.method == "als"
@@ -148,9 +146,11 @@ def test_forced_als_matches_svd_kappa2():
         assert als.method == "als"
 
 
-def test_brute_force_block_cap():
-    with pytest.raises(ArgumentError):
-        tensor_norm(np.ones((5, 5, 5)), [[1, 2], [3]], method="brute-force")
+@pytest.mark.parametrize("method", ["brute-force", "bogus"])
+@pytest.mark.parametrize("T", [np.zeros((2, 2, 2)), np.ones((2, 2, 2))], ids=["zero", "ones"])
+def test_unknown_method_rejected(method, T):
+    with pytest.raises(ArgumentError, match="unknown method"):
+        tensor_norm(T, [[1], [2], [3]], method=method)
 
 
 def test_partition_must_cover_axes():
@@ -220,7 +220,7 @@ def test_als_start_runs_after_the_seeded_restarts():
     opts = NormOptions(restarts=4, seed=7)
     best = tensor_norm(T, P, OPTS)
     seeded = tensor_norm(T, P, opts)
-    est = _als_estimate(as_partial(T), P, opts, "als", start=best.factors)
+    est = _als_estimate(as_partial(T), P, opts, start=best.factors)
     assert est.restarts_used == 5
     assert est.value >= max(seeded.value, best.value * (1 - 1e-12))
 
@@ -304,6 +304,16 @@ def test_batched_restarts_equal_one_start_calls(shape, P):
     assert any(not r.converged and r.iterations == cap for r in capped)
 
 
+def test_one_block_restarts_equal_one_start_calls():
+    # kappa = 1: the batched update "abc->abc" contracts the data with a ones operand
+    rng = np.random.default_rng(21)
+    T = rng.standard_normal((2, 3, 2))
+    inits = [_random_factors([T.shape], rng) for _ in range(4)]
+    _batch_and_one_start_calls(T, [[1, 2, 3]], inits, max_iter=500)
+    est = tensor_norm(T, [[1, 2, 3]], OPTS, method="als")
+    assert est.value == pytest.approx(frobenius(T), rel=1e-12)
+
+
 def test_stalled_restart_rerandomizes_from_its_own_rng():
     # T = e1 (x) e1 (x) e1: from (e1, e1, e2) the first two block updates vanish
     T = np.zeros((2, 2, 2))
@@ -326,8 +336,7 @@ def test_als_estimate_factors_own_their_data():
     P = Partition([[1], [2], [3]])
     estimates = [
         tensor_norm(T, P, OPTS),
-        tensor_norm(T, P, OPTS, method="brute-force"),
-        _als_estimate(as_partial(T), P, NormOptions(restarts=3), "als",
+        _als_estimate(as_partial(T), P, NormOptions(restarts=3),
                       start=[np.ones(2) / np.sqrt(2), np.ones(3) / np.sqrt(3), np.ones(2) / np.sqrt(2)]),
     ]
     for est in estimates:
