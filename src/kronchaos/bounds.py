@@ -149,6 +149,12 @@ def _check_p_L(p: float, L: float) -> None:
         raise ArgumentError(f"L = {L} must be >= 1")
 
 
+def _check_t(t: float) -> None:
+    """The range of the deviation t where the tail bounds apply."""
+    if t < 0:
+        raise ArgumentError(f"t = {t} must be >= 0")
+
+
 def _kappa_sums(rows: Sequence[NormTableRow], d: int) -> dict[int, float]:
     """Summed partition norms per block count kappa = 1..2d."""
     sums = {k: 0.0 for k in range(1, 2 * d + 1)}
@@ -246,8 +252,7 @@ def tail_regimes_ax(A: np.ndarray, dims: Dims, t: float) -> dict[str, float]:
     "stable-rank" on [n^((d-1)/4) s, n^((d-1)/4) f], with s and f the spectral
     and Frobenius norms; the intervals overlap and every applicable bound holds.
     """
-    if t < 0:
-        raise ArgumentError(f"t = {t} must be >= 0")
+    _check_t(t)
     n = dims.sizes[0]
     if any(m != n for m in dims.sizes):
         raise ArgumentError(f"tail bound needs equal per-axis dims, got {dims.sizes}")
@@ -278,8 +283,7 @@ def tail_bound_ax(A: np.ndarray, dims: Dims, t: float, C_d: float = 1.0) -> Tail
 
 def hanson_wright_exponent(A: np.ndarray, K: float, t: float) -> float:
     """min(t^2 / (K^4 ||A||_F^2), t / (K^2 ||A||_2->2)) of the order-1 tail bound."""
-    if t < 0:
-        raise ArgumentError(f"t = {t} must be >= 0")
+    _check_t(t)
     if K <= 0:
         raise ArgumentError(f"K = {K} must be > 0")
     fro, spec = _matrix_norms(A)
@@ -424,6 +428,8 @@ def compute_bound_report(A: np.ndarray, dims: Dims, p_grid: Sequence[float],
     opts = opts or DEFAULT_OPTIONS
     for p in p_grid:
         _check_p_L(p, L)
+    for t in t_grid:  # also when the tail curve is skipped
+        _check_t(t)
     warnings: list[str] = []
     tail_curve: list[TailBound] = []
     if t_grid and len(set(dims.sizes)) == 1 and np.any(A):

@@ -301,6 +301,32 @@ def cmd_verify(args) -> int:
     return EXIT_OK if status in ("pass", "inconclusive-pass") else EXIT_VIOLATION
 
 
+def _summary_row(name: str, report) -> dict:
+    """One row of the `report` listing; ValueError if the report is not shaped
+    like the ones write_report stores."""
+    if not isinstance(report, dict):
+        raise ValueError("not a JSON object")
+    cfg = report.get("config", {})
+    if not isinstance(cfg, dict):
+        raise ValueError("config is not a JSON object")
+    dims = cfg.get("dims", [])
+    if not isinstance(dims, list):
+        raise ValueError("config.dims is not a list")
+    fitted = report.get("fitted_constant", report.get("constant_estimate"))
+    if fitted is not None and (isinstance(fitted, bool) or not isinstance(fitted, (int, float))):
+        raise ValueError(f"fitted constant {fitted!r} is not a number")
+    return {
+        "hash": name,
+        "suite": report.get("suite", "?"),
+        "status": report.get("status", "-"),
+        "dims": ",".join(str(x) for x in dims) or str(cfg.get("n", "")),
+        "dist": cfg.get("dist", ""),
+        "seed": cfg.get("seed", ""),
+        "S": cfg.get("S", ""),
+        "constant": "" if fitted is None else f"{fitted:.4g}",
+    }
+
+
 def cmd_report(args) -> int:
     cache = _cache_dir(args)
     if not cache.exists():
@@ -312,24 +338,9 @@ def cmd_report(args) -> int:
         if not target.is_file():
             continue
         try:
-            report = json.loads(target.read_text())
-            if not isinstance(report, dict):
-                raise ValueError("not a JSON object")
+            rows.append(_summary_row(slot.name, json.loads(target.read_text())))
         except (OSError, ValueError) as e:  # json.JSONDecodeError is a ValueError
             print(f"report: skipping corrupt entry {slot.name}: {e}", file=sys.stderr)
-            continue
-        cfg = report.get("config", {})
-        fitted = report.get("fitted_constant", report.get("constant_estimate"))
-        rows.append({
-            "hash": slot.name,
-            "suite": report.get("suite", "?"),
-            "status": report.get("status", "-"),
-            "dims": ",".join(str(x) for x in cfg.get("dims", [])) or str(cfg.get("n", "")),
-            "dist": cfg.get("dist", ""),
-            "seed": cfg.get("seed", ""),
-            "S": cfg.get("S", ""),
-            "constant": "" if fitted is None else f"{fitted:.4g}",
-        })
     if not rows:
         print("report: cache is empty", file=sys.stderr)
         return EXIT_USAGE

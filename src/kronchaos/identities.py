@@ -17,7 +17,7 @@ from .partitions import subsets
 from .tensor import _LETTERS, ArrayLike, PartialArray, as_partial, doubled_order
 
 
-def pair_contraction(A: ArrayLike, spec: dict, batch: bool = False) -> float | np.ndarray:
+def pair_contraction(A: ArrayLike, spec: dict) -> float:
     """Contract an order-2d array pairwise over its (l, l+d) axis pairs.
 
     ``spec`` maps each axis l in [d] to one of
@@ -25,15 +25,12 @@ def pair_contraction(A: ArrayLike, spec: dict, batch: bool = False) -> float | n
       ("tie_weight", w)       -- identify l and l+d, contract weight vector w
       ("vec2", u, v)          -- contract u on axis l and v on axis l+d
       ("kernel", M)           -- contract matrix M over the pair (l, l+d)
-    With ``batch=True`` every payload carries a leading sample axis and the
-    result is a vector over samples, so at least one entry needs a payload.
     """
     pa = as_partial(A)
     d = doubled_order(pa)
     if set(spec) != set(range(1, d + 1)):
         raise AxisSetError(f"spec must cover every axis in [{d}]")
     letters = list(_LETTERS[: 2 * d])
-    sample = "z"
     operands = []
     subs = []
     for l in range(1, d + 1):
@@ -44,24 +41,19 @@ def pair_contraction(A: ArrayLike, spec: dict, batch: bool = False) -> float | n
         elif kind == "tie_weight":
             letters[l - 1 + d] = la
             operands.append(np.asarray(spec[l][1]))
-            subs.append((sample if batch else "") + la)
+            subs.append(la)
         elif kind == "vec2":
             operands.append(np.asarray(spec[l][1]))
-            subs.append((sample if batch else "") + la)
+            subs.append(la)
             operands.append(np.asarray(spec[l][2]))
-            subs.append((sample if batch else "") + lb)
+            subs.append(lb)
         elif kind == "kernel":
             operands.append(np.asarray(spec[l][1]))
-            subs.append((sample if batch else "") + la + lb)
+            subs.append(la + lb)
         else:
             raise AxisSetError(f"unknown spec kind {kind!r}")
-    if batch and not operands:
-        raise AxisSetError("batch contraction needs a sample axis, but every spec entry is "
-                           "'tie_sum' and no payload carries one")
-    out = sample if batch else ""
-    expr = "".join(letters) + ("," + ",".join(subs) if subs else "") + "->" + out
-    result = np.einsum(expr, pa.data, *operands)
-    return result if batch else float(result)
+    expr = "".join(letters) + ("," + ",".join(subs) if subs else "") + "->"
+    return float(np.einsum(expr, pa.data, *operands))
 
 
 def chaos_quadratic(A: ArrayLike, factors: Sequence[np.ndarray]) -> float:
@@ -135,6 +127,14 @@ def coupled_expansion_sides(A: ArrayLike, factors: Sequence[np.ndarray]) -> tupl
     return lhs, chaos_quadratic(A, factors)
 
 
+def term_sets(d: int, I: Iterable[int], J: Iterable[int]) -> tuple[frozenset, frozenset]:
+    """I and J of a semi-decoupled term as sets, checked to satisfy J <= I <= [d]."""
+    I, J = frozenset(I), frozenset(J)
+    if not J <= I or not I <= set(range(1, d + 1)):
+        raise AxisSetError(f"need J <= I <= [{d}], got I={sorted(I)}, J={sorted(J)}")
+    return I, J
+
+
 def semi_decoupled_spec(d: int, I: Iterable[int], J: Iterable[int],
                         factors: Sequence[np.ndarray],
                         factors_bar: Sequence[np.ndarray]) -> dict:
@@ -144,13 +144,11 @@ def semi_decoupled_spec(d: int, I: Iterable[int], J: Iterable[int],
     Sums A over the diagonal of the pairs in I \\ J, weights the pairs in J by
     (x^2 - 1), and contracts the complement axes against x and the independent
     copy x_bar.  Well defined for every J subset of I; the decoupling bound
-    itself only sums the terms with I \\ J != [d].  The factors may be single
-    vectors or batches of them, one row per sample.
+    itself only sums the terms with I \\ J != [d].  The factors are single
+    vectors; ``montecarlo.semi_decoupled_batch`` evaluates the same term over a
+    sample batch.
     """
-    I = frozenset(I)
-    J = frozenset(J)
-    if not J <= I or not I <= set(range(1, d + 1)):
-        raise AxisSetError(f"need J <= I <= [{d}], got I={sorted(I)}, J={sorted(J)}")
+    I, J = term_sets(d, I, J)
     spec = {}
     for l in range(1, d + 1):
         if l in J:

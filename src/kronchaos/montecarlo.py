@@ -12,8 +12,13 @@ stream keyed by (seed, STREAM_BOOTSTRAP + stream).  Every statistic and every
 p evaluated on that sample stream share its indices, which are drawn once,
 and the indices do not depend on how many resamples are drawn at a time.
 
-All reductions run single threaded in fixed order (or over fixed chunk
-boundaries), so identical seeds give bit-identical results.
+Sums over samples run in a fixed order.  The bootstrap contracts exact
+resample counts with the powers of each statistic through BLAS products of
+one fixed block shape, added block by block in sample order, so a value
+depends neither on how many index rows are drawn at a time nor on how many
+statistics share the stream.  Identical seeds give bit-identical results;
+tests/test_golden_reports.py checks that one BLAS thread gives the same report
+bytes as the default thread count.
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import gammaln, ndtri
 
-from .errors import ArgumentError, ShapeError, SizeError
-from .identities import pair_contraction, semi_decoupled_spec
-from .tensor import ArrayLike, Dims
+from .errors import ArgumentError, AxisSetError, ShapeError, SizeError
+from .identities import term_sets
+from .tensor import _LETTERS, ArrayLike, Dims, as_partial, doubled_order
 
 # Largest Kronecker vector the samplers will materialize.
 KRON_MATERIALIZE_CAP = 2**26
@@ -210,9 +215,35 @@ def norm_batch(A: np.ndarray, factor_mats: Sequence[np.ndarray]) -> np.ndarray:
 def semi_decoupled_batch(A: ArrayLike, I, J,
                          factor_mats: Sequence[np.ndarray],
                          factor_bar_mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Semi-decoupled term values across a sample batch (one einsum)."""
-    spec = semi_decoupled_spec(len(factor_mats), I, J, factor_mats, factor_bar_mats)
-    return pair_contraction(A, spec, batch=True)
+    """Semi-decoupled term values across a sample batch, as bilinear forms.
+
+    The term of :func:`semi_decoupled_spec` for sample s is u_s^T M v_s.  M is
+    reduced from A once: its diagonal is summed over the pairs in I \\ J and
+    kept over the pairs in J, its rows run over (J, C) and its columns over C
+    on the column axes, where C = [d] \\ I.  Then u_s = kron(x_J^2 - 1, x_C)
+    and v_s = kron(xbar_C), each axis group in increasing order.
+    """
+    d = len(factor_mats)
+    I, J = term_sets(d, I, J)
+    pa = as_partial(A)
+    if doubled_order(pa) != d:
+        raise AxisSetError(f"A has half order {doubled_order(pa)}, but {d} factor batches "
+                           "were given")
+    Js, C = sorted(J), [l for l in range(1, d + 1) if l not in I]
+    if not Js and not C:
+        raise AxisSetError("the term with I \\ J = [d] has no sample axis: every pair is "
+                           "tied and summed")
+    rows, cols = _LETTERS[:d], _LETTERS[d : 2 * d]
+    # a pair in I shares its row letter: summed unless it is in J, where it stays a row
+    subs = rows + "".join(rows[l - 1] if l in I else cols[l - 1] for l in range(1, d + 1))
+    out = "".join(rows[l - 1] for l in Js + C) + "".join(cols[l - 1] for l in C)
+    M = np.einsum(f"{subs}->{out}", pa.data).reshape(-1, math.prod(pa.sizes[l - 1] for l in C))
+    # u_s M is formed before the v_s, so that the u_s are freed first
+    UM = kronecker_batch([factor_mats[l - 1] ** 2 - 1.0 for l in Js]
+                         + [factor_mats[l - 1] for l in C]) @ M
+    if not C:
+        return UM[:, 0]
+    return np.einsum("si,si->s", UM, kronecker_batch([factor_bar_mats[l - 1] for l in C]))
 
 
 @dataclass
@@ -238,8 +269,21 @@ class EmpiricalMoment:
     count: int
 
 
-# Resample rows drawn and gathered at a time; the results do not depend on it.
-_BOOT_CHUNK = 10
+# Resample index rows drawn per call of the integer stream; the results do not depend on it.
+_BOOT_CHUNK = 4
+# Block shape of the bootstrap contraction: counts of _COUNT_BLOCK resamples are
+# contracted with the powers of _SAMPLE_BLOCK samples at a time.
+_COUNT_BLOCK = 64
+_SAMPLE_BLOCK = 2048
+
+
+def _resample_counts(idx: np.ndarray, out: np.ndarray) -> None:
+    """Write into the uint8 row ``out`` how often each sample occurs in the
+    resample ``idx``; a count above 255 raises instead of wrapping."""
+    counts = np.bincount(idx, minlength=out.shape[0])
+    if counts.max() > 255:
+        raise SizeError(f"a resample draws one sample {int(counts.max())} times, above 255")
+    out[...] = counts
 
 
 def estimate_lp(batch: SampleBatch, p_grid: Sequence[float],
@@ -250,10 +294,14 @@ def estimate_lp(batch: SampleBatch, p_grid: Sequence[float],
     statistic for (K, S) values.  Each statistic is rescaled by its maximum
     before taking powers, so large p cannot overflow.  The bootstrap draws one
     resample stream per (seed, stream), on stream STREAM_BOOTSTRAP + stream,
-    and every statistic and p of the batch reuses it: each chunk of resample
-    indices is drawn once and gathered from every power |v / max|^p.  The
-    integer stream does not depend on the chunk size, so neither does any
-    value.
+    and every statistic and p of the batch reuses it.  A resample is kept as
+    the exact number of times it draws each sample, so its power sums are the
+    product of those counts with the powers |v / max|^p: blocks of
+    _COUNT_BLOCK resamples (the last one padded with zero counts) are
+    contracted with _SAMPLE_BLOCK samples at a time, and the blocks are added
+    in sample order.  Every product has a shape fixed by S and the p grid, so
+    no value depends on the number of statistics or on how many index rows
+    are drawn at a time.
     """
     p_grid = [float(p) for p in p_grid]
     if any(p < 1 for p in p_grid):
@@ -270,33 +318,42 @@ def estimate_lp(batch: SampleBatch, p_grid: Sequence[float],
     scales = [float(np.abs(v).max(initial=0.0)) for v in rows]
     live = [k for k, m in enumerate(scales) if m > 0.0]
 
-    def powers(k: int) -> list[np.ndarray]:
-        u = np.abs(rows[k]) / scales[k]
-        return [u ** p for p in p_grid]
-
-    # sums[k, j, r]: sum over resample r of |v_k / max|^p_j
-    sums = np.empty((rows.shape[0], len(p_grid), resamples))
+    # sums[k, j, r]: sum over resample r of |v_k / max|^p_j; r runs up to a
+    # whole number of count blocks
+    padded = -(-resamples // _COUNT_BLOCK) * _COUNT_BLOCK
+    sums = np.zeros((rows.shape[0], len(p_grid), padded))
     rng = Generator(Philox(key=np.array([batch.seed & _MASK64,
                                          (STREAM_BOOTSTRAP + batch.stream) & _MASK64],
                                         dtype=np.uint64)))
-    gathered = np.empty((min(_BOOT_CHUNK, resamples), S))
-    for lo in range(0, resamples, _BOOT_CHUNK):
-        hi = min(lo + _BOOT_CHUNK, resamples)
-        idx = rng.integers(0, S, size=(hi - lo, S))
-        out = gathered[: hi - lo]
-        for k in live:
-            for j, t in enumerate(powers(k)):
-                # the indices lie in [0, S), so "wrap" moves none; unlike the
-                # default "raise", it writes straight into out without a copy
-                np.take(t, idx, out=out, mode="wrap")
-                sums[k, j, lo:hi] = np.add.reduce(out, axis=1)
+    counts = np.empty((_COUNT_BLOCK, S), dtype=np.uint8)
+    weights = np.empty((min(_SAMPLE_BLOCK, S), _COUNT_BLOCK))
+    block_powers = np.empty((len(p_grid), weights.shape[0]))
+    for r0 in range(0, padded, _COUNT_BLOCK):
+        drawn = min(_COUNT_BLOCK, resamples - r0)
+        for lo in range(0, drawn, _BOOT_CHUNK):
+            idx = rng.integers(0, S, size=(min(_BOOT_CHUNK, drawn - lo), S))
+            for i, row in enumerate(idx, start=lo):
+                _resample_counts(row, counts[i])
+        counts[drawn:] = 0
+        for s0 in range(0, S, _SAMPLE_BLOCK):
+            s1 = min(s0 + _SAMPLE_BLOCK, S)
+            w = weights[: s1 - s0]
+            w[...] = counts[:, s0:s1].T
+            t = block_powers[:, : s1 - s0]
+            for k in live:
+                u = np.abs(rows[k, s0:s1]) / scales[k]
+                for j, p in enumerate(p_grid):
+                    np.power(u, p, out=t[j])
+                sums[k, :, r0 : r0 + _COUNT_BLOCK] += t @ w
 
     result = [[EmpiricalMoment(p, 0.0, 0.0, 0.0, S) for p in p_grid] for _ in scales]
     for k in live:
         m = scales[k]
-        for j, (p, t) in enumerate(zip(p_grid, powers(k))):
-            est = float(m * (np.add.reduce(t) / S) ** (1.0 / p))
-            lo_q, hi_q = np.quantile(m * (sums[k, j] / S) ** (1.0 / p), [0.025, 0.975])
+        u = np.abs(rows[k]) / m
+        for j, p in enumerate(p_grid):
+            est = float(m * (np.add.reduce(u ** p) / S) ** (1.0 / p))
+            lo_q, hi_q = np.quantile(m * (sums[k, j, :resamples] / S) ** (1.0 / p),
+                                     [0.025, 0.975])
             result[k][j] = EmpiricalMoment(p, est, min(float(lo_q), est), max(float(hi_q), est),
                                            S)
     return result if values.ndim == 2 else result[0]

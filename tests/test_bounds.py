@@ -362,6 +362,18 @@ def test_bound_report_checks_arguments_before_norm_tables(monkeypatch):
         compute_bound_report(np.eye(8), dims, [2], C_tail=0, t_grid=[1])
 
 
+@pytest.mark.parametrize("A, dims", [(np.zeros((2, 2)), Dims([2])),
+                                     (np.eye(6), Dims([2, 3]))])
+def test_bound_report_rejects_negative_t_when_the_tail_curve_is_skipped(monkeypatch, A, dims):
+    def no_table(*args, **kwargs):
+        raise AssertionError("norm table built before the argument checks")
+
+    monkeypatch.setattr(bounds, "main_norm_table", no_table)
+    monkeypatch.setattr(bounds, "gram_norm_table", no_table)
+    with pytest.raises(ArgumentError, match="t = -1 must be >= 0"):
+        compute_bound_report(A, dims, [2], t_grid=[1, -1])
+
+
 def test_bound_report_checks_p_for_nonsquare_zero_matrix():
     with pytest.raises(ArgumentError, match="p = 1 must be >= 2"):
         compute_bound_report(np.zeros((3, 2)), Dims([2]), [1])

@@ -230,6 +230,31 @@ def test_report_skips_entry_that_is_not_an_object(tmp_path, capsys):
     assert "skipping corrupt entry deadbeef0000" in out.err
 
 
+@pytest.mark.parametrize("text", ['{"config": [1]}', '{"fitted_constant": "x"}'])
+def test_report_skips_object_of_the_wrong_shape(tmp_path, capsys, text):
+    cache = tmp_path / "c"
+    run("verify", "identities", "--seed", "1", "--cache", cache)
+    bad = cache / "deadbeef0000"
+    bad.mkdir()
+    (bad / "report.json").write_text(text)
+    assert run("report", "--cache", cache) == EXIT_OK
+    out = capsys.readouterr()
+    assert "identities" in out.out
+    assert "skipping corrupt entry deadbeef0000" in out.err
+
+
+@pytest.mark.parametrize("matrix, dims", [(np.zeros((2, 2)), "2"), (np.eye(6), "2,3")])
+def test_bounds_negative_t_is_usage_error_when_the_tail_curve_is_skipped(tmp_path, capsys,
+                                                                        matrix, dims):
+    path = tmp_path / "m.csv"
+    save_matrix_csv(path, matrix)
+    cache = tmp_path / "c"
+    assert run("bounds", "--matrix", path, "--dims", dims, "--t", "-1",
+               "--cache", cache) == EXIT_USAGE
+    assert "t = -1.0 must be >= 0" in capsys.readouterr().err
+    assert not cache.exists() or not any(cache.iterdir())
+
+
 def test_report_empty_cache(tmp_path):
     (tmp_path / "c").mkdir()
     assert run("report", "--cache", tmp_path / "c") == EXIT_USAGE

@@ -19,6 +19,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -26,6 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kronchaos
 from kronchaos import (
     Dims,
     distribution,
@@ -107,6 +109,19 @@ def render(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_match_golden(name):
     assert render(name).encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_report_bytes_do_not_depend_on_blas_threads():
+    # the golden files are rendered with OpenBLAS's default thread count; the
+    # bootstrap and term products must give the same bytes on one thread
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(Path(kronchaos.__file__).parents[1]),
+                                           str(Path(__file__).parent)]))
+    code = ("import sys; from test_golden_reports import render; "
+            "sys.stdout.buffer.write(render('decoupling-d3').encode())")
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           timeout=600, check=True)
+    assert child.stdout == (GOLDEN / "decoupling-d3.json").read_bytes()
 
 
 CSV_HEADERS = {

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 
 from kronchaos import (
     Dims,
@@ -19,7 +20,7 @@ from kronchaos import (
 )
 from kronchaos.errors import ArgumentError, AxisSetError, ShapeError, SizeError
 from kronchaos import montecarlo, suites
-from kronchaos.identities import pair_contraction, semi_decoupled_spec
+from kronchaos.identities import backbone_pairs, pair_contraction, semi_decoupled_spec
 from kronchaos.montecarlo import (
     PSI2_GAUSSIAN,
     PSI2_RADEMACHER,
@@ -258,6 +259,22 @@ def test_semi_decoupled_batch_matches_single():
         assert vals[s] == pytest.approx(want, rel=1e-11, abs=1e-12)
 
 
+def test_semi_decoupled_batch_matches_single_for_every_d3_term():
+    # unequal dims pin the row and column axis order of the reduced matrix
+    rng = np.random.default_rng(12)
+    dims = Dims([2, 3, 2])
+    A = rearrange_matrix(rng.standard_normal((12, 12)), dims)
+    fs = FactorSampler(dims, distribution("uniform_sym"), 41, 1)
+    fsb = FactorSampler(dims, distribution("uniform_sym"), 41, 2)
+    mats, bmats = fs.batch(0, 20), fsb.batch(0, 20)
+    for I, J in backbone_pairs(3):
+        vals = semi_decoupled_batch(A, I, J, mats, bmats)
+        assert vals.shape == (20,)
+        for s in (0, 7, 19):
+            spec = semi_decoupled_spec(3, I, J, fs.factors(s), fsb.factors(s))
+            assert vals[s] == pytest.approx(pair_contraction(A, spec), rel=1e-11, abs=1e-12)
+
+
 def test_semi_decoupled_batch_trace_term_has_no_sample_axis():
     # I \ J = [d]: every pair is tied and summed, so no operand carries samples
     dims = Dims([2, 2])
@@ -350,6 +367,64 @@ def test_estimate_lp_does_not_depend_on_the_chunk(monkeypatch, chunk):
     reference = estimate_lp(b, (2.0, 4.0), 50)
     monkeypatch.setattr(montecarlo, "_BOOT_CHUNK", chunk)
     assert estimate_lp(b, (2.0, 4.0), 50) == reference
+
+
+def _gather_lp(batch, p_grid, resamples):
+    """(estimate, ci_low, ci_high) per statistic and p by the gather-and-sum
+    bootstrap: every resample's powers are gathered by index and summed."""
+    S = batch.count
+    key = np.array([batch.seed, montecarlo.STREAM_BOOTSTRAP + batch.stream], dtype=np.uint64)
+    idx = Generator(Philox(key=key)).integers(0, S, size=(resamples, S))
+    out = []
+    for v in np.reshape(batch.values, (-1, S)):
+        m = np.abs(v).max(initial=0.0)
+        row = []
+        for p in p_grid:
+            if m == 0.0:
+                row.append((0.0, 0.0, 0.0))
+                continue
+            t = (np.abs(v) / m) ** p
+            est = m * (np.add.reduce(t) / S) ** (1.0 / p)
+            boot = m * (np.add.reduce(np.take(t, idx), axis=1) / S) ** (1.0 / p)
+            lo, hi = np.quantile(boot, [0.025, 0.975])
+            row.append((est, min(lo, est), max(hi, est)))
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("S, resamples", [(301, 50), (301, 200), (5003, 130)])
+def test_estimate_lp_matches_gather_and_sum(S, resamples):
+    # odd S, several sample blocks with a short last one, R not a multiple of
+    # the count block, and an all-zero statistic among K
+    rng = np.random.default_rng(S)
+    values = np.stack([rng.standard_normal(S), np.zeros(S), rng.standard_t(3, S)])
+    grid = (1.0, 2.0, 4.0, 7.5)
+    stacked = SampleBatch(5, 9, S, values)
+    want = _gather_lp(stacked, grid, resamples)
+    one_row = [estimate_lp(SampleBatch(5, 9, S, v), grid, resamples) for v in values]
+    for rows in (estimate_lp(stacked, grid, resamples), one_row):
+        got = [[(m.estimate, m.ci_low, m.ci_high) for m in row] for row in rows]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+class _OneSampleGenerator:
+    """Stands in for the bootstrap's Generator: every resample draws sample 0 only."""
+
+    def __init__(self, bit_generator):
+        pass
+
+    def integers(self, low, high, size):
+        return np.zeros(size, dtype=np.int64)
+
+
+def test_estimate_lp_raises_on_a_count_above_255(monkeypatch):
+    monkeypatch.setattr(montecarlo, "Generator", _OneSampleGenerator)
+    # 255 draws of sample 0 are counted exactly: every resample is 255 copies of v_0 = 1
+    m, = estimate_lp(_batch(np.arange(1.0, 256.0)), [2.0], 10)
+    assert m.ci_low == pytest.approx(1.0, rel=1e-15)
+    # 256 draws would wrap to a count of 0 in uint8
+    with pytest.raises(SizeError, match="256 times"):
+        estimate_lp(_batch(np.arange(1.0, 257.0)), [2.0], 10)
 
 
 def _count_calls(monkeypatch) -> list[int]:
