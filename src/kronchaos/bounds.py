@@ -430,6 +430,8 @@ def compute_bound_report(A: np.ndarray, dims: Dims, p_grid: Sequence[float],
         _check_p_L(p, L)
     for t in t_grid:  # also when the tail curve is skipped
         _check_t(t)
+    if C_tail <= 0:
+        raise ArgumentError(f"C_tail = {C_tail} must be > 0")
     warnings: list[str] = []
     tail_curve: list[TailBound] = []
     if t_grid and len(set(dims.sizes)) == 1 and np.any(A):

@@ -7,11 +7,14 @@ norm of a matricization; both are computed exactly.  For kappa >= 3 the
 supremum is NP-hard in general and is estimated by alternating maximization
 (higher-order power method) over seeded random restarts; such values are
 certified lower bounds, never exact.  The restarts of one estimate run as one
-batch on a leading axis, and each keeps the arithmetic of a run on its own.
+batch on a leading axis.  Each partition block is flattened to one axis, and
+each restart's block update is one matrix product of a fixed shape, so a
+restart's result is bit-identical to a one-start call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -140,31 +143,28 @@ def _random_factors(shapes, rng) -> list[np.ndarray]:
     return out
 
 
-def _batched(update_sub: str) -> str:
-    """An update einsum with the restart letter Z on every factor and the output.
-
-    ``abcdef,ab,cd->ef`` becomes ``abcdef,Zab,Zcd->Zef``; a one-block update
-    ``abc->abc`` gains a Z operand that ``_als_runs`` fills with ones.
-    """
-    lhs, out = update_sub.split("->")
-    data, *others = lhs.split(",")
-    return ",".join([data] + ["Z" + o for o in others or [""]]) + "->Z" + out
-
-
-def _als_runs(data, positions, update_subs, inits, rngs, max_iter, tol) -> list[RestartResult]:
+def _als_runs(data, positions, inits, rngs, max_iter, tol) -> list[RestartResult]:
     """Alternating maximization from every start in ``inits`` at once.
 
-    The restarts sit on a leading axis of each stacked block factor, and each
-    restart leaves the batch once it converges.  The data is contracted in C
-    order, neither flattened nor permuted, so every restart keeps the
-    summation order of a run on its own: a restart's result is bit-identical
-    to a one-start call.  A block whose update vanishes is re-randomized from
-    that restart's own ``rngs`` entry.
+    The data is transposed once so that each block's axes are adjacent, in
+    block order, and each block is flattened to one axis.  Block r then keeps
+    a C-contiguous matrix M_r of shape (product of the other blocks, n_r),
+    and its update is the row-wise Khatri-Rao product of the other flattened
+    factors times M_r: one (1, m) @ (m, n_r) product for each restart, whatever
+    restarts are in the batch, so a restart's result is bit-identical to a
+    one-start call.  The restarts sit on a leading axis, and each restart
+    leaves the batch, reshaped to its block shapes, once it converges.  A
+    block whose update vanishes is re-randomized from that restart's own
+    ``rngs`` entry.
     """
-    data = np.ascontiguousarray(data)
     kappa = len(positions)
-    subs = [_batched(s) for s in update_subs]
-    factors = [np.stack([np.asarray(init[r], dtype=np.float64) for init in inits])
+    shapes = [tuple(data.shape[p] for p in pos) for pos in positions]
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = np.ascontiguousarray(data.transpose([p for pos in positions for p in pos]))
+    flat = flat.reshape(sizes)  # block r's axes are now axis r
+    mats = [np.ascontiguousarray(np.moveaxis(flat, r, -1)).reshape(-1, sizes[r])
+            for r in range(kappa)]
+    factors = [np.stack([np.asarray(init[r], dtype=np.float64).ravel() for init in inits])
                for r in range(kappa)]
     live = np.arange(len(inits))  # restart index of each batch row
     value = np.zeros(len(inits))
@@ -173,22 +173,26 @@ def _als_runs(data, positions, update_subs, inits, rngs, max_iter, tol) -> list[
 
     def leave(rows, converged: bool, iterations: int):
         for i in rows:
-            results[live[i]] = RestartResult(float(value[i]), tuple(f[i].copy() for f in factors),
-                                             converged, iterations)
+            blocks = tuple(f[i].reshape(shape).copy() for f, shape in zip(factors, shapes))
+            results[live[i]] = RestartResult(float(value[i]), blocks, converged, iterations)
 
     iterations = 0
     while iterations < max_iter and len(live):
         iterations += 1
         for r in range(kappa):
-            others = [factors[q] for q in range(kappa) if q != r] or [np.ones(len(live))]
-            v = np.einsum(subs[r], data, *others)
-            flat = v.reshape(len(live), -1)
-            nv = np.sqrt((flat * flat).sum(axis=1))
+            others = [factors[q] for q in range(kappa) if q != r] or [np.ones((len(live), 1))]
+            K = others[0]
+            for f in others[1:]:
+                K = (K[:, :, None] * f[:, None, :]).reshape(len(live), -1)
+            # a stack of one-row products: the rows of one (Z, m) @ (m, n_r) gemm
+            # can depend on the other rows, which would tie a restart to the batch
+            v = np.matmul(K[:, None, :], mats[r])[:, 0]
+            nv = np.sqrt((v * v).sum(axis=1))
             stalled = nv == 0.0
-            v /= np.where(stalled, 1.0, nv).reshape((-1,) + (1,) * (v.ndim - 1))
+            v /= np.where(stalled, 1.0, nv)[:, None]
             if stalled.any():
                 for i in np.flatnonzero(stalled):
-                    v[i] = _random_factors([v.shape[1:]], rngs[live[i]])[0]
+                    v[i] = _random_factors([shapes[r]], rngs[live[i]])[0].ravel()
                 nv = np.where(stalled, value, nv)
             factors[r] = v
             value = nv
@@ -208,14 +212,13 @@ def _als_estimate(pa: PartialArray, P: Partition, opts: NormOptions,
     random restarts, plus one run from ``start`` under the next restart index
     when given."""
     positions = _block_positions(pa, P)
-    update_subs, _ = _subscripts(pa.order, positions)
     shapes = [tuple(pa.sizes[p] for p in pos) for pos in positions]
     rngs = [np.random.default_rng((opts.seed, 0x6E6F726D, idx))
             for idx in range(opts.restarts + (start is not None))]
     inits = [_random_factors(shapes, rng) for rng in rngs[:opts.restarts]]
     if start is not None:
         inits.append(list(start))
-    results = _als_runs(pa.data, positions, update_subs, inits, rngs, opts.max_iter, opts.tol)
+    results = _als_runs(pa.data, positions, inits, rngs, opts.max_iter, opts.tol)
     best = results[max(range(len(results)), key=lambda i: (results[i].value, -i))]
     est = NormEstimate(best.value, "als", P, len(results), True, best.converged, best.iterations,
                        best.factors)

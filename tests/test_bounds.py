@@ -358,7 +358,7 @@ def test_bound_report_checks_arguments_before_norm_tables(monkeypatch):
         compute_bound_report(np.eye(8), dims, [4, 1.5])
     with pytest.raises(ArgumentError, match="t = -1 must be >= 0"):
         compute_bound_report(np.eye(8), dims, [2], t_grid=[1, -1])
-    with pytest.raises(ArgumentError, match="C_d = 0 must be > 0"):
+    with pytest.raises(ArgumentError, match="C_tail = 0 must be > 0"):
         compute_bound_report(np.eye(8), dims, [2], C_tail=0, t_grid=[1])
 
 
@@ -372,6 +372,20 @@ def test_bound_report_rejects_negative_t_when_the_tail_curve_is_skipped(monkeypa
     monkeypatch.setattr(bounds, "gram_norm_table", no_table)
     with pytest.raises(ArgumentError, match="t = -1 must be >= 0"):
         compute_bound_report(A, dims, [2], t_grid=[1, -1])
+
+
+@pytest.mark.parametrize("A, dims, C_tail", [(np.eye(6), Dims([2, 3]), 0),
+                                             (np.zeros((2, 2)), Dims([2]), -3)])
+def test_bound_report_rejects_nonpositive_C_tail_when_the_tail_curve_is_skipped(
+        monkeypatch, A, dims, C_tail):
+    def no_table(*args, **kwargs):
+        raise AssertionError("norm table built before the argument checks")
+
+    monkeypatch.setattr(bounds, "main_norm_table", no_table)
+    monkeypatch.setattr(bounds, "gram_norm_table", no_table)
+    for t_grid in ([1], []):
+        with pytest.raises(ArgumentError, match=f"C_tail = {C_tail} must be > 0"):
+            compute_bound_report(A, dims, [2], C_tail=C_tail, t_grid=t_grid)
 
 
 def test_bound_report_checks_p_for_nonsquare_zero_matrix():

@@ -255,6 +255,17 @@ def test_bounds_negative_t_is_usage_error_when_the_tail_curve_is_skipped(tmp_pat
     assert not cache.exists() or not any(cache.iterdir())
 
 
+def test_bounds_nonpositive_C_tail_is_usage_error_when_the_tail_curve_is_skipped(tmp_path,
+                                                                                 capsys):
+    path = tmp_path / "m.csv"
+    save_matrix_csv(path, np.eye(6))
+    cache = tmp_path / "c"
+    assert run("bounds", "--matrix", path, "--dims", "2,3", "--C-tail", "0",
+               "--cache", cache) == EXIT_USAGE
+    assert "C_tail = 0.0 must be > 0" in capsys.readouterr().err
+    assert not cache.exists() or not any(cache.iterdir())
+
+
 def test_report_empty_cache(tmp_path):
     (tmp_path / "c").mkdir()
     assert run("report", "--cache", tmp_path / "c") == EXIT_USAGE

@@ -113,15 +113,18 @@ def test_report_bytes_match_golden(name):
 
 def test_report_bytes_do_not_depend_on_blas_threads():
     # the golden files are rendered with OpenBLAS's default thread count; the
-    # bootstrap and term products must give the same bytes on one thread
+    # bootstrap and term products and the ALS block updates must give the
+    # same bytes on one thread
+    names = ["decoupling-d3", "bounds-square"]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([str(Path(kronchaos.__file__).parents[1]),
                                            str(Path(__file__).parent)]))
-    code = ("import sys; from test_golden_reports import render; "
-            "sys.stdout.buffer.write(render('decoupling-d3').encode())")
+    code = ("import json; from test_golden_reports import render; "
+            f"print(json.dumps([render(name) for name in {names!r}]))")
     child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                            timeout=600, check=True)
-    assert child.stdout == (GOLDEN / "decoupling-d3.json").read_bytes()
+    for name, text in zip(names, json.loads(child.stdout), strict=True):
+        assert text.encode() == (GOLDEN / f"{name}.json").read_bytes(), name
 
 
 CSV_HEADERS = {

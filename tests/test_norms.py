@@ -1,6 +1,8 @@
 """Partition norms: exact paths, the alternating estimator, and the
 merge/split and diagonal-restriction inequality harnesses."""
 
+import functools
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -239,13 +241,49 @@ def test_negative_seed_rejected():
 def _runner_args(T, P):
     pa = as_partial(T)
     positions = _block_positions(pa, Partition(P))
-    update_subs, _ = _subscripts(pa.order, positions)
     shapes = [tuple(pa.sizes[p] for p in pos) for pos in positions]
-    return (pa.data, positions, update_subs), shapes
+    return (pa.data, positions), shapes
 
 
-def _als_loop(data, update_subs, init, rng, max_iter, tol):
-    """Reference: the alternating updates of one restart, one einsum per block."""
+def _als_loop(data, positions, init, rng, max_iter, tol):
+    """Reference: the alternating updates of one restart on flattened blocks.
+
+    Block r's C-contiguous matrix has the other blocks' axes, in block order,
+    on its rows and its own axes on its columns.  Its update is the Kronecker
+    product of the other flattened factors times that matrix, in the
+    (1, m) @ (m, n_r) shape of one batch row."""
+    shapes = [tuple(data.shape[p] for p in pos) for pos in positions]
+    mats = [np.ascontiguousarray(
+                data.transpose([p for q, other in enumerate(positions) if q != r for p in other]
+                               + list(pos)).reshape(-1, int(np.prod(shapes[r]))))
+            for r, pos in enumerate(positions)]
+    factors = [np.asarray(f, dtype=np.float64).ravel() for f in init]
+
+    def result(value, converged, iterations):
+        blocks = tuple(f.reshape(shape) for f, shape in zip(factors, shapes, strict=True))
+        return RestartResult(value, blocks, converged, iterations)
+
+    value, prev = 0.0, -np.inf
+    for it in range(1, max_iter + 1):
+        for r in range(len(positions)):
+            k = functools.reduce(np.kron, [f for q, f in enumerate(factors) if q != r], np.ones(1))
+            v = np.matmul(k[None, None, :], mats[r])[0, 0]
+            nv = float(np.sqrt((v * v).sum()))
+            if nv == 0.0:
+                factors[r] = _random_factors([shapes[r]], rng)[0].ravel()
+                continue
+            factors[r] = v / nv
+            value = nv
+        if value - prev <= tol * max(abs(value), 1e-300):
+            return result(value, True, it)
+        prev = value
+    return result(value, False, max_iter)
+
+
+def _einsum_loop(data, positions, init, rng, max_iter, tol):
+    """Second reference: the alternating updates of one restart, one einsum
+    per block on the unflattened data; other summation orders, same values."""
+    update_subs, _ = _subscripts(data.ndim, positions)
     factors = [np.asarray(f, dtype=np.float64) for f in init]
     value, prev = 0.0, -np.inf
     for it in range(1, max_iter + 1):
@@ -265,19 +303,21 @@ def _als_loop(data, update_subs, init, rng, max_iter, tol):
 
 def _batch_and_one_start_calls(T, P, inits, max_iter, seed=0):
     """One `_als_runs` call over every start, one call per start and the
-    reference loop per start; the restart rngs are seeded by index, so all
-    three start each restart in the same state."""
+    flattened reference loop per start must agree bit for bit; the einsum
+    reference must reach the same value.  The restart rngs are seeded by
+    index, so every run starts each restart in the same state."""
     args, _ = _runner_args(T, P)
-    data, _, update_subs = args
     rngs = [np.random.default_rng((seed, i)) for i in range(len(inits))]
     batch = _als_runs(*args, inits, rngs, max_iter, 1e-10)
     for i, (b, init) in enumerate(zip(batch, inits, strict=True)):
         [a] = _als_runs(*args, [init], [np.random.default_rng((seed, i))], max_iter, 1e-10)
-        ref = _als_loop(data, update_subs, init, np.random.default_rng((seed, i)), max_iter, 1e-10)
+        ref = _als_loop(*args, init, np.random.default_rng((seed, i)), max_iter, 1e-10)
         for run in (a, ref):
             assert (b.value, b.converged, b.iterations) == (run.value, run.converged, run.iterations)
             for fb, f in zip(b.factors, run.factors, strict=True):
                 assert fb.shape == f.shape and fb.tobytes() == f.tobytes()
+        old = _einsum_loop(*args, init, np.random.default_rng((seed, i)), max_iter, 1e-10)
+        assert b.value == pytest.approx(old.value, rel=1e-9)
     return batch
 
 
@@ -305,7 +345,7 @@ def test_batched_restarts_equal_one_start_calls(shape, P):
 
 
 def test_one_block_restarts_equal_one_start_calls():
-    # kappa = 1: the batched update "abc->abc" contracts the data with a ones operand
+    # kappa = 1: the update multiplies the flattened data by a one-entry Khatri-Rao row of ones
     rng = np.random.default_rng(21)
     T = rng.standard_normal((2, 3, 2))
     inits = [_random_factors([T.shape], rng) for _ in range(4)]
@@ -357,6 +397,22 @@ def test_norm_objective_matches_estimate_factors():
     est = tensor_norm(T, [[1], [2], [3]], OPTS)
     val = norm_objective(T, est.partition, est.factors)
     assert val == pytest.approx(est.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 2, 2), (2, 3, 2, 2, 3, 2)])
+def test_als_value_is_the_objective_of_its_block_factors(shape):
+    # every kappa >= 3 partition, interleaved blocks such as [[1, 3], [2], [4]]
+    # and [[1, 4], [2, 5], [3, 6]] included: a wrong permutation or reshape
+    # order of the flattened blocks breaks the identity
+    rng = np.random.default_rng(len(shape))
+    T = rng.standard_normal(shape)
+    partitions = [P for P in all_partitions(range(1, len(shape) + 1)) if P.kappa >= 3]
+    assert {((1, 3), (2,), (4,)), ((1, 4), (2, 5), (3, 6))} & {P.blocks for P in partitions}
+    for P in partitions:
+        est = tensor_norm(T, P, NormOptions(restarts=4, seed=1))
+        assert est.method == "als"
+        assert [f.shape for f in est.factors] == [tuple(shape[a - 1] for a in b) for b in P.blocks]
+        assert est.value == pytest.approx(norm_objective(T, P, est.factors), rel=1e-12), str(P)
 
 
 # ---------------------------------------------------------------------------
