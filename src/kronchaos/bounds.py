@@ -151,6 +151,8 @@ def _check_p_L(p: float, L: float) -> None:
 
 def _check_t(t: float) -> None:
     """The range of the deviation t where the tail bounds apply."""
+    if not math.isfinite(t):
+        raise ArgumentError(f"t = {t} must be finite")
     if t < 0:
         raise ArgumentError(f"t = {t} must be >= 0")
 

@@ -7,6 +7,22 @@ generation is vectorized.  Each entry consumes exactly one uniform double,
 mapped through the inverse normal CDF for Gaussian entries; independent
 copies use a distinct stream constant.
 
+``sampled_statistics`` evaluates a statistic over S samples in chunks of
+_STAT_CHUNK samples, so that only one chunk of factors, Kronecker vectors and
+products is alive at a time.  The chunks give the values of one
+single-threaded product over the whole batch: the sampler is counter based,
+so a chunk's draws are the same rows of the whole batch, and every statistic
+is row-wise.  BLAS rounds a row alike in both only on the same kernel path:
+OpenBLAS sends a product with a few rows through other kernels than a tall
+one, and rounds the rows after a matrix-vector product's last whole row
+block apart.  So S is split into the fewest chunks of at most _STAT_CHUNK
+samples, all of one size n, a multiple of _STAT_ALIGN, and every chunk
+starts at a multiple of _STAT_ALIGN.  The last one ends at S, overlaps its
+predecessor by fewer than _STAT_ALIGN samples per chunk and has more than
+n - _STAT_ALIGN (one chunk when S <= _STAT_CHUNK).  A threaded whole-batch
+product can round the rows at its thread boundaries apart; the chunks do
+not.
+
 The bootstrap of ``estimate_lp`` resamples a sample stream with one integer
 stream keyed by (seed, STREAM_BOOTSTRAP + stream).  Every statistic and every
 p evaluated on that sample stream share its indices, which are drawn once,
@@ -246,6 +262,39 @@ def semi_decoupled_batch(A: ArrayLike, I, J,
     return np.einsum("si,si->s", UM, kronecker_batch([factor_bar_mats[l - 1] for l in C]))
 
 
+# Samples per sampler call of sampled_statistics, and the multiple of every
+# BLAS kernel's row block that each chunk starts at (see the module docstring).
+_STAT_CHUNK = 8192
+_STAT_ALIGN = 64
+
+
+def sampled_statistics(samplers: Sequence[FactorSampler], S: int,
+                       statistic: Callable[..., np.ndarray]) -> np.ndarray:
+    """Statistics of samples 0..S-1, drawn at most _STAT_CHUNK samples at a time.
+
+    ``statistic(mats_1, ..., mats_m)`` gets the factor matrices of the same
+    n samples from each of the m samplers and returns their (n,) values, or
+    (K, n) for K statistics; the result is (S,) or (K, S).  Only one chunk of
+    factors and of the statistic's intermediates is alive at a time.
+    """
+    if S < 1:
+        raise ArgumentError(f"need at least 1 sample, got {S}")
+    # the fewest chunks, all of one size n that is a multiple of _STAT_ALIGN,
+    # or one chunk of S samples
+    chunks = -(-S // _STAT_CHUNK)
+    n = min(S, -(-S // (chunks * _STAT_ALIGN)) * _STAT_ALIGN)
+    last = -(-(S - n) // _STAT_ALIGN) * _STAT_ALIGN  # the last chunk ends at S
+    out = None
+    for s0 in range(0, S, n):
+        s0 = min(s0, last)
+        s1 = min(s0 + n, S)
+        values = statistic(*(sampler.batch(s0, s1 - s0) for sampler in samplers))
+        if out is None:
+            out = np.empty(values.shape[:-1] + (S,))
+        out[..., s0:s1] = values
+    return out
+
+
 @dataclass
 class SampleBatch:
     """Statistics per sample, with the stream coordinates that regenerate them:
@@ -286,6 +335,13 @@ def _resample_counts(idx: np.ndarray, out: np.ndarray) -> None:
     out[...] = counts
 
 
+def _check_finite(values: np.ndarray) -> None:
+    # a nan compares false with everything, so it would pass for a zero
+    # statistic in estimate_lp and for no exceedance in estimate_tail
+    if not np.isfinite(values).all():
+        raise ArgumentError("sampled statistics have a non-finite value")
+
+
 def estimate_lp(batch: SampleBatch, p_grid: Sequence[float],
                 resamples: int = 200) -> list[EmpiricalMoment] | list[list[EmpiricalMoment]]:
     """Empirical L_p norms ((1/S) sum |v|^p)^(1/p) with bootstrap bands.
@@ -304,7 +360,7 @@ def estimate_lp(batch: SampleBatch, p_grid: Sequence[float],
     are drawn at a time.
     """
     p_grid = [float(p) for p in p_grid]
-    if any(p < 1 for p in p_grid):
+    if any(not 1 <= p < math.inf for p in p_grid):
         raise ArgumentError(f"p grid {p_grid} must lie in [1, inf)")
     if resamples < 1:
         raise ArgumentError(f"resamples = {resamples} must be >= 1")
@@ -314,6 +370,7 @@ def estimate_lp(batch: SampleBatch, p_grid: Sequence[float],
     values = np.asarray(batch.values, dtype=np.float64)
     if values.ndim not in (1, 2) or values.shape[-1] != S:
         raise ArgumentError("batch count does not match stored values")
+    _check_finite(values)
     rows = values.reshape(-1, S)
     scales = [float(np.abs(v).max(initial=0.0)) for v in rows]
     live = [k for k, m in enumerate(scales) if m > 0.0]
@@ -375,6 +432,9 @@ def estimate_tail(batch: SampleBatch, t: float) -> TailFrequency:
     S = batch.count
     if S < 100:
         raise ArgumentError(f"need at least 100 samples, got {S}")
+    if math.isnan(t):
+        raise ArgumentError("t = nan is not a threshold")
+    _check_finite(batch.values)
     hits = int(np.count_nonzero(np.abs(batch.values) > t))
     z = 1.959963984540054
     phat = hits / S

@@ -7,6 +7,13 @@ Inequality suites compare confidence bands and only fail on a separated
 violation: overlapping bands count as an inconclusive pass, flagged as such,
 because the underlying inequalities hold with unknown constants and sampling
 noise must not raise false alarms.
+
+Every Monte Carlo suite draws its samples through one path,
+``montecarlo.sampled_statistics``: the sampler and the statistic run chunk by
+chunk, and only the (S,) or (K, S) statistics are kept, so memory does not
+grow with S times the Kronecker length, and the values are those of the whole
+batch.  Input arrays, t grids and constant caps are checked before any sample
+is drawn.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import numpy as np
 from .version import __version__
 from .arrayio import array_digest
 from .bounds import (
+    _check_t,
     check_symmetry,
     hanson_wright_exponent,
     main_norm_table,
@@ -29,7 +37,7 @@ from .bounds import (
     tail_bound_hanson_wright,
     tail_regimes_ax,
 )
-from .errors import PreconditionError
+from .errors import ArgumentError, PreconditionError
 from .identities import (
     backbone_pairs,
     backbone_term,
@@ -48,6 +56,7 @@ from .montecarlo import (
     estimate_lp,
     estimate_tail,
     norm_batch,
+    sampled_statistics,
     semi_decoupled_batch,
 )
 from .norms import NormOptions
@@ -81,6 +90,15 @@ def _check_samples(suite: str, S: int) -> None:
     floor = _MIN_SAMPLES.get(suite, 100)
     if S < floor:
         raise PreconditionError(f"{suite} suite needs S >= {floor}, got {S}")
+
+
+def _finite_input(suite: str, A) -> np.ndarray:
+    """The suite's input array as float64; a non-finite entry raises before
+    any sample is drawn."""
+    A = np.asarray(A, dtype=np.float64)
+    if not np.isfinite(A).all():
+        raise PreconditionError(f"{suite} input has a non-finite entry")
+    return A
 
 
 def _norm_config(opts: NormOptions) -> dict:
@@ -219,20 +237,20 @@ def verify_decoupling(A: np.ndarray, dims: Dims, dist: DistributionSpec,
     weighted sum of semi-decoupled term L_p norms."""
     p_grid = _check_p_grid(p_grid, 1.0)
     _check_samples("decoupling", S)
-    A = np.asarray(A, dtype=np.float64)
+    A = _finite_input("decoupling", A)
     d = dims.order
     base = _STREAMS["decoupling"]
     A2d = rearrange_matrix(A, dims)
 
-    lhs_vals = chaos_batch(A, FactorSampler(dims, dist, seed, base).batch(0, S))
+    lhs_vals = sampled_statistics([FactorSampler(dims, dist, seed, base)], S,
+                                  lambda mats: chaos_batch(A, mats))
     lhs_batch = SampleBatch(seed, base, S, lhs_vals)
 
-    fm = FactorSampler(dims, dist, seed, base + 1).batch(0, S)
-    fbm = FactorSampler(dims, dist, seed, base + 2).batch(0, S)
     pairs = backbone_pairs(d)
-    term_vals = np.empty((len(pairs), S))
-    for row, (I, J) in zip(term_vals, pairs):
-        row[:] = semi_decoupled_batch(A2d, I, J, fm, fbm)
+    term_vals = sampled_statistics(
+        [FactorSampler(dims, dist, seed, base + 1), FactorSampler(dims, dist, seed, base + 2)],
+        S, lambda fm, fbm: np.stack([semi_decoupled_batch(A2d, I, J, fm, fbm)
+                                     for I, J in pairs]))
 
     lhs_moments = estimate_lp(lhs_batch, p_grid, resamples)
     term_moments = estimate_lp(SampleBatch(seed, base + 1, S, term_vals), p_grid, resamples)
@@ -280,7 +298,8 @@ def _moment_ratios(suite: str, A: np.ndarray, dims: Dims, dist: DistributionSpec
     A2d = rearrange_matrix(A, dims)
     table = main_norm_table(A2d, norm_opts)
     base = _STREAMS[suite]
-    vals = chaos_batch(A, FactorSampler(dims, dist, seed, base).batch(0, S))
+    vals = sampled_statistics([FactorSampler(dims, dist, seed, base)], S,
+                              lambda mats: chaos_batch(A, mats))
     batch = SampleBatch(seed, base, S, vals)
 
     results = []
@@ -303,7 +322,7 @@ def verify_main_upper(A: np.ndarray, dims: Dims, dist: DistributionSpec,
     """
     p_grid = _check_p_grid(p_grid, 2.0)
     _check_samples("main-upper", S)
-    A = np.asarray(A, dtype=np.float64)
+    A = _finite_input("main-upper", A)
     norm_opts = norm_opts or NormOptions(seed=seed)
     config = _config("main-upper", seed=int(seed), S=S, dims=list(dims.sizes),
                      dist=dist.label, p_grid=p_grid, L=dist.bound_L, ceiling=ceiling,
@@ -333,7 +352,7 @@ def verify_main_lower(A: np.ndarray, dims: Dims, p_grid: Sequence[float] = (2.0,
     """
     p_grid = _check_p_grid(p_grid, 2.0)
     _check_samples("main-lower", S)
-    A = np.asarray(A, dtype=np.float64)
+    A = _finite_input("main-lower", A)
     norm_opts = norm_opts or NormOptions(seed=seed)
     dist = distribution("gaussian")
     common = dict(seed=int(seed), S=S, dims=list(dims.sizes), p_grid=p_grid,
@@ -387,6 +406,18 @@ def _tail_fit(config: dict, batch: SampleBatch, t_grid: list[float], log_prefact
                    constant_used=finite_c)
 
 
+def _check_tail_args(t_grid: Sequence[float], cap_name: str,
+                     cap: float | None) -> list[float]:
+    """The t grid as floats, each t finite and >= 0, and the constant cap > 0
+    when given."""
+    t_grid = [float(t) for t in t_grid]
+    for t in t_grid:
+        _check_t(t)
+    if cap is not None and not cap > 0:
+        raise ArgumentError(f"{cap_name} = {cap} must be > 0")
+    return t_grid
+
+
 def verify_ax_tail(A: np.ndarray, dims: Dims, dist: DistributionSpec,
                    t_grid: Sequence[float], S: int = 100_000, seed: int = 0,
                    C_d: float | None = None) -> dict:
@@ -397,10 +428,11 @@ def verify_ax_tail(A: np.ndarray, dims: Dims, dist: DistributionSpec,
     empirical curve at every grid point by construction.
     """
     _check_samples("ax-tail", S)
-    t_grid = [float(t) for t in t_grid]
-    A = np.asarray(A, dtype=np.float64)
+    t_grid = _check_tail_args(t_grid, "C_d", C_d)
+    A = _finite_input("ax-tail", A)
     base = _STREAMS["ax-tail"]
-    vals = norm_batch(A, FactorSampler(dims, dist, seed, base).batch(0, S))
+    vals = sampled_statistics([FactorSampler(dims, dist, seed, base)], S,
+                              lambda mats: norm_batch(A, mats))
 
     def exponent(t: float) -> tuple[float, dict]:
         exps = tail_regimes_ax(A, dims, t)
@@ -421,14 +453,15 @@ def verify_hanson_wright(A: np.ndarray, dist: DistributionSpec,
                          seed: int = 0, c: float | None = None) -> dict:
     """Order-1 baseline: empirical quadratic-form tail vs the two-regime bound."""
     _check_samples("hanson-wright", S)
-    A = np.asarray(A, dtype=np.float64)
+    t_grid = _check_tail_args(t_grid, "c", c)
+    A = _finite_input("hanson-wright", A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise PreconditionError(f"need a square matrix, got shape {A.shape}")
-    t_grid = [float(t) for t in t_grid]
     dims = Dims([A.shape[0]])
     base = _STREAMS["hanson-wright"]
     K = dist.psi2_bound
-    vals = chaos_batch(A, FactorSampler(dims, dist, seed, base).batch(0, S))
+    vals = sampled_statistics([FactorSampler(dims, dist, seed, base)], S,
+                              lambda mats: chaos_batch(A, mats))
 
     def exponent(t: float) -> tuple[float, dict]:
         e = hanson_wright_exponent(A, K, t)
@@ -450,16 +483,16 @@ def verify_gaussian_decoupling(a: np.ndarray, p_grid: Sequence[float] = (2.0, 4.
     """Check || sum a_k (g_k^2 - 1) ||_p <= 2 || sum a_k g_k gbar_k ||_p empirically."""
     p_grid = _check_p_grid(p_grid, 1.0)
     _check_samples("gaussian-decoupling", S)
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
+    a = _finite_input("gaussian-decoupling", a).reshape(-1)
     if a.size == 0:
         raise PreconditionError("gaussian-decoupling needs at least one coefficient")
     dims = Dims([a.size])
     dist = distribution("gaussian")
     base = _STREAMS["gaussian-decoupling"]
-    g = FactorSampler(dims, dist, seed, base).batch(0, S)[0]
-    gbar = FactorSampler(dims, dist, seed, base + 1).batch(0, S)[0]
-    lhs_vals = (g * g - 1.0) @ a
-    rhs_vals = (g * gbar) @ a
+    # one pass over both streams: row 0 is the LHS statistic, row 1 the RHS one
+    lhs_vals, rhs_vals = sampled_statistics(
+        [FactorSampler(dims, dist, seed, base), FactorSampler(dims, dist, seed, base + 1)], S,
+        lambda g, gbar: np.stack([(g[0] * g[0] - 1.0) @ a, (g[0] * gbar[0]) @ a]))
     lhs_batch = SampleBatch(seed, base, S, lhs_vals)
     rhs_batch = SampleBatch(seed, base + 1, S, rhs_vals)
 

@@ -471,6 +471,17 @@ def test_tail_bound_errors():
         tail_bound_ax(np.eye(4), Dims([4]), -1.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_tail_bounds_reject_non_finite_t(t):
+    # nan < 0 is false, so a bare sign check lets a nan t through
+    with pytest.raises(ArgumentError, match=f"t = {t} must be finite"):
+        tail_bound_ax(np.eye(4), Dims([4]), t)
+    with pytest.raises(ArgumentError, match=f"t = {t} must be finite"):
+        bounds.hanson_wright_exponent(np.eye(4), 1.0, t)
+    with pytest.raises(ArgumentError, match=f"t = {t} must be finite"):
+        compute_bound_report(np.eye(4), Dims([2, 2]), [2], t_grid=[1, t])
+
+
 def test_moments_to_tail_plugins():
     M = MixedMomentBound(0.0, ((0.5,),), ((1.0,),))
     t = math.e

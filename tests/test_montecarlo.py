@@ -29,6 +29,7 @@ from kronchaos.montecarlo import (
     kronecker_batch,
     norm_batch,
     psi2_numeric,
+    sampled_statistics,
     semi_decoupled_batch,
 )
 from kronchaos.norms import NormOptions
@@ -321,6 +322,31 @@ def test_estimate_lp_zero_batch_and_errors():
         estimate_lp(_batch(np.ones(150)), [0.5])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_estimators_reject_non_finite_values(bad):
+    # a nan is neither > 0 nor > t, so it would read as a zero L_p norm and as no exceedance
+    v = np.ones(150)
+    v[7] = bad
+    with pytest.raises(ArgumentError, match="non-finite"):
+        estimate_lp(_batch(v), [2.0])
+    with pytest.raises(ArgumentError, match="non-finite"):
+        estimate_lp(SampleBatch(0, 0, 150, np.stack([np.ones(150), v])), [2.0])
+    with pytest.raises(ArgumentError, match="non-finite"):
+        estimate_tail(_batch(v), 1.0)
+
+
+@pytest.mark.parametrize("p", [np.nan, np.inf])
+def test_estimate_lp_rejects_a_non_finite_p(p):
+    with pytest.raises(ArgumentError, match=r"must lie in \[1, inf\)"):
+        estimate_lp(_batch(np.ones(150)), [2.0, p])
+
+
+def test_estimate_tail_rejects_a_nan_t():
+    # |v| > nan is false for every sample, so a nan t read as no exceedance
+    with pytest.raises(ArgumentError, match="t = nan"):
+        estimate_tail(_batch(np.ones(150)), math.nan)
+
+
 @pytest.mark.parametrize("resamples", [0, -3])
 def test_estimate_lp_rejects_resamples_below_one(resamples):
     with pytest.raises(ArgumentError, match="resamples"):
@@ -481,3 +507,87 @@ def test_sample_batch_regeneration_bit_identical():
         return SampleBatch(17, 4, 500, vals)
     a, b = make(), make()
     assert np.array_equal(a.values, b.values)
+
+
+# ---------------------------------------------------------------------------
+# chunked statistics
+
+
+def _cli_matrix(n):
+    return np.random.default_rng((0, 0x6D6174)).standard_normal((n, n))
+
+
+def _terms(A, dims):
+    A2d, pairs = rearrange_matrix(A, dims), backbone_pairs(dims.order)
+    return lambda fm, fbm: np.stack([semi_decoupled_batch(A2d, I, J, fm, fbm)
+                                     for I, J in pairs])
+
+
+def _gd_streams(a):
+    return lambda g, gbar: np.stack([(g[0] * g[0] - 1.0) @ a, (g[0] * gbar[0]) @ a])
+
+
+# The statistics of the benchmark's reports: (dims, family, statistic, samplers).
+STATISTIC_SHAPES = {
+    "norm-6,6,6": (Dims([6, 6, 6]), "gaussian", lambda m: norm_batch(_cli_matrix(216), m), 1),
+    "norm-4,4,4": (Dims([4, 4, 4]), "two_point", lambda m: norm_batch(_cli_matrix(64), m), 1),
+    "chaos-64": (Dims([64]), "rademacher", lambda m: chaos_batch(_cli_matrix(64), m), 1),
+    "chaos-3,3": (Dims([3, 3]), "gaussian", lambda m: chaos_batch(_cli_matrix(9), m), 1),
+    "chaos-2,2,2": (Dims([2, 2, 2]), "rademacher", lambda m: chaos_batch(_cli_matrix(8), m),
+                    1),
+    "terms-2,2": (Dims([2, 2]), "gaussian", _terms(_cli_matrix(4), Dims([2, 2])), 2),
+    "terms-2,2,2": (Dims([2, 2, 2]), "rademacher", _terms(_cli_matrix(8), Dims([2, 2, 2])), 2),
+    "gaussian-decoupling-8": (Dims([8]), "gaussian",
+                              _gd_streams(np.random.default_rng((0, 0x766563))
+                                          .standard_normal(8)), 2),
+}
+
+
+@pytest.mark.parametrize("S", [2 * montecarlo._STAT_CHUNK + 17, montecarlo._STAT_CHUNK + 1,
+                               1000])
+@pytest.mark.parametrize("shape", sorted(STATISTIC_SHAPES))
+def test_sampled_statistics_equal_the_whole_batch(shape, S):
+    dims, family, statistic, m = STATISTIC_SHAPES[shape]
+    samplers = [FactorSampler(dims, distribution(family), 7, 0x400 + i) for i in range(m)]
+    whole = statistic(*(s.batch(0, S) for s in samplers))
+    chunked = sampled_statistics(samplers, S, statistic)
+    assert chunked.shape == whole.shape and chunked.shape[-1] == S
+    assert np.array_equal(chunked, whole)
+
+
+@pytest.mark.parametrize("S", [1, 500, montecarlo._STAT_CHUNK, montecarlo._STAT_CHUNK + 1,
+                               3 * montecarlo._STAT_CHUNK - 5, 100_003])
+def test_sampled_statistics_chunks_are_aligned_and_tall(monkeypatch, S):
+    # the fewest chunks of at most _STAT_CHUNK samples, each starting at a
+    # multiple of _STAT_ALIGN and of one size n, a multiple of _STAT_ALIGN; only
+    # the last one, which ends at S, may be shorter, by less than _STAT_ALIGN
+    C, align = montecarlo._STAT_CHUNK, montecarlo._STAT_ALIGN
+    calls = []
+    batch = FactorSampler.batch
+
+    def recorded(self, start, count):
+        calls.append((start, count))
+        return batch(self, start, count)
+
+    sampler = FactorSampler(Dims([2]), distribution("gaussian"), 1, 0)
+    monkeypatch.setattr(FactorSampler, "batch", recorded)
+    out = sampled_statistics([sampler], S, lambda mats: mats[0][:, 0])
+    monkeypatch.undo()
+    assert np.array_equal(out, sampler.batch(0, S)[0][:, 0])
+    k, n = len(calls), calls[0][1]
+    assert k == -(-S // C) and n <= C
+    assert all(start % align == 0 for start, _ in calls)
+    assert calls[:-1] == [(j * n, n) for j in range(k - 1)]
+    start, count = calls[-1]
+    assert start + count == S
+    if S > C:
+        assert n % align == 0 and n - align < count <= n
+        assert k * n - S < k * align  # the overlap
+    else:
+        assert calls == [(0, S)]
+
+
+def test_sampled_statistics_rejects_no_samples():
+    with pytest.raises(ArgumentError, match="at least 1 sample"):
+        sampled_statistics([FactorSampler(Dims([2]), distribution("gaussian"), 1, 0)], 0,
+                           lambda mats: mats[0][:, 0])

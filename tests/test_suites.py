@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from kronchaos import (
     verify_main_lower,
     verify_main_upper,
 )
-from kronchaos.errors import PreconditionError
+from kronchaos import montecarlo
+from kronchaos.errors import ArgumentError, PreconditionError
 from kronchaos.norms import NormOptions
 from kronchaos.suites import _norm_config
 
@@ -245,3 +247,69 @@ def test_norm_config_records_every_value_changing_option():
     # missing from it would let the cache return a report computed with other options
     fields = {f.name for f in dataclasses.fields(NormOptions)} - {"threads"}
     assert set(_norm_config(NormOptions())) == fields
+
+
+def _no_sampling(monkeypatch):
+    def refuse(self, start, count):
+        raise AssertionError("a sample was drawn before the argument checks")
+
+    monkeypatch.setattr(montecarlo.FactorSampler, "batch", refuse)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("run", [
+    lambda A: verify_decoupling(A, Dims([2, 2]), GAUSS, S=1000),
+    lambda A: verify_main_upper(A, Dims([2, 2]), GAUSS, S=1000),
+    lambda A: verify_main_lower(A, Dims([2, 2]), S=1000),
+    lambda A: verify_ax_tail(A, Dims([2, 2]), GAUSS, [1.0], S=10_000),
+    lambda A: verify_hanson_wright(A, GAUSS, [1.0], S=10_000),
+    lambda A: verify_gaussian_decoupling(A[0], S=1000),
+], ids=["decoupling", "main-upper", "main-lower", "ax-tail", "hanson-wright",
+        "gaussian-decoupling"])
+def test_monte_carlo_suites_reject_non_finite_input_before_sampling(monkeypatch, run, bad):
+    # a nan statistic used to read as an L_p norm of 0 and a pass
+    A = np.eye(4)
+    A[0, 1] = bad
+    _no_sampling(monkeypatch)
+    with pytest.raises(PreconditionError, match="non-finite entry"):
+        run(A)
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: verify_ax_tail(np.eye(4), Dims([2, 2]), GAUSS, [1.0, math.nan], S=10_000),
+     "t = nan must be finite"),
+    (lambda: verify_ax_tail(np.eye(4), Dims([2, 2]), GAUSS, [math.inf], S=10_000),
+     "t = inf must be finite"),
+    (lambda: verify_ax_tail(np.eye(4), Dims([2, 2]), GAUSS, [-1.0], S=10_000),
+     "t = -1.0 must be >= 0"),
+    (lambda: verify_ax_tail(np.eye(4), Dims([2, 2]), GAUSS, [1.0], S=10_000, C_d=0.0),
+     "C_d = 0.0 must be > 0"),
+    (lambda: verify_ax_tail(np.eye(4), Dims([2, 2]), GAUSS, [1.0], S=10_000, C_d=math.nan),
+     "C_d = nan must be > 0"),
+    (lambda: verify_hanson_wright(np.eye(4), GAUSS, [math.nan], S=10_000),
+     "t = nan must be finite"),
+    (lambda: verify_hanson_wright(np.eye(4), GAUSS, [-math.inf], S=10_000),
+     "t = -inf must be finite"),
+    (lambda: verify_hanson_wright(np.eye(4), GAUSS, [1.0], S=10_000, c=-2.0),
+     "c = -2.0 must be > 0"),
+])
+def test_tail_suites_check_t_and_constant_before_sampling(monkeypatch, run, message):
+    _no_sampling(monkeypatch)
+    with pytest.raises(ArgumentError, match=message):
+        run()
+
+
+def test_ax_tail_peak_memory_does_not_grow_with_S_times_N():
+    # with whole-batch (S, 216) arrays this call peaked at 267 MB; the chunks
+    # keep one chunk's arrays at a time (44 MB)
+    A = np.random.default_rng(4).standard_normal((216, 216))
+    fro = float(np.linalg.norm(A))
+    tracemalloc.start()
+    try:
+        rep = verify_ax_tail(A, Dims([6, 6, 6]), GAUSS, [0.25 * fro, 0.5 * fro], S=50_000,
+                             seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep["status"] == "pass"
+    assert peak < 100e6, f"peak {peak / 1e6:.1f} MB"
