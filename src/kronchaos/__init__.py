@@ -48,7 +48,6 @@ from .norms import (
 )
 from .bounds import (
     MixedMomentBound,
-    MomentValue,
     NormTableRow,
     build_reduced_array,
     check_gram_norm_bounds,

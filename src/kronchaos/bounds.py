@@ -13,7 +13,7 @@ values are reported, never asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -107,17 +107,6 @@ class NormTableRow:
         return self.estimate.value
 
 
-@dataclass
-class MomentValue:
-    """A moment-functional value together with the table it was summed from."""
-
-    p: float
-    L: float
-    value: float
-    rows: list[NormTableRow]
-    kappa_sums: dict[int, float] = field(default_factory=dict)
-
-
 def table_warnings(rows: Sequence[NormTableRow]) -> list[str]:
     """The estimator warnings of a norm table, each tagged with its row."""
     return [f"I={row.reduced_axes} P={row.partition}: {w}"
@@ -131,14 +120,13 @@ def _partition_rows(B: PartialArray, I: tuple[int, ...], opts: NormOptions) -> l
 
 
 def mp_decoupled(B: ArrayLike, p: float, opts: NormOptions | None = None,
-                 table: list[NormTableRow] | None = None) -> MomentValue:
+                 table: list[NormTableRow] | None = None) -> float:
     """Decoupled-chaos moment functional: sum of p^(kappa/2) partition norms
     of an order-d array over every partition of its axes."""
     if p < 1:
         raise ArgumentError(f"p = {p} must be >= 1")
     rows = table if table is not None else _partition_rows(as_partial(B), (), opts or DEFAULT_OPTIONS)
-    value = sum(p ** (row.kappa / 2.0) * row.value for row in rows)
-    return MomentValue(p, 1.0, value, rows)
+    return sum(p ** (row.kappa / 2.0) * row.value for row in rows)
 
 
 def _check_p_L(p: float, L: float) -> None:
@@ -177,7 +165,7 @@ def main_norm_table(A: PartialArray, opts: NormOptions | None = None) -> list[No
 
 
 def mp_main(A: PartialArray, p: float, L: float = 1.0, opts: NormOptions | None = None,
-            table: list[NormTableRow] | None = None) -> MomentValue:
+            table: list[NormTableRow] | None = None) -> float:
     """Main moment functional of the order-2d rearrangement of a square matrix.
 
     L^(2d) * sum over kappa of p^(kappa/2) times the summed partition norms of
@@ -187,8 +175,7 @@ def mp_main(A: PartialArray, p: float, L: float = 1.0, opts: NormOptions | None 
     _check_p_L(p, L)
     d = doubled_order(A)
     rows = table if table is not None else main_norm_table(A, opts)
-    value = L ** (2 * d) * sum(p ** (row.kappa / 2.0) * row.value for row in rows)
-    return MomentValue(p, L, value, rows, _kappa_sums(rows, d))
+    return L ** (2 * d) * sum(p ** (row.kappa / 2.0) * row.value for row in rows)
 
 
 def gram_norm_table(A: np.ndarray, dims: Dims, opts: NormOptions | None = None) -> list[NormTableRow]:
@@ -202,7 +189,7 @@ def gram_norm_table(A: np.ndarray, dims: Dims, opts: NormOptions | None = None) 
 
 def mp_norm(A: np.ndarray, dims: Dims, p: float, L: float = 1.0,
             opts: NormOptions | None = None,
-            table: list[NormTableRow] | None = None) -> MomentValue:
+            table: list[NormTableRow] | None = None) -> float:
     """Moment functional for the norm deviation | ||AX||_2 - ||A||_F |.
 
     Per block count kappa, takes the smaller of p^(kappa/2) m_kappa / ||A||_F
@@ -216,12 +203,10 @@ def mp_norm(A: np.ndarray, dims: Dims, p: float, L: float = 1.0,
         raise DegenerateInputError("zero matrix")
     d = dims.order
     rows = table if table is not None else gram_norm_table(A, dims, opts)
-    kappa_sums = _kappa_sums(rows, d)
-    value = L ** (2 * d) * sum(
+    return L ** (2 * d) * sum(
         min(p ** (k / 2.0) * mk / fro, p ** (k / 4.0) * math.sqrt(mk))
-        for k, mk in kappa_sums.items()
+        for k, mk in _kappa_sums(rows, d).items()
     )
-    return MomentValue(p, L, value, rows, kappa_sums)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +225,8 @@ class TailBound:
 
 def _matrix_norms(A: np.ndarray) -> tuple[float, float]:
     A = np.asarray(A, dtype=np.float64)
+    if not np.isfinite(A).all():
+        raise ArgumentError("matrix has a non-finite entry")
     fro = float(np.linalg.norm(A))
     if fro == 0.0:
         raise DegenerateInputError("zero matrix")
@@ -451,7 +438,7 @@ def compute_bound_report(A: np.ndarray, dims: Dims, p_grid: Sequence[float],
         main_rows = main_norm_table(A2d, opts)
         warnings += table_warnings(main_rows)
         for p in p_grid:
-            mp_main_values[p] = mp_main(A2d, p, L, table=main_rows).value
+            mp_main_values[p] = mp_main(A2d, p, L, table=main_rows)
     else:
         warnings.append("matrix is not square: skipping the quadratic-form functional")
 
@@ -459,9 +446,9 @@ def compute_bound_report(A: np.ndarray, dims: Dims, p_grid: Sequence[float],
         gram_rows = gram_norm_table(A, dims, opts)
         warnings += table_warnings(gram_rows)
         for p in p_grid:
-            m = mp_norm(A, dims, p, L, table=gram_rows)
-            mp_norm_values[p] = m.value
-            mp_kappa = m.kappa_sums
+            mp_norm_values[p] = mp_norm(A, dims, p, L, table=gram_rows)
+        if p_grid:
+            mp_kappa = _kappa_sums(gram_rows, dims.order)
     else:
         warnings.append("zero matrix: norm-deviation functional undefined")
 

@@ -9,13 +9,14 @@ copies use a distinct stream constant.
 
 ``sampled_statistics`` evaluates a statistic over S samples in chunks of
 _STAT_CHUNK samples, so that only one chunk of factors, Kronecker vectors and
-products is alive at a time.  The chunks give the values of one
-single-threaded product over the whole batch: the sampler is counter based,
-so a chunk's draws are the same rows of the whole batch, and every statistic
-is row-wise.  BLAS rounds a row alike in both only on the same kernel path:
-OpenBLAS sends a product with a few rows through other kernels than a tall
-one, and rounds the rows after a matrix-vector product's last whole row
-block apart.  So S is split into the fewest chunks of at most _STAT_CHUNK
+products is alive at a time, and returns them as a ``SampleBatch`` that
+carries the (seed, stream) of its first sampler, the stream its bootstrap
+resamples on.  The chunks give the values of one single-threaded product
+over the whole batch: the sampler is counter based, so a chunk's draws are
+the same rows of the whole batch, and every statistic is row-wise.  BLAS
+rounds a row alike in both only on the same kernel path: OpenBLAS sends a
+product with a few rows through other kernels than a tall one, and rounds
+the rows after a matrix-vector product's last whole row block apart.  So S is split into the fewest chunks of at most _STAT_CHUNK
 samples, all of one size n, a multiple of _STAT_ALIGN, and every chunk
 starts at a multiple of _STAT_ALIGN.  The last one ends at S, overlaps its
 predecessor by fewer than _STAT_ALIGN samples per chunk and has more than
@@ -23,18 +24,17 @@ n - _STAT_ALIGN (one chunk when S <= _STAT_CHUNK).  A threaded whole-batch
 product can round the rows at its thread boundaries apart; the chunks do
 not.
 
-The bootstrap of ``estimate_lp`` resamples a sample stream with one integer
-stream keyed by (seed, STREAM_BOOTSTRAP + stream).  Every statistic and every
-p evaluated on that sample stream share its indices, which are drawn once,
-and the indices do not depend on how many resamples are drawn at a time.
+The bootstrap of ``estimate_lp`` draws RESAMPLES resamples of a sample stream
+from one integer stream keyed by (seed, STREAM_BOOTSTRAP + stream), one index
+row of S draws per resample.  Every statistic and every p evaluated on that
+sample stream share its indices, which are drawn once.
 
 Sums over samples run in a fixed order.  The bootstrap contracts exact
 resample counts with the powers of each statistic through BLAS products of
-one fixed block shape, added block by block in sample order, so a value
-depends neither on how many index rows are drawn at a time nor on how many
-statistics share the stream.  Identical seeds give bit-identical results;
-tests/test_golden_reports.py checks that one BLAS thread gives the same report
-bytes as the default thread count.
+one fixed block shape, added block by block in sample order, so a value does
+not depend on how many statistics share the stream.  Identical seeds give
+bit-identical results; tests/test_golden_reports.py checks that one BLAS
+thread gives the same report bytes as the default thread count.
 """
 
 from __future__ import annotations
@@ -51,13 +51,16 @@ from .errors import ArgumentError, AxisSetError, ShapeError, SizeError
 from .identities import term_sets
 from .tensor import _LETTERS, ArrayLike, Dims, as_partial, doubled_order
 
-# Largest Kronecker vector the samplers will materialize.
+# Most entries of Kronecker vectors that one kronecker_batch call builds: rows x N.
 KRON_MATERIALIZE_CAP = 2**26
 
 _MASK64 = (1 << 64) - 1
 
 # Stream offset of the bootstrap resampling of a batch drawn on stream s: s + STREAM_BOOTSTRAP.
 STREAM_BOOTSTRAP = 0x30
+
+# Bootstrap resamples per L_p band, in every suite.
+RESAMPLES = 200
 
 # Grid on which the subgaussian norms sup_p ||Y||_p / sqrt(p) were evaluated.
 _PSI2_P_GRID = np.linspace(1.0, 200.0, 20000)
@@ -151,7 +154,7 @@ class FactorSampler:
 
     Sample s occupies Philox counter block s * stride_blocks of the stream
     keyed by (seed, stream); axis l occupies a fixed slot range inside the
-    block, so ``factors(s)`` reproduces row s of ``batch`` bit-identically.
+    block, so ``batch(s, 1)`` reproduces row s of any batch bit-identically.
     """
 
     def __init__(self, dims: Dims, dist: DistributionSpec, seed: int, stream: int):
@@ -183,19 +186,14 @@ class FactorSampler:
             for off, n in zip(self.offsets, self.dims.sizes)
         ]
 
-    def factors(self, s: int) -> list[np.ndarray]:
-        """The d factor vectors of sample s, regenerated standalone."""
-        return [m[0] for m in self.batch(s, 1)]
-
 
 def kronecker_batch(factor_mats: Sequence[np.ndarray]) -> np.ndarray:
     """Row-wise Kronecker product: (S, n_1), ..., (S, n_d) -> (S, N)."""
     S = factor_mats[0].shape[0]
-    total = 1
-    for m in factor_mats:
-        total *= m.shape[1]
-    if total > KRON_MATERIALIZE_CAP:
-        raise SizeError(f"Kronecker vectors of length {total} exceed {KRON_MATERIALIZE_CAP}")
+    total = math.prod(m.shape[1] for m in factor_mats)
+    if S * total > KRON_MATERIALIZE_CAP:
+        raise SizeError(f"{S} Kronecker vectors of length {total} exceed "
+                        f"{KRON_MATERIALIZE_CAP} entries")
     x = factor_mats[0]
     for m in factor_mats[1:]:
         x = (x[:, :, None] * m[:, None, :]).reshape(S, -1)
@@ -262,6 +260,21 @@ def semi_decoupled_batch(A: ArrayLike, I, J,
     return np.einsum("si,si->s", UM, kronecker_batch([factor_bar_mats[l - 1] for l in C]))
 
 
+@dataclass
+class SampleBatch:
+    """Statistics per sample, with the stream coordinates that regenerate them:
+    ``values`` is (count,) for one statistic or (K, count) for K statistics
+    drawn on the same stream."""
+
+    seed: int
+    stream: int
+    values: np.ndarray
+
+    @property
+    def count(self) -> int:
+        return np.shape(self.values)[-1]
+
+
 # Samples per sampler call of sampled_statistics, and the multiple of every
 # BLAS kernel's row block that each chunk starts at (see the module docstring).
 _STAT_CHUNK = 8192
@@ -269,13 +282,14 @@ _STAT_ALIGN = 64
 
 
 def sampled_statistics(samplers: Sequence[FactorSampler], S: int,
-                       statistic: Callable[..., np.ndarray]) -> np.ndarray:
+                       statistic: Callable[..., np.ndarray]) -> SampleBatch:
     """Statistics of samples 0..S-1, drawn at most _STAT_CHUNK samples at a time.
 
     ``statistic(mats_1, ..., mats_m)`` gets the factor matrices of the same
     n samples from each of the m samplers and returns their (n,) values, or
-    (K, n) for K statistics; the result is (S,) or (K, S).  Only one chunk of
-    factors and of the statistic's intermediates is alive at a time.
+    (K, n) for K statistics.  The batch holds the (S,) or (K, S) values under
+    the seed and stream of the first sampler.  Only one chunk of factors and
+    of the statistic's intermediates is alive at a time.
     """
     if S < 1:
         raise ArgumentError(f"need at least 1 sample, got {S}")
@@ -292,19 +306,7 @@ def sampled_statistics(samplers: Sequence[FactorSampler], S: int,
         if out is None:
             out = np.empty(values.shape[:-1] + (S,))
         out[..., s0:s1] = values
-    return out
-
-
-@dataclass
-class SampleBatch:
-    """Statistics per sample, with the stream coordinates that regenerate them:
-    ``values`` is (count,) for one statistic or (K, count) for K statistics
-    drawn on the same stream."""
-
-    seed: int
-    stream: int
-    count: int
-    values: np.ndarray
+    return SampleBatch(samplers[0].seed, samplers[0].stream, out)
 
 
 @dataclass
@@ -318,21 +320,10 @@ class EmpiricalMoment:
     count: int
 
 
-# Resample index rows drawn per call of the integer stream; the results do not depend on it.
-_BOOT_CHUNK = 4
 # Block shape of the bootstrap contraction: counts of _COUNT_BLOCK resamples are
 # contracted with the powers of _SAMPLE_BLOCK samples at a time.
 _COUNT_BLOCK = 64
 _SAMPLE_BLOCK = 2048
-
-
-def _resample_counts(idx: np.ndarray, out: np.ndarray) -> None:
-    """Write into the uint8 row ``out`` how often each sample occurs in the
-    resample ``idx``; a count above 255 raises instead of wrapping."""
-    counts = np.bincount(idx, minlength=out.shape[0])
-    if counts.max() > 255:
-        raise SizeError(f"a resample draws one sample {int(counts.max())} times, above 255")
-    out[...] = counts
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -343,7 +334,7 @@ def _check_finite(values: np.ndarray) -> None:
 
 
 def estimate_lp(batch: SampleBatch, p_grid: Sequence[float],
-                resamples: int = 200) -> list[EmpiricalMoment] | list[list[EmpiricalMoment]]:
+                resamples: int = RESAMPLES) -> list[EmpiricalMoment] | list[list[EmpiricalMoment]]:
     """Empirical L_p norms ((1/S) sum |v|^p)^(1/p) with bootstrap bands.
 
     Returns one EmpiricalMoment per p for (S,) values, and one such row per
@@ -356,20 +347,19 @@ def estimate_lp(batch: SampleBatch, p_grid: Sequence[float],
     _COUNT_BLOCK resamples (the last one padded with zero counts) are
     contracted with _SAMPLE_BLOCK samples at a time, and the blocks are added
     in sample order.  Every product has a shape fixed by S and the p grid, so
-    no value depends on the number of statistics or on how many index rows
-    are drawn at a time.
+    no value depends on the number of statistics.
     """
     p_grid = [float(p) for p in p_grid]
     if any(not 1 <= p < math.inf for p in p_grid):
         raise ArgumentError(f"p grid {p_grid} must lie in [1, inf)")
     if resamples < 1:
         raise ArgumentError(f"resamples = {resamples} must be >= 1")
-    S = batch.count
+    values = np.asarray(batch.values, dtype=np.float64)
+    if values.ndim not in (1, 2):
+        raise ArgumentError(f"batch values must be (S,) or (K, S), got shape {values.shape}")
+    S = values.shape[-1]
     if S < 100:
         raise ArgumentError(f"need at least 100 samples, got {S}")
-    values = np.asarray(batch.values, dtype=np.float64)
-    if values.ndim not in (1, 2) or values.shape[-1] != S:
-        raise ArgumentError("batch count does not match stored values")
     _check_finite(values)
     rows = values.reshape(-1, S)
     scales = [float(np.abs(v).max(initial=0.0)) for v in rows]
@@ -387,10 +377,12 @@ def estimate_lp(batch: SampleBatch, p_grid: Sequence[float],
     block_powers = np.empty((len(p_grid), weights.shape[0]))
     for r0 in range(0, padded, _COUNT_BLOCK):
         drawn = min(_COUNT_BLOCK, resamples - r0)
-        for lo in range(0, drawn, _BOOT_CHUNK):
-            idx = rng.integers(0, S, size=(min(_BOOT_CHUNK, drawn - lo), S))
-            for i, row in enumerate(idx, start=lo):
-                _resample_counts(row, counts[i])
+        for i in range(drawn):
+            # how often the resample draws each sample; above 255 would wrap in uint8
+            draws = np.bincount(rng.integers(0, S, size=S), minlength=S)
+            if draws.max() > 255:
+                raise SizeError(f"a resample draws one sample {int(draws.max())} times, above 255")
+            counts[i] = draws
         counts[drawn:] = 0
         for s0 in range(0, S, _SAMPLE_BLOCK):
             s1 = min(s0 + _SAMPLE_BLOCK, S)

@@ -238,6 +238,9 @@ def tensor_norm(B: ArrayLike, P, opts: NormOptions | None = None, method: str | 
         raise ArgumentError(f"unknown method {method!r}")
     opts = opts or DEFAULT_OPTIONS
     pa = as_partial(B)
+    if not np.isfinite(pa.data).all():
+        # the SVD of the kappa = 2 branch never returns on an inf entry
+        raise ArgumentError("array has a non-finite entry")
     P = _coerce_partition(pa, P)
     kappa = P.kappa
 

@@ -12,14 +12,17 @@ Every Monte Carlo suite draws its samples through one path,
 ``montecarlo.sampled_statistics``: the sampler and the statistic run chunk by
 chunk, and only the (S,) or (K, S) statistics are kept, so memory does not
 grow with S times the Kronecker length, and the values are those of the whole
-batch.  Input arrays, t grids and constant caps are checked before any sample
-is drawn.
+batch.  The returned batch carries the stream it was drawn on, which keys its
+bootstrap; every L_p band uses montecarlo.RESAMPLES resamples, which the
+configs record.  Input arrays, t grids and constant caps are checked before
+any sample is drawn.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from dataclasses import replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,6 +50,7 @@ from .identities import (
     squared_product_sides,
 )
 from .montecarlo import (
+    RESAMPLES,
     DistributionSpec,
     EmpiricalMoment,
     FactorSampler,
@@ -135,13 +139,20 @@ def _verdict(lhs_hi: float, lhs_lo: float, rhs_lo: float, rhs_hi: float) -> str:
     return "inconclusive"
 
 
-def _overall(verdicts: Iterable[str]) -> str:
-    verdicts = list(verdicts)
-    if any(v == "fail" for v in verdicts):
-        return "fail"
-    if all(v == "pass" for v in verdicts):
-        return "pass"
-    return "inconclusive-pass"
+def _band_status(results: list[dict], overlap: str) -> tuple[str, list[str]]:
+    """Status and flags of an inequality suite from its rows' band verdicts:
+    a row whose bands overlap is flagged with ``overlap``, a separated
+    violation fails the suite."""
+    flags = []
+    for r in results:
+        if r["verdict"] == "inconclusive":
+            flags.append(f"p={r['p']:g}: {overlap}")
+        elif r["verdict"] == "fail":
+            flags.append(f"p={r['p']:g}: separated violation, LHS band above RHS band")
+    verdicts = {r["verdict"] for r in results}
+    if "fail" in verdicts:
+        return "fail", flags
+    return ("pass" if verdicts <= {"pass"} else "inconclusive-pass"), flags
 
 
 def _mean_sanity(values: np.ndarray) -> dict:
@@ -232,7 +243,7 @@ def run_identity_suite(seed: int = 0, instances: int = 100,
 
 def verify_decoupling(A: np.ndarray, dims: Dims, dist: DistributionSpec,
                       p_grid: Sequence[float] = (2.0, 4.0), S: int = 100_000,
-                      seed: int = 0, resamples: int = 200) -> dict:
+                      seed: int = 0) -> dict:
     """Empirical check that the centered chaos L_p norm is bounded by the
     weighted sum of semi-decoupled term L_p norms."""
     p_grid = _check_p_grid(p_grid, 1.0)
@@ -242,18 +253,17 @@ def verify_decoupling(A: np.ndarray, dims: Dims, dist: DistributionSpec,
     base = _STREAMS["decoupling"]
     A2d = rearrange_matrix(A, dims)
 
-    lhs_vals = sampled_statistics([FactorSampler(dims, dist, seed, base)], S,
-                                  lambda mats: chaos_batch(A, mats))
-    lhs_batch = SampleBatch(seed, base, S, lhs_vals)
+    lhs_batch = sampled_statistics([FactorSampler(dims, dist, seed, base)], S,
+                                   lambda mats: chaos_batch(A, mats))
 
     pairs = backbone_pairs(d)
-    term_vals = sampled_statistics(
+    term_batch = sampled_statistics(
         [FactorSampler(dims, dist, seed, base + 1), FactorSampler(dims, dist, seed, base + 2)],
         S, lambda fm, fbm: np.stack([semi_decoupled_batch(A2d, I, J, fm, fbm)
                                      for I, J in pairs]))
 
-    lhs_moments = estimate_lp(lhs_batch, p_grid, resamples)
-    term_moments = estimate_lp(SampleBatch(seed, base + 1, S, term_vals), p_grid, resamples)
+    lhs_moments = estimate_lp(lhs_batch, p_grid)
+    term_moments = estimate_lp(term_batch, p_grid)
     results = []
     for j, (p, lhs) in enumerate(zip(p_grid, lhs_moments)):
         rhs_est = rhs_lo = rhs_hi = 0.0
@@ -272,17 +282,11 @@ def verify_decoupling(A: np.ndarray, dims: Dims, dist: DistributionSpec,
             "terms": term_rows, "verdict": verdict,
         })
 
-    flags = []
-    for r in results:
-        if r["verdict"] == "inconclusive":
-            flags.append(f"p={r['p']:g}: LHS and RHS confidence bands overlap")
-        elif r["verdict"] == "fail":
-            flags.append(f"p={r['p']:g}: separated violation, LHS band above RHS band")
+    status, flags = _band_status(results, "LHS and RHS confidence bands overlap")
     config = _config("decoupling", seed=int(seed), S=S, dims=list(dims.sizes),
-                     dist=dist.label, p_grid=p_grid, resamples=resamples,
+                     dist=dist.label, p_grid=p_grid, resamples=RESAMPLES,
                      p_cap_note=_P_CAP_NOTE, input_sha256=array_digest(A))
-    return _report(config, _overall(r["verdict"] for r in results), flags, lhs_vals,
-                   results=results)
+    return _report(config, status, flags, lhs_batch.values, results=results)
 
 
 # ---------------------------------------------------------------------------
@@ -290,31 +294,29 @@ def verify_decoupling(A: np.ndarray, dims: Dims, dist: DistributionSpec,
 
 
 def _moment_ratios(suite: str, A: np.ndarray, dims: Dims, dist: DistributionSpec,
-                   p_grid: list[float], S: int, seed: int, norm_opts: NormOptions,
-                   resamples: int) -> tuple[list[dict], list[str], np.ndarray]:
+                   p_grid: list[float], S: int, seed: int,
+                   norm_opts: NormOptions) -> tuple[list[dict], list[str], np.ndarray]:
     """Per p, the empirical centered-chaos L_p norm of A over its main moment
     functional; returns the result rows, the norm-table warnings and the
     sampled statistics."""
     A2d = rearrange_matrix(A, dims)
     table = main_norm_table(A2d, norm_opts)
     base = _STREAMS[suite]
-    vals = sampled_statistics([FactorSampler(dims, dist, seed, base)], S,
-                              lambda mats: chaos_batch(A, mats))
-    batch = SampleBatch(seed, base, S, vals)
+    batch = sampled_statistics([FactorSampler(dims, dist, seed, base)], S,
+                               lambda mats: chaos_batch(A, mats))
 
     results = []
-    for p, lp in zip(p_grid, estimate_lp(batch, p_grid, resamples)):
+    for p, lp in zip(p_grid, estimate_lp(batch, p_grid)):
         m = mp_main(A2d, p, dist.bound_L, table=table)
-        ratio = lp.estimate / m.value if m.value > 0 else 0.0
-        results.append({"p": p, "lhs": _moment_dict(lp), "mp": m.value, "ratio": ratio})
-    return results, sorted(set(table_warnings(table))), vals
+        ratio = lp.estimate / m if m > 0 else 0.0
+        results.append({"p": p, "lhs": _moment_dict(lp), "mp": m, "ratio": ratio})
+    return results, sorted(set(table_warnings(table))), batch.values
 
 
 def verify_main_upper(A: np.ndarray, dims: Dims, dist: DistributionSpec,
                       p_grid: Sequence[float] = (2.0, 4.0, 8.0), S: int = 100_000,
                       seed: int = 0, ceiling: float = 50.0,
-                      norm_opts: NormOptions | None = None,
-                      resamples: int = 200) -> dict:
+                      norm_opts: NormOptions | None = None) -> dict:
     """Ratio of the empirical centered-chaos L_p norm to the moment functional.
 
     The largest ratio estimates the implied upper-bound constant; the suite
@@ -326,7 +328,7 @@ def verify_main_upper(A: np.ndarray, dims: Dims, dist: DistributionSpec,
     norm_opts = norm_opts or NormOptions(seed=seed)
     config = _config("main-upper", seed=int(seed), S=S, dims=list(dims.sizes),
                      dist=dist.label, p_grid=p_grid, L=dist.bound_L, ceiling=ceiling,
-                     p_cap_note=_P_CAP_NOTE, resamples=resamples,
+                     p_cap_note=_P_CAP_NOTE, resamples=RESAMPLES,
                      norm_options=_norm_config(norm_opts), input_sha256=array_digest(A))
     if not np.any(A):
         return _report(config, "pass", ["zero matrix: both sides vanish, ratio defined as 0"],
@@ -334,7 +336,7 @@ def verify_main_upper(A: np.ndarray, dims: Dims, dist: DistributionSpec,
                        constant_estimate=0.0)
 
     results, flags, vals = _moment_ratios("main-upper", A, dims, dist, p_grid, S, seed,
-                                          norm_opts, resamples)
+                                          norm_opts)
     c_hat = max(r["ratio"] for r in results)
     return _report(config, "pass" if c_hat <= ceiling else "fail", flags, vals,
                    results=results, constant_estimate=c_hat)
@@ -342,8 +344,7 @@ def verify_main_upper(A: np.ndarray, dims: Dims, dist: DistributionSpec,
 
 def verify_main_lower(A: np.ndarray, dims: Dims, p_grid: Sequence[float] = (2.0, 4.0, 8.0),
                       S: int = 100_000, seed: int = 0,
-                      norm_opts: NormOptions | None = None,
-                      resamples: int = 200) -> dict:
+                      norm_opts: NormOptions | None = None) -> dict:
     """Ratio table for the lower moment bound, Gaussian factors only.
 
     The input is symmetrized first (the lower bound needs the pairwise
@@ -356,7 +357,7 @@ def verify_main_lower(A: np.ndarray, dims: Dims, p_grid: Sequence[float] = (2.0,
     norm_opts = norm_opts or NormOptions(seed=seed)
     dist = distribution("gaussian")
     common = dict(seed=int(seed), S=S, dims=list(dims.sizes), p_grid=p_grid,
-                  p_cap_note=_P_CAP_NOTE, resamples=resamples,
+                  p_cap_note=_P_CAP_NOTE, resamples=RESAMPLES,
                   norm_options=_norm_config(norm_opts), input_sha256=array_digest(A))
     if not np.any(A):
         return _report(_config("main-lower", **common), "pass",
@@ -366,7 +367,7 @@ def verify_main_lower(A: np.ndarray, dims: Dims, p_grid: Sequence[float] = (2.0,
     if not check_symmetry(sym):
         raise PreconditionError("symmetrized array failed the exact symmetry check")
     results, flags, vals = _moment_ratios("main-lower", unrearrange_matrix(sym), dims, dist,
-                                          p_grid, S, seed, norm_opts, resamples)
+                                          p_grid, S, seed, norm_opts)
     c_tilde = min(r["ratio"] for r in results)
     return _report(_config("main-lower", **common, L=dist.bound_L),
                    "pass" if c_tilde > 0.0 else "fail", flags, vals,
@@ -431,8 +432,8 @@ def verify_ax_tail(A: np.ndarray, dims: Dims, dist: DistributionSpec,
     t_grid = _check_tail_args(t_grid, "C_d", C_d)
     A = _finite_input("ax-tail", A)
     base = _STREAMS["ax-tail"]
-    vals = sampled_statistics([FactorSampler(dims, dist, seed, base)], S,
-                              lambda mats: norm_batch(A, mats))
+    batch = sampled_statistics([FactorSampler(dims, dist, seed, base)], S,
+                               lambda mats: norm_batch(A, mats))
 
     def exponent(t: float) -> tuple[float, dict]:
         exps = tail_regimes_ax(A, dims, t)
@@ -444,8 +445,7 @@ def verify_ax_tail(A: np.ndarray, dims: Dims, dist: DistributionSpec,
 
     config = _config("ax-tail", seed=int(seed), S=S, dims=list(dims.sizes),
                      dist=dist.label, t_grid=t_grid, C_d=C_d, input_sha256=array_digest(A))
-    return _tail_fit(config, SampleBatch(seed, base, S, vals), t_grid, 2.0, exponent, bound,
-                     C_d)
+    return _tail_fit(config, batch, t_grid, 2.0, exponent, bound, C_d)
 
 
 def verify_hanson_wright(A: np.ndarray, dist: DistributionSpec,
@@ -460,8 +460,8 @@ def verify_hanson_wright(A: np.ndarray, dist: DistributionSpec,
     dims = Dims([A.shape[0]])
     base = _STREAMS["hanson-wright"]
     K = dist.psi2_bound
-    vals = sampled_statistics([FactorSampler(dims, dist, seed, base)], S,
-                              lambda mats: chaos_batch(A, mats))
+    batch = sampled_statistics([FactorSampler(dims, dist, seed, base)], S,
+                               lambda mats: chaos_batch(A, mats))
 
     def exponent(t: float) -> tuple[float, dict]:
         e = hanson_wright_exponent(A, K, t)
@@ -469,7 +469,7 @@ def verify_hanson_wright(A: np.ndarray, dist: DistributionSpec,
 
     config = _config("hanson-wright", seed=int(seed), S=S, n=A.shape[0],
                      dist=dist.label, t_grid=t_grid, K=K, c=c, input_sha256=array_digest(A))
-    return _tail_fit(config, SampleBatch(seed, base, S, vals), t_grid, math.log(2.0), exponent,
+    return _tail_fit(config, batch, t_grid, math.log(2.0), exponent,
                      lambda t, c_fit: {"bound": tail_bound_hanson_wright(A, t, K, c_fit)}, c)
 
 
@@ -478,8 +478,7 @@ def verify_hanson_wright(A: np.ndarray, dist: DistributionSpec,
 
 
 def verify_gaussian_decoupling(a: np.ndarray, p_grid: Sequence[float] = (2.0, 4.0, 8.0),
-                               S: int = 100_000, seed: int = 0,
-                               resamples: int = 200) -> dict:
+                               S: int = 100_000, seed: int = 0) -> dict:
     """Check || sum a_k (g_k^2 - 1) ||_p <= 2 || sum a_k g_k gbar_k ||_p empirically."""
     p_grid = _check_p_grid(p_grid, 1.0)
     _check_samples("gaussian-decoupling", S)
@@ -489,17 +488,17 @@ def verify_gaussian_decoupling(a: np.ndarray, p_grid: Sequence[float] = (2.0, 4.
     dims = Dims([a.size])
     dist = distribution("gaussian")
     base = _STREAMS["gaussian-decoupling"]
-    # one pass over both streams: row 0 is the LHS statistic, row 1 the RHS one
-    lhs_vals, rhs_vals = sampled_statistics(
+    # one pass over both streams: row 0 is the LHS statistic, row 1 the RHS
+    # one, whose bootstrap is keyed on its own gbar stream
+    drawn = sampled_statistics(
         [FactorSampler(dims, dist, seed, base), FactorSampler(dims, dist, seed, base + 1)], S,
         lambda g, gbar: np.stack([(g[0] * g[0] - 1.0) @ a, (g[0] * gbar[0]) @ a]))
-    lhs_batch = SampleBatch(seed, base, S, lhs_vals)
-    rhs_batch = SampleBatch(seed, base + 1, S, rhs_vals)
+    lhs_vals, rhs_vals = drawn.values
 
     norm_a = float(np.linalg.norm(a))
     results = []
-    for p, lhs, rhs in zip(p_grid, estimate_lp(lhs_batch, p_grid, resamples),
-                           estimate_lp(rhs_batch, p_grid, resamples)):
+    for p, lhs, rhs in zip(p_grid, estimate_lp(replace(drawn, values=lhs_vals), p_grid),
+                           estimate_lp(SampleBatch(seed, base + 1, rhs_vals), p_grid)):
         verdict = _verdict(lhs.ci_high, lhs.ci_low, 2.0 * rhs.ci_low, 2.0 * rhs.ci_high)
         row = {"p": p, "lhs": _moment_dict(lhs), "rhs_times_2": 2.0 * rhs.estimate,
                "rhs": _moment_dict(rhs), "verdict": verdict}
@@ -507,10 +506,8 @@ def verify_gaussian_decoupling(a: np.ndarray, p_grid: Sequence[float] = (2.0, 4.
             row["exact_lhs"] = math.sqrt(2.0) * norm_a
             row["exact_rhs_times_2"] = 2.0 * norm_a
         results.append(row)
+    status, flags = _band_status(results, "bands overlap")
     config = _config("gaussian-decoupling", seed=int(seed), S=S, n=int(a.size),
-                     p_grid=p_grid, p_cap_note=_P_CAP_NOTE, resamples=resamples,
+                     p_grid=p_grid, p_cap_note=_P_CAP_NOTE, resamples=RESAMPLES,
                      input_sha256=array_digest(a))
-    return _report(config, _overall(r["verdict"] for r in results),
-                   [f"p={r['p']:g}: bands overlap" for r in results
-                    if r["verdict"] == "inconclusive"],
-                   results=results)
+    return _report(config, status, flags, results=results)

@@ -127,12 +127,12 @@ def test_acceptance_3_analytic_mc_anchors():
     t0 = time.monotonic()
     n = 4
     vals = chaos_batch(np.eye(n), FactorSampler(Dims([n]), GAUSS, 3001, 0).batch(0, S_FULL))
-    l2 = estimate_lp(SampleBatch(3001, 0, S_FULL, vals), [2.0])[0].estimate
+    l2 = estimate_lp(SampleBatch(3001, 0, vals), [2.0])[0].estimate
     target = math.sqrt(2 * n)
     l2_ok = abs(l2 - target) / target <= 0.05
 
     normals = FactorSampler(Dims([1]), GAUSS, 3002, 0).batch(0, S_FULL)[0].ravel()
-    freq = estimate_tail(SampleBatch(3002, 0, S_FULL, normals), 1.96).frequency
+    freq = estimate_tail(SampleBatch(3002, 0, normals), 1.96).frequency
     tail_ok = abs(freq - 0.05) <= 0.005
 
     D = np.diag(np.random.default_rng(3003).standard_normal(8))

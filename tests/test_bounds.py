@@ -1,7 +1,12 @@
 """Reduced arrays, symmetrization, the moment functionals, and tail formulas."""
 
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,7 +202,7 @@ def test_mp_decoupled_d1_vector():
     a = np.array([3.0, 4.0])
     for p in (1.0, 2.0, 7.5):
         m = mp_decoupled(a, p)
-        assert m.value == pytest.approx(math.sqrt(p) * 5.0, rel=1e-14)
+        assert m == pytest.approx(math.sqrt(p) * 5.0, rel=1e-14)
 
 
 def test_mp_decoupled_d2_matrix():
@@ -207,8 +212,8 @@ def test_mp_decoupled_d2_matrix():
     spec = np.linalg.svd(B, compute_uv=False)[0]
     for p in (2.0, 4.0):
         m = mp_decoupled(B, p)
-        assert m.value == pytest.approx(math.sqrt(p) * fro + p * spec, rel=1e-12)
-    assert mp_decoupled(np.zeros((2, 2)), 4.0).value == 0.0
+        assert m == pytest.approx(math.sqrt(p) * fro + p * spec, rel=1e-12)
+    assert mp_decoupled(np.zeros((2, 2)), 4.0) == 0.0
     with pytest.raises(ArgumentError):
         mp_decoupled(B, 0.5)
 
@@ -219,7 +224,7 @@ def test_mp_main_d1_identity_closed_form():
         for p, L in ((2.0, 1.0), (4.0, 1.5)):
             m = mp_main(A, p, L)
             expected = L**2 * (math.sqrt(p) * math.sqrt(n) + p * 1.0)
-            assert m.value == pytest.approx(expected, rel=1e-12)
+            assert m == pytest.approx(expected, rel=1e-12)
 
 
 def test_mp_main_d2_id4_hand_value():
@@ -229,11 +234,12 @@ def test_mp_main_d2_id4_hand_value():
     m = mp_main(A, 2.0, 1.0, OPTS)
     r2 = math.sqrt(2.0)
     expected = r2 * (2 + 4 * r2) + 2 * (8 + 4 * r2) + 2 * r2 * (4 + 2 * r2) + 4 * 1.0
-    assert m.value == pytest.approx(expected, rel=1e-6)
-    assert m.kappa_sums[1] == pytest.approx(2 + 4 * r2, rel=1e-9)
-    assert m.kappa_sums[2] == pytest.approx(8 + 4 * r2, rel=1e-9)
-    assert m.kappa_sums[3] == pytest.approx(4 + 2 * r2, rel=1e-6)
-    assert m.kappa_sums[4] == pytest.approx(1.0, rel=1e-6)
+    assert m == pytest.approx(expected, rel=1e-6)
+    kappa_sums = bounds._kappa_sums(main_norm_table(A, OPTS), 2)
+    assert kappa_sums[1] == pytest.approx(2 + 4 * r2, rel=1e-9)
+    assert kappa_sums[2] == pytest.approx(8 + 4 * r2, rel=1e-9)
+    assert kappa_sums[3] == pytest.approx(4 + 2 * r2, rel=1e-6)
+    assert kappa_sums[4] == pytest.approx(1.0, rel=1e-6)
 
 
 def oracle_partitions(elems, kappa):
@@ -277,7 +283,7 @@ def test_mp_main_d2_random_against_oracle():
     A = rearrange_matrix(rng.standard_normal((4, 4)), dims)
     for p in (2.0, 3.0):
         m = mp_main(A, p, 1.25, OPTS)
-        assert m.value == pytest.approx(oracle_mp_main(A, dims, p, 1.25, OPTS), rel=1e-10)
+        assert m == pytest.approx(oracle_mp_main(A, dims, p, 1.25, OPTS), rel=1e-10)
 
 
 def test_mp_main_preconditions():
@@ -286,7 +292,7 @@ def test_mp_main_preconditions():
         mp_main(A, 1.5, 1.0)
     with pytest.raises(ArgumentError):
         mp_main(A, 2.0, 0.5)
-    assert mp_main(rearrange_matrix(np.zeros((4, 4)), Dims([2, 2])), 2.0, 1.0).value == 0.0
+    assert mp_main(rearrange_matrix(np.zeros((4, 4)), Dims([2, 2])), 2.0, 1.0) == 0.0
 
 
 def test_mp_main_table_recompute_idempotent():
@@ -296,18 +302,18 @@ def test_mp_main_table_recompute_idempotent():
     table = main_norm_table(A, OPTS)
     a = mp_main(A, 4.0, 1.0, table=table)
     b = mp_main(A, 4.0, 1.0, table=table)
-    assert a.value == b.value
+    assert a == b
     c = mp_main(A, 4.0, 1.0, OPTS)
-    assert c.value == a.value  # same seeds, same table
+    assert c == a  # same seeds, same table
 
 
 def test_mp_norm_d1_identity_frozen():
     # hand evaluation: kappa=1 term min(sqrt(p), p^(1/4) n^(1/4)),
     # kappa=2 term min(p / sqrt(n), sqrt(p)); at n=4, p=4, L=1 both are 2
     m = mp_norm(np.eye(4), Dims([4]), 4.0, 1.0)
-    assert m.value == pytest.approx(4.0, rel=1e-12)
-    assert m.kappa_sums[1] == pytest.approx(2.0, rel=1e-12)
-    assert m.kappa_sums[2] == pytest.approx(1.0, rel=1e-12)
+    assert m == pytest.approx(4.0, rel=1e-12)
+    report = compute_bound_report(np.eye(4), Dims([4]), [4.0])
+    assert report.mp_kappa == pytest.approx({1: 2.0, 2: 1.0}, rel=1e-12)
 
 
 def test_mp_norm_single_entry_matrix():
@@ -316,7 +322,7 @@ def test_mp_norm_single_entry_matrix():
     table = gram_norm_table(A, Dims([2, 2]), OPTS)
     assert all(row.value <= 1.0 + 1e-9 for row in table)
     m = mp_norm(A, Dims([2, 2]), 2.0, 1.0, table=table)
-    assert m.value > 0.0
+    assert m > 0.0
 
 
 def test_mp_norm_random_against_oracle_resum():
@@ -335,7 +341,7 @@ def test_mp_norm_random_against_oracle_resum():
             min(p ** (k / 2.0) * v / fro, p ** (k / 4.0) * math.sqrt(v))
             for k, v in kappa_sums.items()
         )
-        assert m.value == pytest.approx(expected, rel=1e-8)
+        assert m == pytest.approx(expected, rel=1e-8)
         # and the gram table itself against the independent enumerator
         B2d = rearrange_matrix(A.T @ A, dims)
         assert sum(p ** (r.kappa / 2.0) * r.value for r in table) == pytest.approx(
@@ -393,6 +399,66 @@ def test_bound_report_checks_p_for_nonsquare_zero_matrix():
         compute_bound_report(np.zeros((3, 2)), Dims([2]), [1])
 
 
+# Every entry point that hands caller data to an SVD, on a 4 x 4 matrix with
+# dims 2,2 whose entry (0, 1) is non-finite.  An SVD of an array with an inf
+# entry can fail to return, so the calls run in a child process with a timeout.
+NON_FINITE_CALLS = {
+    "compute_bound_report": "compute_bound_report(A, DIMS, [2.0])",
+    "compute_bound_report-tail": "compute_bound_report(A, DIMS, [2.0], t_grid=[1.0])",
+    "main_norm_table": "main_norm_table(rearrange_matrix(A, DIMS), NormOptions(seed=0))",
+    "gram_norm_table": "gram_norm_table(A, DIMS)",
+    "mp_main": "mp_main(rearrange_matrix(A, DIMS), 2.0)",
+    "mp_norm": "mp_norm(A, DIMS, 2.0)",
+    "mp_decoupled": "mp_decoupled(A, 2.0)",
+    "tensor_norm": "tensor_norm(rearrange_matrix(A, DIMS), [[1, 3], [2, 4]])",
+    "tail_regimes_ax": "tail_regimes_ax(A, DIMS, 1.0)",
+    "tail_bound_ax": "tail_bound_ax(A, DIMS, 1.0)",
+    "tail_bound_hanson_wright": "tail_bound_hanson_wright(A, 1.0, 1.0)",
+    "check_gram_norm_bounds": "check_gram_norm_bounds(A, DIMS, [1], [[2], [4]])",
+    "verify_reduction_lift": "verify_reduction_lift(rearrange_matrix(A, DIMS), [1], [[2], [4]])",
+    "verify_merge_split": "verify_merge_split(rearrange_matrix(A, DIMS), [[1], [2], [3, 4]], (0, 1))",
+    "verify_diagonal_restriction":
+        "verify_diagonal_restriction(rearrange_matrix(A, DIMS), [1], [[1, 3], [2, 4]])",
+}
+
+_NON_FINITE_CHILD = """
+import json, sys
+import numpy as np
+from kronchaos import *
+from kronchaos.bounds import compute_bound_report, gram_norm_table, tail_regimes_ax
+DIMS = Dims([2, 2])
+for bad in (np.inf, -np.inf, np.nan):
+    A = np.eye(4)
+    A[0, 1] = bad
+    for name, call in json.loads(sys.argv[1]).items():
+        try:
+            eval(call)
+            outcome = "returned"
+        except Exception as exc:
+            outcome = type(exc).__name__
+        print(json.dumps([name, repr(bad), outcome]), flush=True)
+"""
+
+
+@pytest.fixture(scope="module")
+def non_finite_outcomes():
+    env = dict(os.environ, PYTHONPATH=str(Path(bounds.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", _NON_FINITE_CHILD,
+                            json.dumps(NON_FINITE_CALLS)],
+                           env=env, capture_output=True, text=True, timeout=60, check=True)
+    outcomes: dict[str, dict[str, str]] = {}
+    for line in child.stdout.splitlines():
+        name, bad, outcome = json.loads(line)
+        outcomes.setdefault(name, {})[bad] = outcome
+    return outcomes
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
+def test_bound_path_rejects_a_non_finite_entry(non_finite_outcomes, name):
+    assert non_finite_outcomes[name] == {"inf": "ArgumentError", "-inf": "ArgumentError",
+                                         "nan": "ArgumentError"}
+
+
 def test_mp_monotone_in_p():
     rng = np.random.default_rng(12)
     dims = Dims([2, 2])
@@ -403,9 +469,9 @@ def test_mp_monotone_in_p():
     B = rng.standard_normal((3, 3))
     grid = [2.0, 4.0, 8.0, 16.0]
     for lo, hi in zip(grid, grid[1:]):
-        assert mp_main(A, lo, 1.0, table=table).value <= mp_main(A, hi, 1.0, table=table).value
-        assert mp_norm(M, dims, lo, 1.0, table=gtable).value <= mp_norm(M, dims, hi, 1.0, table=gtable).value
-        assert mp_decoupled(B, lo).value <= mp_decoupled(B, hi).value
+        assert mp_main(A, lo, 1.0, table=table) <= mp_main(A, hi, 1.0, table=table)
+        assert mp_norm(M, dims, lo, 1.0, table=gtable) <= mp_norm(M, dims, hi, 1.0, table=gtable)
+        assert mp_decoupled(B, lo) <= mp_decoupled(B, hi)
 
 
 def test_mp_main_scaling():
@@ -414,13 +480,13 @@ def test_mp_main_scaling():
     M = rng.standard_normal((3, 3))
     A = rearrange_matrix(M, Dims([3]))
     Ac = rearrange_matrix(2.5 * M, Dims([3]))
-    assert mp_main(Ac, 4.0, 1.0).value == pytest.approx(2.5 * mp_main(A, 4.0, 1.0).value, rel=1e-12)
+    assert mp_main(Ac, 4.0, 1.0) == pytest.approx(2.5 * mp_main(A, 4.0, 1.0), rel=1e-12)
     # d=2: seeded alternating estimates agree to 1e-6 relative
     M = rng.standard_normal((4, 4))
     A = rearrange_matrix(M, Dims([2, 2]))
     Ac = rearrange_matrix(-3.0 * M, Dims([2, 2]))
-    a = mp_main(A, 4.0, 1.0, OPTS).value
-    b = mp_main(Ac, 4.0, 1.0, OPTS).value
+    a = mp_main(A, 4.0, 1.0, OPTS)
+    b = mp_main(Ac, 4.0, 1.0, OPTS)
     assert b == pytest.approx(3.0 * a, rel=1e-6)
 
 

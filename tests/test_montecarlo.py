@@ -42,6 +42,11 @@ def one_sample(*vectors):
     return [np.asarray(v, dtype=np.float64)[None, :] for v in vectors]
 
 
+def sample_factors(sampler, s):
+    """The d factor vectors of sample s, regenerated standalone."""
+    return [m[0] for m in sampler.batch(s, 1)]
+
+
 def test_sampler_determinism_and_streams():
     dist = distribution("gaussian")
     a = FactorSampler(DIMS, dist, seed=1, stream=5).batch(0, 100)
@@ -60,7 +65,7 @@ def test_sampler_counter_based_regeneration():
         fs = FactorSampler(DIMS, distribution(fam), seed=9, stream=1)
         batch = fs.batch(0, 300)
         for s in (0, 1, 137, 299):
-            single = fs.factors(s)
+            single = sample_factors(fs, s)
             for l in range(2):
                 assert np.array_equal(single[l], batch[l][s]), (fam, s, l)
         mid = fs.batch(100, 50)
@@ -70,7 +75,7 @@ def test_sampler_counter_based_regeneration():
 
 def test_sample_factors_shapes():
     fs = FactorSampler(DIMS, distribution("gaussian"), seed=0, stream=0)
-    assert [f.shape for f in fs.factors(0)] == [(3,), (4,)]
+    assert [m.shape for m in fs.batch(0, 1)] == [(1, 3), (1, 4)]
     assert [m.shape for m in fs.batch(5, 7)] == [(7, 3), (7, 4)]
 
 
@@ -147,6 +152,15 @@ def test_kronecker_vector_size_cap():
         kronecker_batch(one_sample(np.ones(2**9), np.ones(2**9), np.ones(2**9)))
 
 
+def test_kronecker_size_cap_counts_every_row(monkeypatch):
+    # the cap bounds the whole (rows, N) chunk, not one Kronecker vector
+    monkeypatch.setattr(montecarlo, "KRON_MATERIALIZE_CAP", 1000)
+    ones = np.ones((100, 4))
+    with pytest.raises(SizeError, match="100 Kronecker vectors of length 16 exceed 1000"):
+        kronecker_batch([ones, ones])
+    assert kronecker_batch([ones[:62], ones[:62]]).shape == (62, 16)
+
+
 def test_kronecker_batch_matches_single():
     rng = np.random.default_rng(1)
     mats = [rng.standard_normal((10, n)) for n in (2, 3)]
@@ -191,7 +205,7 @@ def test_chaos_batch_matches_single():
     vals = chaos_batch(A, mats)
     A2d = rearrange_matrix(A, dims)
     for s in (0, 13, 49):
-        want = chaos_quadratic(A2d, fs.factors(s)) - np.trace(A)
+        want = chaos_quadratic(A2d, sample_factors(fs, s)) - np.trace(A)
         assert vals[s] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
@@ -233,7 +247,7 @@ def test_norm_batch_matches_single():
     fs = FactorSampler(Dims([2, 3]), distribution("gaussian"), 21, 9)
     vals = norm_batch(A, fs.batch(0, 40))
     for s in (0, 39):
-        x = fs.factors(s)
+        x = sample_factors(fs, s)
         want = np.linalg.norm(A @ np.kron(x[0], x[1])) - np.linalg.norm(A)
         assert vals[s] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -249,13 +263,13 @@ def test_semi_decoupled_batch_matches_single():
         vals = semi_decoupled_batch(A, I, J, mats, bmats)
         for s in (0, 29):
             # the same spec contracted for one realization, without the sample axis
-            spec = semi_decoupled_spec(2, I, J, fs.factors(s), fsb.factors(s))
+            spec = semi_decoupled_spec(2, I, J, sample_factors(fs, s), sample_factors(fsb, s))
             want = pair_contraction(A, spec)
             assert vals[s] == pytest.approx(want, rel=1e-11, abs=1e-12)
     # the fully decoupled term is the bilinear form X^T A Xbar
     vals = semi_decoupled_batch(A, (), (), mats, bmats)
     for s in (0, 29):
-        x, xb = fs.factors(s), fsb.factors(s)
+        x, xb = sample_factors(fs, s), sample_factors(fsb, s)
         want = np.kron(x[0], x[1]) @ A.data.reshape(4, 4) @ np.kron(xb[0], xb[1])
         assert vals[s] == pytest.approx(want, rel=1e-11, abs=1e-12)
 
@@ -272,7 +286,7 @@ def test_semi_decoupled_batch_matches_single_for_every_d3_term():
         vals = semi_decoupled_batch(A, I, J, mats, bmats)
         assert vals.shape == (20,)
         for s in (0, 7, 19):
-            spec = semi_decoupled_spec(3, I, J, fs.factors(s), fsb.factors(s))
+            spec = semi_decoupled_spec(3, I, J, sample_factors(fs, s), sample_factors(fsb, s))
             assert vals[s] == pytest.approx(pair_contraction(A, spec), rel=1e-11, abs=1e-12)
 
 
@@ -291,7 +305,7 @@ def test_semi_decoupled_batch_trace_term_has_no_sample_axis():
 
 def _batch(values, seed=0, stream=0):
     v = np.asarray(values, dtype=np.float64)
-    return SampleBatch(seed, stream, v.size, v)
+    return SampleBatch(seed, stream, v)
 
 
 def test_estimate_lp_constant_batch():
@@ -320,6 +334,8 @@ def test_estimate_lp_zero_batch_and_errors():
         estimate_lp(_batch(np.ones(50)), [2.0])
     with pytest.raises(ArgumentError):
         estimate_lp(_batch(np.ones(150)), [0.5])
+    with pytest.raises(ArgumentError, match=r"\(S,\) or \(K, S\)"):
+        estimate_lp(SampleBatch(0, 0, np.ones((2, 2, 150))), [2.0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -330,7 +346,7 @@ def test_estimators_reject_non_finite_values(bad):
     with pytest.raises(ArgumentError, match="non-finite"):
         estimate_lp(_batch(v), [2.0])
     with pytest.raises(ArgumentError, match="non-finite"):
-        estimate_lp(SampleBatch(0, 0, 150, np.stack([np.ones(150), v])), [2.0])
+        estimate_lp(SampleBatch(0, 0, np.stack([np.ones(150), v])), [2.0])
     with pytest.raises(ArgumentError, match="non-finite"):
         estimate_tail(_batch(v), 1.0)
 
@@ -374,7 +390,7 @@ def _stacked(S=301):
     """Three statistics on one stream, the middle one all zero; S is odd."""
     rng = np.random.default_rng(11)
     values = np.stack([rng.standard_normal(S), np.zeros(S), rng.standard_t(3, S)])
-    return SampleBatch(5, 9, S, values)
+    return SampleBatch(5, 9, values)
 
 
 def test_estimate_lp_stacked_rows_match_one_row_calls():
@@ -383,16 +399,8 @@ def test_estimate_lp_stacked_rows_match_one_row_calls():
     stacked = estimate_lp(b, grid, 50)
     assert len(stacked) == 3 and all(len(row) == len(grid) for row in stacked)
     for v, row in zip(b.values, stacked):
-        assert row == estimate_lp(SampleBatch(b.seed, b.stream, b.count, v), grid, 50)
+        assert row == estimate_lp(SampleBatch(b.seed, b.stream, v), grid, 50)
     assert all(m.estimate == m.ci_low == m.ci_high == 0.0 for m in stacked[1])
-
-
-@pytest.mark.parametrize("chunk", [1, 7, 20])
-def test_estimate_lp_does_not_depend_on_the_chunk(monkeypatch, chunk):
-    b = _stacked()
-    reference = estimate_lp(b, (2.0, 4.0), 50)
-    monkeypatch.setattr(montecarlo, "_BOOT_CHUNK", chunk)
-    assert estimate_lp(b, (2.0, 4.0), 50) == reference
 
 
 def _gather_lp(batch, p_grid, resamples):
@@ -425,9 +433,9 @@ def test_estimate_lp_matches_gather_and_sum(S, resamples):
     rng = np.random.default_rng(S)
     values = np.stack([rng.standard_normal(S), np.zeros(S), rng.standard_t(3, S)])
     grid = (1.0, 2.0, 4.0, 7.5)
-    stacked = SampleBatch(5, 9, S, values)
+    stacked = SampleBatch(5, 9, values)
     want = _gather_lp(stacked, grid, resamples)
-    one_row = [estimate_lp(SampleBatch(5, 9, S, v), grid, resamples) for v in values]
+    one_row = [estimate_lp(SampleBatch(5, 9, v), grid, resamples) for v in values]
     for rows in (estimate_lp(stacked, grid, resamples), one_row):
         got = [[(m.estimate, m.ci_low, m.ci_high) for m in row] for row in rows]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
@@ -456,9 +464,9 @@ def test_estimate_lp_raises_on_a_count_above_255(monkeypatch):
 def _count_calls(monkeypatch) -> list[int]:
     calls = []
 
-    def counted(batch, p_grid, resamples):
+    def counted(batch, p_grid):
         calls.append(np.ndim(batch.values))
-        return estimate_lp(batch, p_grid, resamples)
+        return estimate_lp(batch, p_grid)
 
     monkeypatch.setattr(suites, "estimate_lp", counted)
     return calls
@@ -504,7 +512,7 @@ def test_sample_batch_regeneration_bit_identical():
     A = rng.standard_normal((4, 4))
     def make():
         vals = chaos_batch(A, FactorSampler(dims, distribution("gaussian"), 17, 4).batch(0, 500))
-        return SampleBatch(17, 4, 500, vals)
+        return SampleBatch(17, 4, vals)
     a, b = make(), make()
     assert np.array_equal(a.values, b.values)
 
@@ -551,8 +559,9 @@ def test_sampled_statistics_equal_the_whole_batch(shape, S):
     samplers = [FactorSampler(dims, distribution(family), 7, 0x400 + i) for i in range(m)]
     whole = statistic(*(s.batch(0, S) for s in samplers))
     chunked = sampled_statistics(samplers, S, statistic)
-    assert chunked.shape == whole.shape and chunked.shape[-1] == S
-    assert np.array_equal(chunked, whole)
+    assert (chunked.seed, chunked.stream, chunked.count) == (7, 0x400, S)
+    assert chunked.values.shape == whole.shape
+    assert np.array_equal(chunked.values, whole)
 
 
 @pytest.mark.parametrize("S", [1, 500, montecarlo._STAT_CHUNK, montecarlo._STAT_CHUNK + 1,
@@ -571,7 +580,7 @@ def test_sampled_statistics_chunks_are_aligned_and_tall(monkeypatch, S):
 
     sampler = FactorSampler(Dims([2]), distribution("gaussian"), 1, 0)
     monkeypatch.setattr(FactorSampler, "batch", recorded)
-    out = sampled_statistics([sampler], S, lambda mats: mats[0][:, 0])
+    out = sampled_statistics([sampler], S, lambda mats: mats[0][:, 0]).values
     monkeypatch.undo()
     assert np.array_equal(out, sampler.batch(0, S)[0][:, 0])
     k, n = len(calls), calls[0][1]

@@ -1,6 +1,7 @@
 """The verification suites on small, fast configurations."""
 
 import dataclasses
+import inspect
 import json
 import math
 import tracemalloc
@@ -19,7 +20,8 @@ from kronchaos import (
     verify_main_lower,
     verify_main_upper,
 )
-from kronchaos import montecarlo
+from kronchaos import montecarlo, suites
+from kronchaos.montecarlo import EmpiricalMoment
 from kronchaos.errors import ArgumentError, PreconditionError
 from kronchaos.norms import NormOptions
 from kronchaos.suites import _norm_config
@@ -178,6 +180,26 @@ def test_gaussian_decoupling_random():
     assert all(r["verdict"] != "fail" for r in rep["results"])
 
 
+def test_gaussian_decoupling_flags_a_separated_violation(monkeypatch):
+    base = suites._STREAMS["gaussian-decoupling"]
+    streams = []
+
+    def estimates(batch, p_grid):
+        # LHS band [9, 11] on the g stream, RHS band [0.9, 1.1] on the gbar
+        # stream: the LHS band lies above 2 x the RHS band
+        streams.append(batch.stream)
+        mid = 10.0 if batch.stream == base else 1.0
+        return [EmpiricalMoment(p, mid, 0.9 * mid, 1.1 * mid, batch.count) for p in p_grid]
+
+    monkeypatch.setattr(suites, "estimate_lp", estimates)
+    rep = verify_gaussian_decoupling(np.ones(3), p_grid=(2.0, 4.0), S=500, seed=0)
+    assert streams == [base, base + 1]
+    assert [r["verdict"] for r in rep["results"]] == ["fail", "fail"]
+    assert rep["status"] == "fail"
+    assert rep["flags"] == [f"p={p}: separated violation, LHS band above RHS band"
+                            for p in (2, 4)]
+
+
 def test_hanson_wright_diagonal_rademacher_trivial():
     D = np.diag([1.0, 2.0, -1.0])
     rep = verify_hanson_wright(D, RADEMACHER, t_grid=[0.5, 1.0], S=10_000, seed=0)
@@ -230,8 +252,6 @@ def test_reports_embed_config():
     lambda: verify_main_lower(np.eye(4), Dims([2, 2]), p_grid=(2.0,), S=2000, seed=0),
 ], ids=["decoupling", "main-upper", "main-lower"])
 def test_failed_mean_sanity_is_flagged(monkeypatch, make):
-    import kronchaos.suites as suites
-
     ok = make()
     assert ok["mean_sanity"]["ok"]
     assert not any("mean sanity" in f for f in ok["flags"])
@@ -247,6 +267,40 @@ def test_norm_config_records_every_value_changing_option():
     # missing from it would let the cache return a report computed with other options
     fields = {f.name for f in dataclasses.fields(NormOptions)} - {"threads"}
     assert set(_norm_config(NormOptions())) == fields
+
+
+# Every suite on its zero-matrix or smallest-S path.
+SUITE_CALLS = {
+    "run_identity_suite": lambda: run_identity_suite(instances=1, d_values=(1,)),
+    "verify_decoupling": lambda: verify_decoupling(np.eye(2), Dims([2]), GAUSS, (2.0,), S=1000),
+    "verify_main_upper": lambda: verify_main_upper(np.zeros((4, 4)), Dims([2, 2]), GAUSS,
+                                                   S=100),
+    "verify_main_lower": lambda: verify_main_lower(np.zeros((4, 4)), Dims([2, 2]), S=100),
+    "verify_ax_tail": lambda: verify_ax_tail(np.eye(2), Dims([2]), GAUSS, [1.0], S=10_000),
+    "verify_hanson_wright": lambda: verify_hanson_wright(np.eye(2), GAUSS, [1.0], S=100),
+    "verify_gaussian_decoupling": lambda: verify_gaussian_decoupling(np.zeros(2), (2.0,),
+                                                                     S=100),
+}
+BOOTSTRAP_SUITES = {"verify_decoupling", "verify_main_upper", "verify_main_lower",
+                    "verify_gaussian_decoupling"}
+# parameters recorded under another config key
+CONFIG_KEYS = {"A": "input_sha256", "a": "input_sha256", "norm_opts": "norm_options"}
+
+
+def test_every_suite_has_a_config_check():
+    names = {name for name in vars(suites) if name.startswith("verify_")}
+    assert names | {"run_identity_suite"} == set(SUITE_CALLS)
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_CALLS))
+def test_suite_config_records_every_parameter(name):
+    # the report cache keys on the config, so a parameter missing from it would
+    # let the cache return a report computed with another value
+    params = inspect.signature(getattr(suites, name)).parameters
+    config = SUITE_CALLS[name]()["config"]
+    assert {CONFIG_KEYS.get(p, p) for p in params} <= set(config)
+    if name in BOOTSTRAP_SUITES:
+        assert config["resamples"] == 200
 
 
 def _no_sampling(monkeypatch):
