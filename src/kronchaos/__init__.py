@@ -42,6 +42,7 @@ from .norms import (
     NormOptions,
     matricize,
     norm_objective,
+    table_norms,
     tensor_norm,
     verify_diagonal_restriction,
     verify_merge_split,

@@ -19,7 +19,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ArgumentError, AxisSetError, DegenerateInputError, ShapeError
-from .norms import NormEstimate, NormOptions, DEFAULT_OPTIONS, norm_objective, tensor_norm
+from .norms import (
+    NormEstimate,
+    NormOptions,
+    DEFAULT_OPTIONS,
+    norm_objective,
+    table_norms,
+    tensor_norm,
+)
 from .partitions import Partition, partitions_into, subsets
 from .tensor import (
     _LETTERS,
@@ -113,10 +120,22 @@ def table_warnings(rows: Sequence[NormTableRow]) -> list[str]:
             for row in rows for w in row.estimate.warnings]
 
 
-def _partition_rows(B: PartialArray, I: tuple[int, ...], opts: NormOptions) -> list[NormTableRow]:
-    """Norms of B over every partition of its axes, by increasing block count."""
-    return [NormTableRow(I, P, tensor_norm(B, P, opts))
+def _partition_rows(arrays: Sequence[tuple[tuple[int, ...], PartialArray]],
+                    opts: NormOptions) -> list[NormTableRow]:
+    """Norms of each (I, B) array over every partition of its axes, array by
+    array, by increasing block count.
+
+    The exact rows (kappa <= 2) are computed one by one.  The ALS rows of
+    every array go through one :func:`norms.table_norms` call, which runs the
+    rows with the same ordered block shapes as one restart batch, so rows of
+    different arrays and partitions share a batch.
+    """
+    keys = [(I, B, P) for I, B in arrays
             for kappa in range(1, B.order + 1) for P in partitions_into(B.axes, kappa)]
+    als = [(B, P) for _, B, P in keys if P.kappa >= 3]
+    als_estimates = iter(table_norms([B for B, _ in als], [P for _, P in als], opts))
+    return [NormTableRow(I, P, next(als_estimates) if P.kappa >= 3 else tensor_norm(B, P, opts))
+            for I, B, P in keys]
 
 
 def mp_decoupled(B: ArrayLike, p: float, opts: NormOptions | None = None,
@@ -125,8 +144,9 @@ def mp_decoupled(B: ArrayLike, p: float, opts: NormOptions | None = None,
     of an order-d array over every partition of its axes."""
     if p < 1:
         raise ArgumentError(f"p = {p} must be >= 1")
-    rows = table if table is not None else _partition_rows(as_partial(B), (), opts or DEFAULT_OPTIONS)
-    return sum(p ** (row.kappa / 2.0) * row.value for row in rows)
+    if table is None:
+        table = _partition_rows([((), as_partial(B))], opts or DEFAULT_OPTIONS)
+    return sum(p ** (row.kappa / 2.0) * row.value for row in table)
 
 
 def _check_p_L(p: float, L: float) -> None:
@@ -154,14 +174,14 @@ def _kappa_sums(rows: Sequence[NormTableRow], d: int) -> dict[int, float]:
 
 
 def main_norm_table(A: PartialArray, opts: NormOptions | None = None) -> list[NormTableRow]:
-    """Norms of every reduced array over every partition of its surviving axes."""
+    """Norms of every reduced array over every partition of its surviving axes.
+
+    The ALS rows of all the reduced arrays run together, one restart batch
+    per ordered tuple of block shapes (see :func:`_partition_rows`).
+    """
     d = doubled_order(A)
-    opts = opts or DEFAULT_OPTIONS
-    rows = []
-    for I in subsets(range(1, d + 1)):
-        if len(I) < d:
-            rows += _partition_rows(build_reduced_array(A, I), I, opts)
-    return rows
+    reduced = [(I, build_reduced_array(A, I)) for I in subsets(range(1, d + 1)) if len(I) < d]
+    return _partition_rows(reduced, opts or DEFAULT_OPTIONS)
 
 
 def mp_main(A: PartialArray, p: float, L: float = 1.0, opts: NormOptions | None = None,

@@ -421,13 +421,16 @@ class TailFrequency:
 
 def estimate_tail(batch: SampleBatch, t: float) -> TailFrequency:
     """Fraction of |v| > t with a Wilson 95% interval."""
-    S = batch.count
+    values = np.asarray(batch.values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ArgumentError(f"batch values must be (S,), got shape {values.shape}")
+    S = values.shape[0]
     if S < 100:
         raise ArgumentError(f"need at least 100 samples, got {S}")
     if math.isnan(t):
         raise ArgumentError("t = nan is not a threshold")
-    _check_finite(batch.values)
-    hits = int(np.count_nonzero(np.abs(batch.values) > t))
+    _check_finite(values)
+    hits = int(np.count_nonzero(np.abs(values) > t))
     z = 1.959963984540054
     phat = hits / S
     denom = 1.0 + z * z / S

@@ -6,10 +6,13 @@ partition block.  kappa = 1 is the Frobenius norm, kappa = 2 the spectral
 norm of a matricization; both are computed exactly.  For kappa >= 3 the
 supremum is NP-hard in general and is estimated by alternating maximization
 (higher-order power method) over seeded random restarts; such values are
-certified lower bounds, never exact.  The restarts of one estimate run as one
-batch on a leading axis.  Each partition block is flattened to one axis, and
-each restart's block update is one matrix product of a fixed shape, so a
-restart's result is bit-identical to a one-start call.
+certified lower bounds, never exact.  Restarts run as one batch on a leading
+axis.  A batch holds the restarts of one norm (:func:`tensor_norm`) or of
+several norms whose partitions have the same ordered block shapes
+(:func:`table_norms`, which a norm table uses), every norm from the same
+seeded starts.  Each partition block is flattened to one axis, and each
+restart's block update is one matrix product of a fixed shape against its
+own norm's data, so a restart's result is bit-identical to a one-start call.
 """
 
 from __future__ import annotations
@@ -30,10 +33,15 @@ class NormOptions:
     """Knobs for the iterative norm estimators.
 
     ``restarts``, ``max_iter``, ``tol`` and ``seed`` change the estimated
-    values, so every report config records them.  ``threads`` changes nothing:
-    the restarts run as one batch in one thread.  It stays only because the
-    benchmark's job configs pass it and the golden ``bounds`` configs record
-    it, and it goes with the next change to the benchmark.
+    values, so every report config records them.  Restart idx of every norm
+    starts from the draw of ``default_rng((seed, 0x6E6F726D, idx))``.  Norms
+    whose partitions have the same ordered block shapes therefore share their
+    starts, and a norm table runs them in one thread, in batches of whole
+    norms of at most ``_ALS_BATCH`` restarts (a module constant, not an
+    option); no batch changes a value.  ``threads`` changes nothing.  It stays
+    only because the benchmark's job configs pass it and the golden
+    ``bounds`` configs record it, and it goes with the next change to the
+    benchmark.
     """
 
     restarts: int = 32
@@ -54,12 +62,19 @@ class NormOptions:
 DEFAULT_OPTIONS = NormOptions()
 
 
+_RESTART_KEY = 0x6E6F726D  # restart idx draws from default_rng((seed, _RESTART_KEY, idx))
+_ALS_BATCH = 256  # restarts in one _als_runs call of a norm table: 8 norms at the default 32
+
+
 @dataclass
 class RestartResult:
+    """A norm's best restart, and the iterations that all its restarts ran."""
+
     value: float
     factors: tuple[np.ndarray, ...]
     converged: bool
     iterations: int
+    total_iterations: int
 
 
 @dataclass
@@ -72,7 +87,8 @@ class NormEstimate:
     restarts_used: int = 0
     certified_lower_bound: bool = False
     converged: bool = True
-    iterations: int = 0
+    iterations: int = 0  # of the best restart
+    total_iterations: int = 0  # summed over every restart
     factors: tuple[np.ndarray, ...] | None = None
     warnings: list[str] = field(default_factory=list)
 
@@ -143,38 +159,59 @@ def _random_factors(shapes, rng) -> list[np.ndarray]:
     return out
 
 
-def _als_runs(data, positions, inits, rngs, max_iter, tol) -> list[RestartResult]:
-    """Alternating maximization from every start in ``inits`` at once.
+def _restart_rng(seed: int, idx: int, shapes=None) -> np.random.Generator:
+    """Restart ``idx``'s generator, past its start draw when ``shapes`` is given."""
+    rng = np.random.default_rng((seed, _RESTART_KEY, idx))
+    if shapes is not None:
+        _random_factors(shapes, rng)
+    return rng
 
-    The data is transposed once so that each block's axes are adjacent, in
-    block order, and each block is flattened to one axis.  Block r then keeps
-    a C-contiguous matrix M_r of shape (product of the other blocks, n_r),
-    and its update is the row-wise Khatri-Rao product of the other flattened
-    factors times M_r: one (1, m) @ (m, n_r) product for each restart, whatever
-    restarts are in the batch, so a restart's result is bit-identical to a
-    one-start call.  The restarts sit on a leading axis, and each restart
-    leaves the batch, reshaped to its block shapes, once it converges.  A
-    block whose update vanishes is re-randomized from that restart's own
-    ``rngs`` entry.
-    """
-    kappa = len(positions)
-    shapes = [tuple(data.shape[p] for p in pos) for pos in positions]
-    sizes = [math.prod(shape) for shape in shapes]
+
+def _block_mats(data: np.ndarray, positions: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """Block r's C-contiguous matrix M_r: the data transposed so that each
+    block's axes are adjacent, in block order, with the other blocks flattened
+    on the rows and block r flattened on the columns."""
+    sizes = [math.prod(data.shape[p] for p in pos) for pos in positions]
     flat = np.ascontiguousarray(data.transpose([p for pos in positions for p in pos]))
     flat = flat.reshape(sizes)  # block r's axes are now axis r
-    mats = [np.ascontiguousarray(np.moveaxis(flat, r, -1)).reshape(-1, sizes[r])
-            for r in range(kappa)]
-    factors = [np.stack([np.asarray(init[r], dtype=np.float64).ravel() for init in inits])
-               for r in range(kappa)]
-    live = np.arange(len(inits))  # restart index of each batch row
-    value = np.zeros(len(inits))
-    prev = np.full(len(inits), -np.inf)
-    results: list[RestartResult | None] = [None] * len(inits)
+    return [np.ascontiguousarray(np.moveaxis(flat, r, -1)).reshape(-1, sizes[r])
+            for r in range(len(positions))]
+
+
+def _als_runs(mats, shapes, inits, owner, stall_rng, max_iter, tol) -> list[RestartResult]:
+    """Alternating maximization from every start at once; the best restart of each norm.
+
+    A batch holds the restarts of Y norms whose partitions have the same
+    ordered block shapes.  ``mats[r]`` stacks the norms' block-r matrices M_r
+    (see :func:`_block_mats`) as (Y, m, n_r), ``inits[r]`` holds the Z
+    flattened block-r starts as (Z, n_r), and ``owner`` the norm of each
+    start; one norm's starts come in restart order.  Block r's update is the
+    row-wise Khatri-Rao product of the other flattened factors times the
+    restart's own M_r: one (1, m) @ (m, n_r) product for each restart, whatever
+    else is in the batch, so a restart's result is bit-identical to a
+    one-start call.  A restart leaves the batch once it converges, and each
+    norm keeps only its best restart so far: the highest value, then the
+    lowest restart.  A block whose update vanishes is re-randomized from the
+    generator ``stall_rng(z)`` of that start, built at its first stall.
+    """
+    kappa = len(shapes)
+    stack = [m[owner] for m in mats]  # each batch row's own M_r
+    factors = list(inits)
+    live = np.arange(len(owner))  # start index of each batch row
+    value = np.zeros(len(owner))
+    prev = np.full(len(owner), -np.inf)
+    rngs: dict[int, np.random.Generator] = {}
+    # each norm's ((value, -start), blocks, converged, iterations) so far
+    best: list[tuple | None] = [None] * len(mats[0])
+    total = [0] * len(best)
 
     def leave(rows, converged: bool, iterations: int):
         for i in rows:
-            blocks = tuple(f[i].reshape(shape).copy() for f, shape in zip(factors, shapes))
-            results[live[i]] = RestartResult(float(value[i]), blocks, converged, iterations)
+            key, y = (float(value[i]), -live[i]), owner[live[i]]
+            total[y] += iterations
+            if best[y] is None or key > best[y][0]:
+                blocks = tuple(f[i].reshape(shape).copy() for f, shape in zip(factors, shapes))
+                best[y] = (key, blocks, converged, iterations)
 
     iterations = 0
     while iterations < max_iter and len(live):
@@ -186,13 +223,16 @@ def _als_runs(data, positions, inits, rngs, max_iter, tol) -> list[RestartResult
                 K = (K[:, :, None] * f[:, None, :]).reshape(len(live), -1)
             # a stack of one-row products: the rows of one (Z, m) @ (m, n_r) gemm
             # can depend on the other rows, which would tie a restart to the batch
-            v = np.matmul(K[:, None, :], mats[r])[:, 0]
+            v = np.matmul(K[:, None, :], stack[r])[:, 0]
             nv = np.sqrt((v * v).sum(axis=1))
             stalled = nv == 0.0
             v /= np.where(stalled, 1.0, nv)[:, None]
             if stalled.any():
                 for i in np.flatnonzero(stalled):
-                    v[i] = _random_factors([shapes[r]], rngs[live[i]])[0].ravel()
+                    z = int(live[i])
+                    if z not in rngs:
+                        rngs[z] = stall_rng(z)
+                    v[i] = _random_factors([shapes[r]], rngs[z])[0].ravel()
                 nv = np.where(stalled, value, nv)
             factors[r] = v
             value = nv
@@ -201,9 +241,51 @@ def _als_runs(data, positions, inits, rngs, max_iter, tol) -> list[RestartResult
             leave(np.flatnonzero(done), True, iterations)
             live, value = live[~done], value[~done]
             factors = [f[~done] for f in factors]
+            stack = [s[~done] for s in stack]
         prev = value
     leave(range(len(live)), False, iterations)
-    return results
+    return [RestartResult(key[0], blocks, converged, iterations, t)
+            for (key, blocks, converged, iterations), t in zip(best, total)]
+
+
+def _als_batches(pas: Sequence[PartialArray], Ps: Sequence[Partition], opts: NormOptions,
+                 start: Sequence[np.ndarray] | None = None) -> list[NormEstimate]:
+    """ALS estimates of norms whose partitions have the same ordered block shapes.
+
+    Every norm runs from the same ``opts.restarts`` seeded starts, drawn once
+    here, plus one run from ``start`` under the next restart index when given.
+    The norms run in batches of whole norms, at most ``_ALS_BATCH`` restarts
+    (at least one norm) each.
+    """
+    positions = [_block_positions(pa, P) for pa, P in zip(pas, Ps)]
+    shapes = [tuple(pas[0].sizes[p] for p in pos) for pos in positions[0]]
+    starts = [_random_factors(shapes, _restart_rng(opts.seed, idx)) for idx in range(opts.restarts)]
+    if start is not None:
+        starts.append(list(start))
+    R = len(starts)
+    inits = [np.stack([np.asarray(s[r], dtype=np.float64).ravel() for s in starts])
+             for r in range(len(shapes))]
+
+    def stall_rng(z: int) -> np.random.Generator:
+        idx = z % R  # a batch holds whole norms, each with its R starts in order
+        return _restart_rng(opts.seed, idx, shapes if idx < opts.restarts else None)
+
+    per_batch = max(1, _ALS_BATCH // R)
+    out = []
+    for b0 in range(0, len(pas), per_batch):
+        rows = range(b0, min(b0 + per_batch, len(pas)))
+        block_mats = [_block_mats(pas[y].data, positions[y]) for y in rows]
+        mats = [np.stack([m[r] for m in block_mats]) for r in range(len(shapes))]
+        best = _als_runs(mats, shapes, [np.tile(f, (len(rows), 1)) for f in inits],
+                         np.repeat(np.arange(len(rows)), R), stall_rng, opts.max_iter, opts.tol)
+        for y, b in zip(rows, best):
+            est = NormEstimate(b.value, "als", Ps[y], restarts_used=R, certified_lower_bound=True,
+                               converged=b.converged, iterations=b.iterations,
+                               total_iterations=b.total_iterations, factors=b.factors)
+            if not b.converged:
+                est.warnings.append(f"als did not converge within {opts.max_iter} iterations")
+            out.append(est)
+    return out
 
 
 def _als_estimate(pa: PartialArray, P: Partition, opts: NormOptions,
@@ -211,20 +293,40 @@ def _als_estimate(pa: PartialArray, P: Partition, opts: NormOptions,
     """The certified lower bound set by the best of ``opts.restarts`` seeded
     random restarts, plus one run from ``start`` under the next restart index
     when given."""
-    positions = _block_positions(pa, P)
-    shapes = [tuple(pa.sizes[p] for p in pos) for pos in positions]
-    rngs = [np.random.default_rng((opts.seed, 0x6E6F726D, idx))
-            for idx in range(opts.restarts + (start is not None))]
-    inits = [_random_factors(shapes, rng) for rng in rngs[:opts.restarts]]
-    if start is not None:
-        inits.append(list(start))
-    results = _als_runs(pa.data, positions, inits, rngs, opts.max_iter, opts.tol)
-    best = results[max(range(len(results)), key=lambda i: (results[i].value, -i))]
-    est = NormEstimate(best.value, "als", P, len(results), True, best.converged, best.iterations,
-                       best.factors)
-    if not best.converged:
-        est.warnings.append(f"als did not converge within {opts.max_iter} iterations")
+    [est] = _als_batches([pa], [P], opts, start)
     return est
+
+
+def _check_finite(pa: PartialArray) -> None:
+    if not np.isfinite(pa.data).all():
+        # the SVD of the kappa = 2 branch never returns on an inf entry
+        raise ArgumentError("array has a non-finite entry")
+
+
+def table_norms(arrays: Sequence[ArrayLike], partitions: Sequence, opts: NormOptions | None = None
+                ) -> list[NormEstimate]:
+    """ALS estimates of many partition norms, one per (array, partition) pair.
+
+    Each estimate equals ``tensor_norm(B, P, opts, method="als")`` bit for bit.
+    The pairs whose partitions have the same ordered block shapes run their
+    restarts together, as batches of :func:`_als_runs`; reordering the blocks
+    would reorder the updates, so only the ordered shapes are grouped.
+    """
+    opts = opts or DEFAULT_OPTIONS
+    pas = [as_partial(B) for B in arrays]
+    Ps = [_coerce_partition(pa, P) for pa, P in zip(pas, partitions, strict=True)]
+    out: list[NormEstimate | None] = [None] * len(pas)
+    groups: dict[tuple, list[int]] = {}
+    for i, (pa, P) in enumerate(zip(pas, Ps)):
+        _check_finite(pa)
+        if np.any(pa.data):
+            groups.setdefault(tuple(tuple(pa.size(a) for a in b) for b in P.blocks), []).append(i)
+        else:
+            out[i] = tensor_norm(pa, P, opts, method="als")
+    for rows in groups.values():
+        for i, est in zip(rows, _als_batches([pas[i] for i in rows], [Ps[i] for i in rows], opts)):
+            out[i] = est
+    return out
 
 
 def tensor_norm(B: ArrayLike, P, opts: NormOptions | None = None, method: str | None = None) -> NormEstimate:
@@ -238,9 +340,7 @@ def tensor_norm(B: ArrayLike, P, opts: NormOptions | None = None, method: str | 
         raise ArgumentError(f"unknown method {method!r}")
     opts = opts or DEFAULT_OPTIONS
     pa = as_partial(B)
-    if not np.isfinite(pa.data).all():
-        # the SVD of the kappa = 2 branch never returns on an inf entry
-        raise ArgumentError("array has a non-finite entry")
+    _check_finite(pa)
     P = _coerce_partition(pa, P)
     kappa = P.kappa
 

@@ -32,7 +32,7 @@ from kronchaos import (
     tensor_norm,
     verify_reduction_lift,
 )
-from kronchaos import bounds
+from kronchaos import bounds, norms
 from kronchaos.bounds import compute_bound_report, gram_norm_table, tail_regimes_ax
 from kronchaos.errors import ArgumentError, AxisSetError, DegenerateInputError
 from kronchaos.identities import chaos_quadratic, expected_quadratic
@@ -307,6 +307,52 @@ def test_mp_main_table_recompute_idempotent():
     assert c == a  # same seeds, same table
 
 
+def _als_signatures(table):
+    """ALS rows of a norm table by ordered block shapes."""
+    groups = {}
+    for row in table:
+        if row.kappa >= 3:
+            shapes = tuple(f.shape for f in row.estimate.factors)
+            groups[shapes] = groups.get(shapes, 0) + 1
+    return groups
+
+
+def test_main_norm_table_runs_one_als_batch_per_signature(monkeypatch):
+    # the 8 x 8 (2,2,2) table: 192 ALS rows of 30 ordered block-shape signatures
+    A = rearrange_matrix(np.random.default_rng(16).standard_normal((8, 8)), Dims([2, 2, 2]))
+    calls = []
+
+    def counted(mats, *args):
+        calls.append(len(mats[0]))
+        return als_runs(mats, *args)
+
+    als_runs = norms._als_runs
+    monkeypatch.setattr(norms, "_als_runs", counted)
+    table = main_norm_table(A, OPTS)
+    groups = _als_signatures(table)
+    assert (sum(groups.values()), len(groups)) == (192, 30)
+    per_batch = norms._ALS_BATCH // OPTS.restarts
+    assert sorted(calls) == sorted(
+        min(per_batch, n - b0) for n in groups.values() for b0 in range(0, n, per_batch))
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_main_norm_table_equals_tensor_norm_per_row(seed):
+    A = rearrange_matrix(np.random.default_rng(seed).standard_normal((8, 8)), Dims([2, 2, 2]))
+    opts = NormOptions(restarts=16, seed=seed)  # 16 rows a batch: the largest signature takes two
+    table = main_norm_table(A, opts)
+    assert max(_als_signatures(table).values()) > norms._ALS_BATCH // opts.restarts
+    for row in table:
+        B = build_reduced_array(A, row.reduced_axes)
+        one = tensor_norm(B, row.partition, opts)
+        assert row.estimate.value.hex() == one.value.hex(), (row.reduced_axes, str(row.partition))
+        fields = ("method", "restarts_used", "certified_lower_bound", "converged", "iterations",
+                  "total_iterations", "warnings")
+        assert [getattr(row.estimate, f) for f in fields] == [getattr(one, f) for f in fields]
+        for f, g in zip(row.estimate.factors, one.factors, strict=True):
+            assert f.tobytes() == g.tobytes()
+
+
 def test_mp_norm_d1_identity_frozen():
     # hand evaluation: kappa=1 term min(sqrt(p), p^(1/4) n^(1/4)),
     # kappa=2 term min(p / sqrt(n), sqrt(p)); at n=4, p=4, L=1 both are 2
@@ -411,6 +457,7 @@ NON_FINITE_CALLS = {
     "mp_norm": "mp_norm(A, DIMS, 2.0)",
     "mp_decoupled": "mp_decoupled(A, 2.0)",
     "tensor_norm": "tensor_norm(rearrange_matrix(A, DIMS), [[1, 3], [2, 4]])",
+    "table_norms": "table_norms([rearrange_matrix(A, DIMS)], [[[1], [2], [3, 4]]])",
     "tail_regimes_ax": "tail_regimes_ax(A, DIMS, 1.0)",
     "tail_bound_ax": "tail_bound_ax(A, DIMS, 1.0)",
     "tail_bound_hanson_wright": "tail_bound_hanson_wright(A, 1.0, 1.0)",

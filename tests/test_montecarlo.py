@@ -357,6 +357,13 @@ def test_estimate_lp_rejects_a_non_finite_p(p):
         estimate_lp(_batch(np.ones(150)), [2.0, p])
 
 
+@pytest.mark.parametrize("shape", [(3, 150), (), (2, 2, 150)])
+def test_estimate_tail_rejects_values_that_are_not_one_statistic(shape):
+    # a (K, S) batch counted every entry against S and died in the Wilson interval
+    with pytest.raises(ArgumentError, match=r"must be \(S,\)"):
+        estimate_tail(SampleBatch(0, 0, np.ones(shape)), 0.5)
+
+
 def test_estimate_tail_rejects_a_nan_t():
     # |v| > nan is false for every sample, so a nan t read as no exceedance
     with pytest.raises(ArgumentError, match="t = nan"):

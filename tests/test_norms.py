@@ -21,15 +21,20 @@ from kronchaos import (
     verify_merge_split,
 )
 from kronchaos.errors import ArgumentError, AxisSetError
+from kronchaos import norms
+from kronchaos.bounds import build_reduced_array
 from kronchaos.norms import (
     RestartResult,
     _als_estimate,
     _als_runs,
+    _block_mats,
     _block_positions,
     _random_factors,
+    _restart_rng,
     _subscripts,
     diagonal_restrict,
     merge_blocks,
+    table_norms,
 )
 from kronchaos.tensor import as_partial
 
@@ -245,6 +250,20 @@ def _runner_args(T, P):
     return (pa.data, positions), shapes
 
 
+def _runs(problems, inits, owner, keys, max_iter, seed=0):
+    """One `_als_runs` call: ``problems`` are the (data, positions) of norms of one block
+    shape signature, start z belongs to norm owner[z], and its stall generator
+    is keyed (seed, keys[z]), so a start keeps its generator in any batch."""
+    mats = [_block_mats(data, positions) for data, positions in problems]
+    data, positions = problems[0]
+    shapes = [tuple(data.shape[p] for p in pos) for pos in positions]
+    stacked = [np.stack([np.asarray(init[r], dtype=np.float64).ravel() for init in inits])
+               for r in range(len(shapes))]
+    return _als_runs([np.stack([m[r] for m in mats]) for r in range(len(shapes))], shapes, stacked,
+                     np.asarray(owner), lambda z: np.random.default_rng((seed, keys[z])),
+                     max_iter, 1e-10)
+
+
 def _als_loop(data, positions, init, rng, max_iter, tol):
     """Reference: the alternating updates of one restart on flattened blocks.
 
@@ -261,7 +280,7 @@ def _als_loop(data, positions, init, rng, max_iter, tol):
 
     def result(value, converged, iterations):
         blocks = tuple(f.reshape(shape) for f, shape in zip(factors, shapes, strict=True))
-        return RestartResult(value, blocks, converged, iterations)
+        return RestartResult(value, blocks, converged, iterations, iterations)
 
     value, prev = 0.0, -np.inf
     for it in range(1, max_iter + 1):
@@ -296,26 +315,32 @@ def _einsum_loop(data, positions, init, rng, max_iter, tol):
             factors[r] = v / nv
             value = nv
         if value - prev <= tol * max(abs(value), 1e-300):
-            return RestartResult(value, tuple(factors), True, it)
+            return RestartResult(value, tuple(factors), True, it, it)
         prev = value
-    return RestartResult(value, tuple(factors), False, max_iter)
+    return RestartResult(value, tuple(factors), False, max_iter, max_iter)
+
+
+def _same_run(a, b):
+    assert (a.value, a.converged, a.iterations) == (b.value, b.converged, b.iterations)
+    for fa, fb in zip(a.factors, b.factors, strict=True):
+        assert fa.shape == fb.shape and fa.tobytes() == fb.tobytes()
 
 
 def _batch_and_one_start_calls(T, P, inits, max_iter, seed=0):
-    """One `_als_runs` call over every start, one call per start and the
-    flattened reference loop per start must agree bit for bit; the einsum
-    reference must reach the same value.  The restart rngs are seeded by
-    index, so every run starts each restart in the same state."""
+    """One `_als_runs` call with every start as a norm of its own, one call
+    per start and the flattened reference loop per start must agree bit for
+    bit; the einsum reference must reach the same value.  The stall
+    generators are seeded by start, so every run starts each restart in the
+    same state."""
     args, _ = _runner_args(T, P)
-    rngs = [np.random.default_rng((seed, i)) for i in range(len(inits))]
-    batch = _als_runs(*args, inits, rngs, max_iter, 1e-10)
+    n = len(inits)
+    batch = _runs([args] * n, inits, range(n), range(n), max_iter, seed)
     for i, (b, init) in enumerate(zip(batch, inits, strict=True)):
-        [a] = _als_runs(*args, [init], [np.random.default_rng((seed, i))], max_iter, 1e-10)
+        [a] = _runs([args], [init], [0], [i], max_iter, seed)
         ref = _als_loop(*args, init, np.random.default_rng((seed, i)), max_iter, 1e-10)
         for run in (a, ref):
-            assert (b.value, b.converged, b.iterations) == (run.value, run.converged, run.iterations)
-            for fb, f in zip(b.factors, run.factors, strict=True):
-                assert fb.shape == f.shape and fb.tobytes() == f.tobytes()
+            _same_run(b, run)
+        assert b.total_iterations == a.total_iterations == b.iterations
         old = _einsum_loop(*args, init, np.random.default_rng((seed, i)), max_iter, 1e-10)
         assert b.value == pytest.approx(old.value, rel=1e-9)
     return batch
@@ -344,6 +369,55 @@ def test_batched_restarts_equal_one_start_calls(shape, P):
     assert any(not r.converged and r.iterations == cap for r in capped)
 
 
+def _stall_array(shape):
+    """e1 (x) ... (x) e1: from a start whose later blocks miss e1, the first update vanishes."""
+    T = np.zeros(shape)
+    T[(0,) * len(shape)] = 1.0
+    return T
+
+
+@pytest.mark.parametrize("max_iter", [500, 6])
+def test_batch_of_norms_equals_one_norm_calls(max_iter):
+    # one signature, block shapes ((2,), (2, 2), (2,)): two partitions of one
+    # reduced array, a partition of another reduced array of the same matrix
+    # (other axis labels), and a norm of e1 (x) e1 (x) e1 (x) e1 whose second
+    # start stalls.  Each norm's best restart, total work included, must be
+    # its one-norm call's, byte for byte.
+    rng = np.random.default_rng(41)
+    A = rearrange_matrix(rng.standard_normal((8, 8)), Dims([2, 2, 2]))
+    B1, B2 = build_reduced_array(A, [1]), build_reduced_array(A, [2])
+    e1, e2 = np.eye(2)
+    members = [(B1, [[2], [3, 5], [6]]), (B1, [[2], [3, 6], [5]]), (B2, [[1], [3, 4], [6]]),
+               (as_partial(_stall_array((2, 2, 2, 2))), [[1], [2, 3], [4]])]
+    problems, inits, owner = [], [], []
+    for y, (B, P) in enumerate(members):
+        args, shapes = _runner_args(B, P)
+        assert shapes == [(2,), (2, 2), (2,)]
+        starts = [_random_factors(shapes, rng) for _ in range(4)]
+        if y == 3:
+            starts.insert(1, [e1, np.outer(e2, e2), e1])
+        problems.append(args)
+        inits += starts
+        owner += [y] * len(starts)
+    keys = range(len(owner))
+    batch = _runs(problems, inits, owner, keys, max_iter)
+    per_start = [_runs([problems[y]], [init], [0], [z], max_iter)[0]
+                 for z, (y, init) in enumerate(zip(owner, inits))]
+    assert per_start[owner.index(3) + 1].total_iterations > 0  # the stalled start ran
+    for y, best in enumerate(batch):
+        mine = [z for z in keys if owner[z] == y]
+        [alone] = _runs([problems[y]], [inits[z] for z in mine], [0] * len(mine), mine, max_iter)
+        _same_run(best, alone)
+        assert best.total_iterations == alone.total_iterations
+        assert best.total_iterations == sum(per_start[z].iterations for z in mine)
+        assert best.total_iterations >= best.iterations
+        # the best restart: highest value, lowest start on a tie
+        winner = max(mine, key=lambda z: (per_start[z].value, -z))
+        _same_run(best, per_start[winner])
+    if max_iter == 6:
+        assert not all(best.converged for best in batch)
+
+
 def test_one_block_restarts_equal_one_start_calls():
     # kappa = 1: the update multiplies the flattened data by a one-entry Khatri-Rao row of ones
     rng = np.random.default_rng(21)
@@ -355,19 +429,103 @@ def test_one_block_restarts_equal_one_start_calls():
 
 
 def test_stalled_restart_rerandomizes_from_its_own_rng():
-    # T = e1 (x) e1 (x) e1: from (e1, e1, e2) the first two block updates vanish
-    T = np.zeros((2, 2, 2))
-    T[0, 0, 0] = 1.0
+    # T = e1 (x) e1 (x) e1: from (e1, e1, e2) the first two block updates vanish.
+    # The stalled start shares a batch with the starts of two other norms.
+    T = _stall_array((2, 2, 2))
     e1, e2 = np.eye(2)
     rng = np.random.default_rng(3)
-    inits = [_random_factors([(2,), (2,), (2,)], rng) for _ in range(4)]
+    P = [[1], [2], [3]]
+    problems = [_runner_args(X, P)[0] for X in (rng.standard_normal((2, 2, 2)), T,
+                                             rng.standard_normal((2, 2, 2)))]
+    inits = [_random_factors([(2,), (2,), (2,)], rng) for _ in range(6)]
     inits.insert(2, [e1, e1, e2])
-    runs = _batch_and_one_start_calls(T, [[1], [2], [3]], inits, max_iter=500)
-    assert runs[2].value == pytest.approx(1.0, rel=1e-12) and runs[2].converged
+    owner = [0, 0, 1, 1, 1, 2, 2]
+    batch = _runs(problems, inits, owner, range(7), 500)
+    [stalled] = _runs([problems[1]], [inits[2]], [0], [2], 500)
+    assert stalled.value == pytest.approx(1.0, rel=1e-12) and stalled.converged
+    for y, best in enumerate(batch):
+        mine = [z for z in range(7) if owner[z] == y]
+        _same_run(best, _runs([problems[y]], [inits[z] for z in mine], [0] * len(mine), mine, 500)[0])
     # the stalled start's draws came from its own rng: another rng moves its factors
+    [other] = _runs([problems[1]], [inits[2]], [0], [99], 500)
+    assert any(f.tobytes() != g.tobytes() for f, g in zip(other.factors, stalled.factors))
+
+
+def test_tied_restarts_keep_the_lowest_start():
+    # each start reaches exactly 1 on e1 (x) e1 (x) e1 in two iterations, with other signs
+    T = _stall_array((2, 2, 2))
+    e1 = np.eye(2)[0]
+    inits = [[e1, e1, e1], [-e1, -e1, e1], [e1, -e1, -e1]]
     args, _ = _runner_args(T, [[1], [2], [3]])
-    [other] = _als_runs(*args, [[e1, e1, e2]], [np.random.default_rng((0, 99))], 500, 1e-10)
-    assert any(f.tobytes() != g.tobytes() for f, g in zip(other.factors, runs[2].factors))
+    for order in ([0, 1, 2], [1, 2, 0], [2, 0, 1]):
+        [best] = _runs([args], [inits[i] for i in order], [0, 0, 0], [0, 1, 2], 500)
+        [first] = _runs([args], [inits[order[0]]], [0], [0], 500)
+        assert best.value == first.value == 1.0
+        _same_run(best, first)
+
+
+def test_stall_generators_continue_each_restarts_start_draw(monkeypatch):
+    # a stalled seeded restart draws on from its generator after the start
+    # draw, in every norm of a batch; the run from `start` has a fresh one
+    captured = []
+
+    def spy(mats, shapes, inits, owner, stall_rng, *args):
+        captured.append((len(owner), stall_rng))
+        return als_runs(mats, shapes, inits, owner, stall_rng, *args)
+
+    als_runs = norms._als_runs
+    monkeypatch.setattr(norms, "_als_runs", spy)
+    rng = np.random.default_rng(17)
+    P, shapes = [[1], [2, 4], [3]], [(2,), (2, 3), (2,)]
+    opts = NormOptions(restarts=3, seed=6)
+    table_norms([rng.standard_normal((2, 2, 2, 3)) for _ in range(2)], [P, P], opts)
+    _als_estimate(as_partial(rng.standard_normal((2, 2, 2, 3))), Partition(P), opts,
+                  start=_random_factors(shapes, rng))
+    [(z_table, table_rng), (z_start, start_rng)] = captured
+    assert (z_table, z_start) == (6, 4)
+    for z in range(6):
+        after_start = _restart_rng(6, z % 3)
+        _random_factors(shapes, after_start)
+        assert table_rng(z).standard_normal(5).tobytes() == after_start.standard_normal(5).tobytes()
+    fresh = np.random.default_rng((6, 0x6E6F726D, 3))
+    assert start_rng(3).standard_normal(5).tobytes() == fresh.standard_normal(5).tobytes()
+
+
+def test_total_iterations_sum_every_seeded_restart():
+    rng = np.random.default_rng(14)
+    T = rng.standard_normal((2, 3, 2, 2))
+    P = Partition([[1, 3], [2], [4]])
+    opts = NormOptions(restarts=5, seed=3)
+    est = tensor_norm(T, P, opts)
+    args, shapes = _runner_args(T, P)
+    runs = [_als_loop(*args, _random_factors(shapes, _restart_rng(3, idx)),
+                      _restart_rng(3, idx, shapes), opts.max_iter, opts.tol)
+            for idx in range(opts.restarts)]
+    assert est.total_iterations == sum(r.iterations for r in runs)
+    assert est.total_iterations >= est.iterations
+    assert est.iterations == max(runs, key=lambda r: r.value).iterations
+
+
+def test_table_norms_equal_tensor_norm_calls():
+    # rows of several signatures and block orders, two arrays, a zero array
+    rng = np.random.default_rng(15)
+    T1, T2 = rng.standard_normal((2, 3, 2, 2)), rng.standard_normal((2, 3, 2, 2))
+    parts = [P for P in all_partitions(range(1, 5)) if P.kappa >= 3]
+    arrays = [T1] * len(parts) + [T2] * len(parts) + [np.zeros((2, 3, 2, 2))]
+    partitions = parts + parts + [parts[0]]
+    opts = NormOptions(restarts=3, seed=2)
+    table = table_norms(arrays, partitions, opts)
+    for B, P, est in zip(arrays, partitions, table, strict=True):
+        one = tensor_norm(B, P, opts, method="als")
+        assert {k: v for k, v in vars(est).items() if k != "factors"} == \
+            {k: v for k, v in vars(one).items() if k != "factors"}
+        assert (est.factors is None) == (one.factors is None)
+        for f, g in zip(est.factors or (), one.factors or (), strict=True):
+            assert f.tobytes() == g.tobytes()
+    bad = T1.copy()
+    bad[0, 0, 0, 0] = np.inf
+    with pytest.raises(ArgumentError, match="non-finite"):
+        table_norms([T1, bad], parts[:2], opts)
 
 
 def test_als_estimate_factors_own_their_data():
