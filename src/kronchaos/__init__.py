@@ -42,7 +42,6 @@ from .norms import (
     NormOptions,
     matricize,
     norm_objective,
-    table_norms,
     tensor_norm,
     verify_diagonal_restriction,
     verify_merge_split,

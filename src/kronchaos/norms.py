@@ -178,41 +178,48 @@ def _block_mats(data: np.ndarray, positions: Sequence[tuple[int, ...]]) -> list[
             for r in range(len(positions))]
 
 
-def _als_runs(mats, shapes, inits, owner, stall_rng, max_iter, tol) -> list[RestartResult]:
+def _als_runs(mats, shapes, inits, owner, restart, stall_rng, max_iter, tol) -> list[RestartResult]:
     """Alternating maximization from every start at once; the best restart of each norm.
 
     A batch holds the restarts of Y norms whose partitions have the same
     ordered block shapes.  ``mats[r]`` stacks the norms' block-r matrices M_r
     (see :func:`_block_mats`) as (Y, m, n_r), ``inits[r]`` holds the Z
-    flattened block-r starts as (Z, n_r), and ``owner`` the norm of each
-    start; one norm's starts come in restart order.  Block r's update is the
-    row-wise Khatri-Rao product of the other flattened factors times the
-    restart's own M_r: one (1, m) @ (m, n_r) product for each restart, whatever
-    else is in the batch, so a restart's result is bit-identical to a
-    one-start call.  A restart leaves the batch once it converges, and each
+    flattened block-r starts as (Z, n_r), ``owner`` the norm of each start,
+    in non-decreasing order, and ``restart`` its restart index.  Block r's
+    update is the row-wise Khatri-Rao product of the other flattened factors
+    times M_r: for each norm, one (1, m) @ (m, n_r) product per live start,
+    whatever else is in the batch, so a restart's result is bit-identical to
+    a one-start call.  A restart leaves the batch once it converges, and each
     norm keeps only its best restart so far: the highest value, then the
-    lowest restart.  A block whose update vanishes is re-randomized from the
-    generator ``stall_rng(z)`` of that start, built at its first stall.
+    lowest restart index.  A block whose update vanishes is re-randomized
+    from the generator ``stall_rng(restart[z])`` of start z, built at its
+    first stall.
     """
     kappa = len(shapes)
-    stack = [m[owner] for m in mats]  # each batch row's own M_r
     factors = list(inits)
     live = np.arange(len(owner))  # start index of each batch row
     value = np.zeros(len(owner))
     prev = np.full(len(owner), -np.inf)
     rngs: dict[int, np.random.Generator] = {}
-    # each norm's ((value, -start), blocks, converged, iterations) so far
+    # each norm's ((value, -restart), blocks, converged, iterations) so far
     best: list[tuple | None] = [None] * len(mats[0])
     total = [0] * len(best)
 
     def leave(rows, converged: bool, iterations: int):
         for i in rows:
-            key, y = (float(value[i]), -live[i]), owner[live[i]]
+            z = live[i]
+            key, y = (float(value[i]), -int(restart[z])), owner[z]
             total[y] += iterations
             if best[y] is None or key > best[y][0]:
                 blocks = tuple(f[i].reshape(shape).copy() for f, shape in zip(factors, shapes))
                 best[y] = (key, blocks, converged, iterations)
 
+    def spans():
+        """(norm, first row, end row) of each norm with live rows: starts stay in owner order."""
+        ends = np.searchsorted(owner[live], np.arange(len(best) + 1))
+        return [(y, a, b) for y, (a, b) in enumerate(zip(ends[:-1], ends[1:])) if b > a]
+
+    runs = spans()
     iterations = 0
     while iterations < max_iter and len(live):
         iterations += 1
@@ -221,9 +228,11 @@ def _als_runs(mats, shapes, inits, owner, stall_rng, max_iter, tol) -> list[Rest
             K = others[0]
             for f in others[1:]:
                 K = (K[:, :, None] * f[:, None, :]).reshape(len(live), -1)
-            # a stack of one-row products: the rows of one (Z, m) @ (m, n_r) gemm
+            # stacks of one-row products: the rows of one (Z, m) @ (m, n_r) gemm
             # can depend on the other rows, which would tie a restart to the batch
-            v = np.matmul(K[:, None, :], stack[r])[:, 0]
+            v = np.empty((len(live), mats[r].shape[2]))
+            for y, a, b in runs:
+                np.matmul(K[a:b, None, :], mats[r][y], out=v[a:b, None, :])
             nv = np.sqrt((v * v).sum(axis=1))
             stalled = nv == 0.0
             v /= np.where(stalled, 1.0, nv)[:, None]
@@ -231,7 +240,7 @@ def _als_runs(mats, shapes, inits, owner, stall_rng, max_iter, tol) -> list[Rest
                 for i in np.flatnonzero(stalled):
                     z = int(live[i])
                     if z not in rngs:
-                        rngs[z] = stall_rng(z)
+                        rngs[z] = stall_rng(int(restart[z]))
                     v[i] = _random_factors([shapes[r]], rngs[z])[0].ravel()
                 nv = np.where(stalled, value, nv)
             factors[r] = v
@@ -241,7 +250,7 @@ def _als_runs(mats, shapes, inits, owner, stall_rng, max_iter, tol) -> list[Rest
             leave(np.flatnonzero(done), True, iterations)
             live, value = live[~done], value[~done]
             factors = [f[~done] for f in factors]
-            stack = [s[~done] for s in stack]
+            runs = spans()
         prev = value
     leave(range(len(live)), False, iterations)
     return [RestartResult(key[0], blocks, converged, iterations, t)
@@ -252,10 +261,11 @@ def _als_batches(pas: Sequence[PartialArray], Ps: Sequence[Partition], opts: Nor
                  start: Sequence[np.ndarray] | None = None) -> list[NormEstimate]:
     """ALS estimates of norms whose partitions have the same ordered block shapes.
 
-    Every norm runs from the same ``opts.restarts`` seeded starts, drawn once
-    here, plus one run from ``start`` under the next restart index when given.
-    The norms run in batches of whole norms, at most ``_ALS_BATCH`` restarts
-    (at least one norm) each.
+    Each estimate is the certified lower bound set by the best of the same
+    ``opts.restarts`` seeded starts, drawn once here, plus one run from
+    ``start`` under the next restart index when given.  The norms run in
+    batches of whole norms, at most ``_ALS_BATCH`` restarts (at least one
+    norm) each.
     """
     positions = [_block_positions(pa, P) for pa, P in zip(pas, Ps)]
     shapes = [tuple(pas[0].sizes[p] for p in pos) for pos in positions[0]]
@@ -266,8 +276,7 @@ def _als_batches(pas: Sequence[PartialArray], Ps: Sequence[Partition], opts: Nor
     inits = [np.stack([np.asarray(s[r], dtype=np.float64).ravel() for s in starts])
              for r in range(len(shapes))]
 
-    def stall_rng(z: int) -> np.random.Generator:
-        idx = z % R  # a batch holds whole norms, each with its R starts in order
+    def stall_rng(idx: int) -> np.random.Generator:
         return _restart_rng(opts.seed, idx, shapes if idx < opts.restarts else None)
 
     per_batch = max(1, _ALS_BATCH // R)
@@ -277,7 +286,8 @@ def _als_batches(pas: Sequence[PartialArray], Ps: Sequence[Partition], opts: Nor
         block_mats = [_block_mats(pas[y].data, positions[y]) for y in rows]
         mats = [np.stack([m[r] for m in block_mats]) for r in range(len(shapes))]
         best = _als_runs(mats, shapes, [np.tile(f, (len(rows), 1)) for f in inits],
-                         np.repeat(np.arange(len(rows)), R), stall_rng, opts.max_iter, opts.tol)
+                         np.repeat(np.arange(len(rows)), R), np.tile(np.arange(R), len(rows)),
+                         stall_rng, opts.max_iter, opts.tol)
         for y, b in zip(rows, best):
             est = NormEstimate(b.value, "als", Ps[y], restarts_used=R, certified_lower_bound=True,
                                converged=b.converged, iterations=b.iterations,
@@ -286,15 +296,6 @@ def _als_batches(pas: Sequence[PartialArray], Ps: Sequence[Partition], opts: Nor
                 est.warnings.append(f"als did not converge within {opts.max_iter} iterations")
             out.append(est)
     return out
-
-
-def _als_estimate(pa: PartialArray, P: Partition, opts: NormOptions,
-                  start: Sequence[np.ndarray] | None = None) -> NormEstimate:
-    """The certified lower bound set by the best of ``opts.restarts`` seeded
-    random restarts, plus one run from ``start`` under the next restart index
-    when given."""
-    [est] = _als_batches([pa], [P], opts, start)
-    return est
 
 
 def _check_finite(pa: PartialArray) -> None:
@@ -354,7 +355,7 @@ def tensor_norm(B: ArrayLike, P, opts: NormOptions | None = None, method: str | 
         )
 
     if method == "als":
-        return _als_estimate(pa, P, opts)
+        return _als_batches([pa], [P], opts)[0]
     if kappa == 1:
         value = frobenius(pa)
         return NormEstimate(
@@ -373,7 +374,7 @@ def tensor_norm(B: ArrayLike, P, opts: NormOptions | None = None, method: str | 
             partition=P,
             factors=(u[:, 0].reshape(shapes[0]), vt[0].reshape(shapes[1])),
         )
-    return _als_estimate(pa, P, opts)
+    return _als_batches([pa], [P], opts)[0]
 
 
 def merge_blocks(P: Partition, i: int, j: int) -> Partition:
@@ -513,8 +514,8 @@ def verify_diagonal_restriction(A: PartialArray, I: Iterable[int], P,
     if lhs.value > rhs.value * (1.0 + slack) and rhs.method == "als" and lhs.factors is not None:
         # the restricted optimizer is a feasible point for the full array too
         retried = True
-        rhs = _als_estimate(A, rhs.partition, replace(opts, restarts=2 * opts.restarts),
-                            start=lhs.factors)
+        [rhs] = _als_batches([A], [rhs.partition], replace(opts, restarts=2 * opts.restarts),
+                             start=lhs.factors)
     return DiagonalRestrictionReport(
         restricted_value=lhs.value,
         full_value=rhs.value,

@@ -473,6 +473,7 @@ import json, sys
 import numpy as np
 from kronchaos import *
 from kronchaos.bounds import compute_bound_report, gram_norm_table, tail_regimes_ax
+from kronchaos.norms import table_norms
 DIMS = Dims([2, 2])
 for bad in (np.inf, -np.inf, np.nan):
     A = np.eye(4)

@@ -2,6 +2,7 @@
 merge/split and diagonal-restriction inequality harnesses."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from kronchaos import norms
 from kronchaos.bounds import build_reduced_array
 from kronchaos.norms import (
     RestartResult,
-    _als_estimate,
+    _als_batches,
     _als_runs,
     _block_mats,
     _block_positions,
@@ -227,7 +228,7 @@ def test_als_start_runs_after_the_seeded_restarts():
     opts = NormOptions(restarts=4, seed=7)
     best = tensor_norm(T, P, OPTS)
     seeded = tensor_norm(T, P, opts)
-    est = _als_estimate(as_partial(T), P, opts, start=best.factors)
+    [est] = _als_batches([as_partial(T)], [P], opts, start=best.factors)
     assert est.restarts_used == 5
     assert est.value >= max(seeded.value, best.value * (1 - 1e-12))
 
@@ -252,16 +253,17 @@ def _runner_args(T, P):
 
 def _runs(problems, inits, owner, keys, max_iter, seed=0):
     """One `_als_runs` call: ``problems`` are the (data, positions) of norms of one block
-    shape signature, start z belongs to norm owner[z], and its stall generator
-    is keyed (seed, keys[z]), so a start keeps its generator in any batch."""
+    shape signature, start z belongs to norm owner[z] and has restart index
+    keys[z], and its stall generator is keyed (seed, keys[z]), so a start
+    keeps its generator in any batch."""
     mats = [_block_mats(data, positions) for data, positions in problems]
     data, positions = problems[0]
     shapes = [tuple(data.shape[p] for p in pos) for pos in positions]
     stacked = [np.stack([np.asarray(init[r], dtype=np.float64).ravel() for init in inits])
                for r in range(len(shapes))]
     return _als_runs([np.stack([m[r] for m in mats]) for r in range(len(shapes))], shapes, stacked,
-                     np.asarray(owner), lambda z: np.random.default_rng((seed, keys[z])),
-                     max_iter, 1e-10)
+                     np.asarray(owner), np.asarray(keys),
+                     lambda key: np.random.default_rng((seed, key)), max_iter, 1e-10)
 
 
 def _als_loop(data, positions, init, rng, max_iter, tol):
@@ -469,9 +471,9 @@ def test_stall_generators_continue_each_restarts_start_draw(monkeypatch):
     # draw, in every norm of a batch; the run from `start` has a fresh one
     captured = []
 
-    def spy(mats, shapes, inits, owner, stall_rng, *args):
-        captured.append((len(owner), stall_rng))
-        return als_runs(mats, shapes, inits, owner, stall_rng, *args)
+    def spy(mats, shapes, inits, owner, restart, stall_rng, *args):
+        captured.append((list(owner), list(restart), stall_rng))
+        return als_runs(mats, shapes, inits, owner, restart, stall_rng, *args)
 
     als_runs = norms._als_runs
     monkeypatch.setattr(norms, "_als_runs", spy)
@@ -479,14 +481,14 @@ def test_stall_generators_continue_each_restarts_start_draw(monkeypatch):
     P, shapes = [[1], [2, 4], [3]], [(2,), (2, 3), (2,)]
     opts = NormOptions(restarts=3, seed=6)
     table_norms([rng.standard_normal((2, 2, 2, 3)) for _ in range(2)], [P, P], opts)
-    _als_estimate(as_partial(rng.standard_normal((2, 2, 2, 3))), Partition(P), opts,
-                  start=_random_factors(shapes, rng))
-    [(z_table, table_rng), (z_start, start_rng)] = captured
-    assert (z_table, z_start) == (6, 4)
-    for z in range(6):
-        after_start = _restart_rng(6, z % 3)
+    _als_batches([as_partial(rng.standard_normal((2, 2, 2, 3)))], [Partition(P)], opts,
+                 start=_random_factors(shapes, rng))
+    [(owner, restart, table_rng), (_, start_restart, start_rng)] = captured
+    assert (owner, restart, start_restart) == ([0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 1, 2], [0, 1, 2, 3])
+    for idx in range(3):
+        after_start = _restart_rng(6, idx)
         _random_factors(shapes, after_start)
-        assert table_rng(z).standard_normal(5).tobytes() == after_start.standard_normal(5).tobytes()
+        assert table_rng(idx).standard_normal(5).tobytes() == after_start.standard_normal(5).tobytes()
     fresh = np.random.default_rng((6, 0x6E6F726D, 3))
     assert start_rng(3).standard_normal(5).tobytes() == fresh.standard_normal(5).tobytes()
 
@@ -528,13 +530,29 @@ def test_table_norms_equal_tensor_norm_calls():
         table_norms([T1, bad], parts[:2], opts)
 
 
+def test_table_batch_memory_stays_below_one_data_copy_per_start():
+    # 8 norms of (6,6) order-4 data at 32 restarts: one batch of Z = 256 starts.
+    # Copying each start's own block matrices would hold Z * N doubles per block.
+    rng = np.random.default_rng(23)
+    arrays = [rearrange_matrix(rng.standard_normal((36, 36)), Dims([6, 6])) for _ in range(8)]
+    opts = NormOptions(restarts=32, seed=1)
+    assert len(arrays) * opts.restarts == norms._ALS_BATCH
+    tracemalloc.start()
+    try:
+        table_norms(arrays, [[[1], [2], [3, 4]]] * len(arrays), opts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < norms._ALS_BATCH * 6 ** 4 * 8
+
+
 def test_als_estimate_factors_own_their_data():
     rng = np.random.default_rng(13)
     T = rng.standard_normal((2, 3, 2))
     P = Partition([[1], [2], [3]])
     estimates = [
         tensor_norm(T, P, OPTS),
-        _als_estimate(as_partial(T), P, NormOptions(restarts=3),
+        *_als_batches([as_partial(T)], [P], NormOptions(restarts=3),
                       start=[np.ones(2) / np.sqrt(2), np.ones(3) / np.sqrt(3), np.ones(2) / np.sqrt(2)]),
     ]
     for est in estimates:
