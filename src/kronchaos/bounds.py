@@ -125,27 +125,23 @@ def _partition_rows(arrays: Sequence[tuple[tuple[int, ...], PartialArray]],
     """Norms of each (I, B) array over every partition of its axes, array by
     array, by increasing block count.
 
-    The exact rows (kappa <= 2) are computed one by one.  The ALS rows of
-    every array go through one :func:`norms.table_norms` call, which runs the
-    rows with the same ordered block shapes as one restart batch, so rows of
-    different arrays and partitions share a batch.
+    Every row goes through one :func:`norms.table_norms` call, which computes
+    the kappa <= 2 rows exactly and runs the ALS rows with the same ordered
+    block shapes as one restart batch, so rows of different arrays and
+    partitions share a batch.
     """
     keys = [(I, B, P) for I, B in arrays
             for kappa in range(1, B.order + 1) for P in partitions_into(B.axes, kappa)]
-    als = [(B, P) for _, B, P in keys if P.kappa >= 3]
-    als_estimates = iter(table_norms([B for B, _ in als], [P for _, P in als], opts))
-    return [NormTableRow(I, P, next(als_estimates) if P.kappa >= 3 else tensor_norm(B, P, opts))
-            for I, B, P in keys]
+    estimates = table_norms([B for _, B, _ in keys], [P for _, _, P in keys], opts)
+    return [NormTableRow(I, P, est) for (I, _, P), est in zip(keys, estimates, strict=True)]
 
 
-def mp_decoupled(B: ArrayLike, p: float, opts: NormOptions | None = None,
-                 table: list[NormTableRow] | None = None) -> float:
+def mp_decoupled(B: ArrayLike, p: float, opts: NormOptions | None = None) -> float:
     """Decoupled-chaos moment functional: sum of p^(kappa/2) partition norms
     of an order-d array over every partition of its axes."""
     if p < 1:
         raise ArgumentError(f"p = {p} must be >= 1")
-    if table is None:
-        table = _partition_rows([((), as_partial(B))], opts or DEFAULT_OPTIONS)
+    table = _partition_rows([((), as_partial(B))], opts or DEFAULT_OPTIONS)
     return sum(p ** (row.kappa / 2.0) * row.value for row in table)
 
 
@@ -176,8 +172,9 @@ def _kappa_sums(rows: Sequence[NormTableRow], d: int) -> dict[int, float]:
 def main_norm_table(A: PartialArray, opts: NormOptions | None = None) -> list[NormTableRow]:
     """Norms of every reduced array over every partition of its surviving axes.
 
-    The ALS rows of all the reduced arrays run together, one restart batch
-    per ordered tuple of block shapes (see :func:`_partition_rows`).
+    The whole table is one :func:`norms.table_norms` call: the ALS rows of
+    all the reduced arrays run together, one restart batch per ordered tuple
+    of block shapes (see :func:`_partition_rows`).
     """
     d = doubled_order(A)
     reduced = [(I, build_reduced_array(A, I)) for I in subsets(range(1, d + 1)) if len(I) < d]

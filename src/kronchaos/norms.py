@@ -6,13 +6,16 @@ partition block.  kappa = 1 is the Frobenius norm, kappa = 2 the spectral
 norm of a matricization; both are computed exactly.  For kappa >= 3 the
 supremum is NP-hard in general and is estimated by alternating maximization
 (higher-order power method) over seeded random restarts; such values are
-certified lower bounds, never exact.  Restarts run as one batch on a leading
-axis.  A batch holds the restarts of one norm (:func:`tensor_norm`) or of
-several norms whose partitions have the same ordered block shapes
-(:func:`table_norms`, which a norm table uses), every norm from the same
-seeded starts.  Each partition block is flattened to one axis, and each
-restart's block update is one matrix product of a fixed shape against its
-own norm's data, so a restart's result is bit-identical to a one-start call.
+certified lower bounds, never exact.
+
+:func:`table_norms` is the one evaluator: it checks every (array, partition)
+pair, then picks the method by kappa; :func:`tensor_norm` is its one-pair
+case.  ALS restarts run as one batch on a leading axis, and a batch holds the
+restarts of several norms whose partitions have the same ordered block
+shapes, every norm from the same seeded starts.  Each partition block is
+flattened to one axis, and each restart's block update is one matrix product
+of a fixed shape against its own norm's data, so a restart's result is
+bit-identical to a one-start call, and a norm's to a one-norm call.
 """
 
 from __future__ import annotations
@@ -30,15 +33,16 @@ from .tensor import _LETTERS, ArrayLike, PartialArray, as_partial, doubled_order
 
 @dataclass(frozen=True)
 class NormOptions:
-    """Knobs for the iterative norm estimators.
+    """Knobs for the ALS estimator of the kappa >= 3 norms.
 
     ``restarts``, ``max_iter``, ``tol`` and ``seed`` change the estimated
-    values, so every report config records them.  Restart idx of every norm
-    starts from the draw of ``default_rng((seed, 0x6E6F726D, idx))``.  Norms
-    whose partitions have the same ordered block shapes therefore share their
-    starts, and a norm table runs them in one thread, in batches of whole
-    norms of at most ``_ALS_BATCH`` restarts (a module constant, not an
-    option); no batch changes a value.  ``threads`` changes nothing.  It stays
+    values, so every report config records them; the exact kappa <= 2 norms
+    ignore them.  Restart idx of every norm starts from the draw of
+    ``default_rng((seed, 0x6E6F726D, idx))``.  Norms whose partitions have the
+    same ordered block shapes therefore share their starts, and
+    :func:`table_norms` runs them in one thread, in batches of whole norms of
+    at most ``_ALS_BATCH`` restarts (a module constant, not an option); no
+    batch changes a value.  ``threads`` changes nothing.  It stays
     only because the benchmark's job configs pass it and the golden
     ``bounds`` configs record it, and it goes with the next change to the
     benchmark.
@@ -102,6 +106,9 @@ def _coerce_partition(pa: PartialArray, P) -> Partition:
         P = Partition(P)
     if set(P.ground) != set(pa.axes):
         raise AxisSetError(f"partition ground {P.ground} does not match array axes {pa.axes}")
+    if P.kappa == 0:
+        # a scalar's only partition has no block, and no norm
+        raise ArgumentError("a partition norm needs at least one block")
     return P
 
 
@@ -306,75 +313,47 @@ def _check_finite(pa: PartialArray) -> None:
 
 def table_norms(arrays: Sequence[ArrayLike], partitions: Sequence, opts: NormOptions | None = None
                 ) -> list[NormEstimate]:
-    """ALS estimates of many partition norms, one per (array, partition) pair.
+    """Partition norms, one per (array, partition) pair, exact where possible.
 
-    Each estimate equals ``tensor_norm(B, P, opts, method="als")`` bit for bit.
-    The pairs whose partitions have the same ordered block shapes run their
-    restarts together, as batches of :func:`_als_runs`; reordering the blocks
-    would reorder the updates, so only the ordered shapes are grouped.
+    Every pair is checked before any norm is computed.  A zero array has norm
+    0 at every kappa, with no factors and no certificate.  kappa = 1 is the
+    Frobenius norm, kappa = 2 the largest singular value of the
+    matricization.  The kappa >= 3 pairs whose partitions have the same
+    ordered block shapes run their restarts together, as batches of
+    :func:`_als_runs`; reordering the blocks would reorder the updates, so
+    only the ordered shapes are grouped.  Each ALS estimate equals the
+    one-norm ``_als_batches([B], [P], opts)[0]`` bit for bit.
     """
     opts = opts or DEFAULT_OPTIONS
     pas = [as_partial(B) for B in arrays]
     Ps = [_coerce_partition(pa, P) for pa, P in zip(pas, partitions, strict=True)]
+    for pa in pas:
+        _check_finite(pa)
     out: list[NormEstimate | None] = [None] * len(pas)
     groups: dict[tuple, list[int]] = {}
     for i, (pa, P) in enumerate(zip(pas, Ps)):
-        _check_finite(pa)
-        if np.any(pa.data):
-            groups.setdefault(tuple(tuple(pa.size(a) for a in b) for b in P.blocks), []).append(i)
+        if not np.any(pa.data):
+            method = "frobenius-exact" if P.kappa == 1 else "spectral-exact" if P.kappa == 2 else "als"
+            out[i] = NormEstimate(0.0, method, P)
+        elif P.kappa == 1:
+            value = frobenius(pa)
+            out[i] = NormEstimate(value, "frobenius-exact", P, factors=(pa.data / value,))
+        elif P.kappa == 2:
+            u, s, vt = np.linalg.svd(matricize(pa, *P.blocks))
+            row_shape, col_shape = [tuple(pa.size(a) for a in block) for block in P.blocks]
+            out[i] = NormEstimate(float(s[0]), "spectral-exact", P,
+                                  factors=(u[:, 0].reshape(row_shape), vt[0].reshape(col_shape)))
         else:
-            out[i] = tensor_norm(pa, P, opts, method="als")
+            groups.setdefault(tuple(tuple(pa.size(a) for a in b) for b in P.blocks), []).append(i)
     for rows in groups.values():
         for i, est in zip(rows, _als_batches([pas[i] for i in rows], [Ps[i] for i in rows], opts)):
             out[i] = est
     return out
 
 
-def tensor_norm(B: ArrayLike, P, opts: NormOptions | None = None, method: str | None = None) -> NormEstimate:
-    """Partition norm of B, exact where possible.
-
-    ``method`` may force "als"; by default kappa = 1 uses the Frobenius norm,
-    kappa = 2 the largest singular value of the matricization, and kappa >= 3
-    alternating maximization with restarts.
-    """
-    if method not in (None, "als"):
-        raise ArgumentError(f"unknown method {method!r}")
-    opts = opts or DEFAULT_OPTIONS
-    pa = as_partial(B)
-    _check_finite(pa)
-    P = _coerce_partition(pa, P)
-    kappa = P.kappa
-
-    if not np.any(pa.data):
-        return NormEstimate(
-            value=0.0,
-            method=method or ("frobenius-exact" if kappa == 1 else "spectral-exact" if kappa == 2 else "als"),
-            partition=P,
-            certified_lower_bound=False,
-            factors=None,
-        )
-
-    if method == "als":
-        return _als_batches([pa], [P], opts)[0]
-    if kappa == 1:
-        value = frobenius(pa)
-        return NormEstimate(
-            value=value,
-            method="frobenius-exact",
-            partition=P,
-            factors=(pa.data / value,),
-        )
-    if kappa == 2:
-        M = matricize(pa, P.blocks[0], P.blocks[1])
-        u, s, vt = np.linalg.svd(M)
-        shapes = [tuple(pa.size(a) for a in block) for block in P.blocks]
-        return NormEstimate(
-            value=float(s[0]),
-            method="spectral-exact",
-            partition=P,
-            factors=(u[:, 0].reshape(shapes[0]), vt[0].reshape(shapes[1])),
-        )
-    return _als_batches([pa], [P], opts)[0]
+def tensor_norm(B: ArrayLike, P, opts: NormOptions | None = None) -> NormEstimate:
+    """Partition norm of B: the one-pair case of :func:`table_norms`."""
+    return table_norms([B], [P], opts)[0]
 
 
 def merge_blocks(P: Partition, i: int, j: int) -> Partition:

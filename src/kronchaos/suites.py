@@ -379,17 +379,17 @@ def verify_main_lower(A: np.ndarray, dims: Dims, p_grid: Sequence[float] = (2.0,
 
 
 def _tail_fit(config: dict, batch: SampleBatch, t_grid: list[float], log_prefactor: float,
-              exponent: Callable[[float], tuple[float, dict]],
+              exponents: list[tuple[float, dict]],
               bound: Callable[[float, float], dict], cap: float | None) -> dict:
     """Fit the largest c with exp(log_prefactor - c e(t)) above every empirical
     upper confidence limit, capped at ``cap``, and check that the bound at that
-    c dominates.  ``exponent(t)`` gives e(t) and its row fields, ``bound(t, c)``
-    the row fields of the bound, "bound" among them."""
+    c dominates.  ``exponents`` holds e(t) and its row fields for each t of
+    the grid, ``bound(t, c)`` gives the row fields of the bound, "bound"
+    among them."""
     fitted = math.inf
     rows = []
-    for t in t_grid:
+    for t, (e, fields) in zip(t_grid, exponents, strict=True):
         freq = estimate_tail(batch, t)
-        e, fields = exponent(t)
         if freq.ci_high > 0.0 and e > 0.0:
             fitted = min(fitted, (log_prefactor - math.log(freq.ci_high)) / e)
         rows.append({"t": t, "frequency": freq.frequency, "ci_high": freq.ci_high, **fields})
@@ -431,13 +431,12 @@ def verify_ax_tail(A: np.ndarray, dims: Dims, dist: DistributionSpec,
     _check_samples("ax-tail", S)
     t_grid = _check_tail_args(t_grid, "C_d", C_d)
     A = _finite_input("ax-tail", A)
+    # the exponents check A and dims, so no sample is drawn for a bad input
+    exponents = [(max(exps.values()), {"exponents": exps})
+                 for exps in (tail_regimes_ax(A, dims, t) for t in t_grid)]
     base = _STREAMS["ax-tail"]
     batch = sampled_statistics([FactorSampler(dims, dist, seed, base)], S,
                                lambda mats: norm_batch(A, mats))
-
-    def exponent(t: float) -> tuple[float, dict]:
-        exps = tail_regimes_ax(A, dims, t)
-        return max(exps.values()), {"exponents": exps}
 
     def bound(t: float, c: float) -> dict:
         tb = tail_bound_ax(A, dims, t, c)
@@ -445,7 +444,7 @@ def verify_ax_tail(A: np.ndarray, dims: Dims, dist: DistributionSpec,
 
     config = _config("ax-tail", seed=int(seed), S=S, dims=list(dims.sizes),
                      dist=dist.label, t_grid=t_grid, C_d=C_d, input_sha256=array_digest(A))
-    return _tail_fit(config, batch, t_grid, 2.0, exponent, bound, C_d)
+    return _tail_fit(config, batch, t_grid, 2.0, exponents, bound, C_d)
 
 
 def verify_hanson_wright(A: np.ndarray, dist: DistributionSpec,
@@ -460,16 +459,14 @@ def verify_hanson_wright(A: np.ndarray, dist: DistributionSpec,
     dims = Dims([A.shape[0]])
     base = _STREAMS["hanson-wright"]
     K = dist.psi2_bound
+    # the exponents check A, so no sample is drawn for a zero matrix
+    exponents = [(e, {"exponent": e}) for e in (hanson_wright_exponent(A, K, t) for t in t_grid)]
     batch = sampled_statistics([FactorSampler(dims, dist, seed, base)], S,
                                lambda mats: chaos_batch(A, mats))
 
-    def exponent(t: float) -> tuple[float, dict]:
-        e = hanson_wright_exponent(A, K, t)
-        return e, {"exponent": e}
-
     config = _config("hanson-wright", seed=int(seed), S=S, n=A.shape[0],
                      dist=dist.label, t_grid=t_grid, K=K, c=c, input_sha256=array_digest(A))
-    return _tail_fit(config, batch, t_grid, math.log(2.0), exponent,
+    return _tail_fit(config, batch, t_grid, math.log(2.0), exponents,
                      lambda t, c_fit: {"bound": tail_bound_hanson_wright(A, t, K, c_fit)}, c)
 
 

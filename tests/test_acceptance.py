@@ -16,6 +16,7 @@ import pytest
 from kronchaos import (
     Dims,
     NormOptions,
+    Partition,
     all_partitions,
     check_gram_norm_bounds,
     distribution,
@@ -24,7 +25,6 @@ from kronchaos import (
     matricize,
     rearrange_matrix,
     run_identity_suite,
-    tensor_norm,
     verify_ax_tail,
     verify_decoupling,
     verify_diagonal_restriction,
@@ -34,10 +34,12 @@ from kronchaos import (
     verify_merge_split,
     verify_reduction_lift,
 )
+from kronchaos import norms
 from kronchaos.bounds import build_reduced_array
 from kronchaos.cli import main as cli_main
 from kronchaos.montecarlo import FactorSampler, SampleBatch, chaos_batch
 from kronchaos.partitions import partitions_into
+from kronchaos.tensor import as_partial
 
 GAUSS = distribution("gaussian")
 RADEMACHER = distribution("rademacher")
@@ -73,7 +75,7 @@ def test_acceptance_2_norm_suite():
         rows = sorted(rng.choice([1, 2, 3], size=1, replace=False).tolist())
         cols = [a for a in (1, 2, 3) if a not in rows]
         exact = float(np.linalg.svd(matricize(T, rows, cols), compute_uv=False)[0])
-        als = tensor_norm(T, [rows, cols], tight, method="als").value
+        als = norms._als_batches([as_partial(T)], [Partition([rows, cols])], tight)[0].value
         worst_svd = max(worst_svd, abs(als - exact) / exact)
     assert worst_svd <= 1e-8, worst_svd
 

@@ -336,6 +336,27 @@ def test_main_norm_table_runs_one_als_batch_per_signature(monkeypatch):
         min(per_batch, n - b0) for n in groups.values() for b0 in range(0, n, per_batch))
 
 
+def test_main_norm_table_is_one_table_norms_call(monkeypatch):
+    # every row, exact and ALS alike, goes through one table_norms call
+    A = rearrange_matrix(np.random.default_rng(17).standard_normal((4, 4)), Dims([2, 2]))
+    calls = []
+
+    def counted(arrays, partitions, opts):
+        calls.append([P.kappa for P in partitions])
+        return table_norms(arrays, partitions, opts)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a norm table row went through tensor_norm")
+
+    table_norms = norms.table_norms
+    monkeypatch.setattr(bounds, "table_norms", counted)
+    monkeypatch.setattr(bounds, "tensor_norm", refuse)
+    monkeypatch.setattr(norms, "tensor_norm", refuse)
+    table = main_norm_table(A, OPTS)
+    assert calls == [[row.kappa for row in table]]
+    assert {1, 2, 3, 4} <= set(calls[0])
+
+
 @pytest.mark.parametrize("seed", [3, 8])
 def test_main_norm_table_equals_tensor_norm_per_row(seed):
     A = rearrange_matrix(np.random.default_rng(seed).standard_normal((8, 8)), Dims([2, 2, 2]))

@@ -149,21 +149,23 @@ def test_forced_als_matches_svd_kappa2():
     for _ in range(10):
         T = rng.standard_normal((6, 6))
         exact = np.linalg.svd(T, compute_uv=False)[0]
-        als = tensor_norm(T, [[1], [2]], OPTS, method="als")
+        als = _als_batches([as_partial(T)], [Partition([[1], [2]])], OPTS)[0]
         assert als.value == pytest.approx(exact, rel=1e-6)
         assert als.method == "als"
-
-
-@pytest.mark.parametrize("method", ["brute-force", "bogus"])
-@pytest.mark.parametrize("T", [np.zeros((2, 2, 2)), np.ones((2, 2, 2))], ids=["zero", "ones"])
-def test_unknown_method_rejected(method, T):
-    with pytest.raises(ArgumentError, match="unknown method"):
-        tensor_norm(T, [[1], [2], [3]], method=method)
 
 
 def test_partition_must_cover_axes():
     with pytest.raises(AxisSetError):
         tensor_norm(np.ones((2, 2)), [[1]])
+
+
+@pytest.mark.parametrize("value", [3.0, 0.0])
+def test_partition_without_a_block_rejected(value):
+    # a scalar's only partition has no block: no norm, and no method to name
+    with pytest.raises(ArgumentError, match="at least one block"):
+        tensor_norm(np.array(value), [])
+    with pytest.raises(ArgumentError, match="at least one block"):
+        table_norms([np.ones(2), np.array(value)], [[[1]], []])
 
 
 def test_homogeneity():
@@ -426,7 +428,7 @@ def test_one_block_restarts_equal_one_start_calls():
     T = rng.standard_normal((2, 3, 2))
     inits = [_random_factors([T.shape], rng) for _ in range(4)]
     _batch_and_one_start_calls(T, [[1, 2, 3]], inits, max_iter=500)
-    est = tensor_norm(T, [[1, 2, 3]], OPTS, method="als")
+    est = _als_batches([as_partial(T)], [Partition([[1, 2, 3]])], OPTS)[0]
     assert est.value == pytest.approx(frobenius(T), rel=1e-12)
 
 
@@ -508,22 +510,42 @@ def test_total_iterations_sum_every_seeded_restart():
     assert est.iterations == max(runs, key=lambda r: r.value).iterations
 
 
+def _same_estimate(est, one):
+    assert {k: v for k, v in vars(est).items() if k != "factors"} == \
+        {k: v for k, v in vars(one).items() if k != "factors"}
+    assert (est.factors is None) == (one.factors is None)
+    for f, g in zip(est.factors or (), one.factors or (), strict=True):
+        assert f.tobytes() == g.tobytes()
+
+
 def test_table_norms_equal_tensor_norm_calls():
-    # rows of several signatures and block orders, two arrays, a zero array
+    # one mixed table: kappa 1-4 rows of two arrays, block orders and
+    # signatures mixed, and a zero array at every kappa
     rng = np.random.default_rng(15)
     T1, T2 = rng.standard_normal((2, 3, 2, 2)), rng.standard_normal((2, 3, 2, 2))
-    parts = [P for P in all_partitions(range(1, 5)) if P.kappa >= 3]
-    arrays = [T1] * len(parts) + [T2] * len(parts) + [np.zeros((2, 3, 2, 2))]
-    partitions = parts + parts + [parts[0]]
+    zero = np.zeros((2, 3, 2, 2))
+    parts = list(all_partitions(range(1, 5)))
+    assert {P.kappa for P in parts} == {1, 2, 3, 4}
+    arrays = [T1] * len(parts) + [T2] * len(parts) + [zero] * len(parts)
+    partitions = parts * 3
     opts = NormOptions(restarts=3, seed=2)
     table = table_norms(arrays, partitions, opts)
     for B, P, est in zip(arrays, partitions, table, strict=True):
-        one = tensor_norm(B, P, opts, method="als")
-        assert {k: v for k, v in vars(est).items() if k != "factors"} == \
-            {k: v for k, v in vars(one).items() if k != "factors"}
-        assert (est.factors is None) == (one.factors is None)
-        for f, g in zip(est.factors or (), one.factors or (), strict=True):
-            assert f.tobytes() == g.tobytes()
+        assert est.partition == P
+        _same_estimate(est, tensor_norm(B, P, opts))
+        if B is zero:
+            method = {1: "frobenius-exact", 2: "spectral-exact"}.get(P.kappa, "als")
+            _same_estimate(est, norms.NormEstimate(0.0, method, P))
+        elif P.kappa == 1:
+            # frobenius sums the squares in another order than np.linalg.norm
+            assert est.value == pytest.approx(np.linalg.norm(B), rel=1e-15)
+            assert est.method == "frobenius-exact" and not est.certified_lower_bound
+        elif P.kappa == 2:
+            exact = np.linalg.svd(matricize(B, *P.blocks), compute_uv=False)[0]
+            assert est.value == pytest.approx(exact, rel=1e-15)
+            assert est.method == "spectral-exact" and not est.certified_lower_bound
+        else:
+            _same_estimate(est, _als_batches([as_partial(B)], [P], opts)[0])
     bad = T1.copy()
     bad[0, 0, 0, 0] = np.inf
     with pytest.raises(ArgumentError, match="non-finite"):

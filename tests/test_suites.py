@@ -22,7 +22,7 @@ from kronchaos import (
 )
 from kronchaos import montecarlo, suites
 from kronchaos.montecarlo import EmpiricalMoment
-from kronchaos.errors import ArgumentError, PreconditionError
+from kronchaos.errors import ArgumentError, DegenerateInputError, PreconditionError
 from kronchaos.norms import NormOptions
 from kronchaos.suites import _norm_config
 
@@ -351,6 +351,27 @@ def test_tail_suites_check_t_and_constant_before_sampling(monkeypatch, run, mess
     _no_sampling(monkeypatch)
     with pytest.raises(ArgumentError, match=message):
         run()
+
+
+@pytest.mark.parametrize("run, error", [
+    (lambda: verify_ax_tail(np.zeros((216, 216)), Dims([6, 6, 6]), GAUSS, [1.0, 2.0]),
+     DegenerateInputError),
+    (lambda: verify_ax_tail(np.eye(6), Dims([2, 3]), GAUSS, [1.0]), ArgumentError),
+    (lambda: verify_hanson_wright(np.zeros((8, 8)), GAUSS, [1.0, 2.0]), DegenerateInputError),
+], ids=["ax-tail-zero", "ax-tail-unequal-dims", "hanson-wright-zero"])
+def test_tail_suites_check_the_matrix_before_sampling(monkeypatch, run, error):
+    # the tail exponents check the matrix and dims before any of the S = 100 000 samples
+    calls = []
+    batch = montecarlo.FactorSampler.batch
+
+    def counted(self, start, count):
+        calls.append(count)
+        return batch(self, start, count)
+
+    monkeypatch.setattr(montecarlo.FactorSampler, "batch", counted)
+    with pytest.raises(error):
+        run()
+    assert calls == []
 
 
 def test_ax_tail_peak_memory_does_not_grow_with_S_times_N():
