@@ -40,9 +40,9 @@ class NormOptions:
     ignore them.  Restart idx of every norm starts from the draw of
     ``default_rng((seed, 0x6E6F726D, idx))``.  Norms whose partitions have the
     same ordered block shapes therefore share their starts, and
-    :func:`table_norms` runs them in one thread, in batches of whole norms of
-    at most ``_ALS_BATCH`` restarts (a module constant, not an option); no
-    batch changes a value.  ``threads`` changes nothing.  It stays
+    :func:`table_norms` runs them in one thread, in batches of whole norms
+    whose restarts times data entries stay within ``_ALS_DOUBLES`` (a module
+    constant, not an option); no batch changes a value.  ``threads`` changes nothing.  It stays
     only because the benchmark's job configs pass it and the golden
     ``bounds`` configs record it, and it goes with the next change to the
     benchmark.
@@ -67,7 +67,7 @@ DEFAULT_OPTIONS = NormOptions()
 
 
 _RESTART_KEY = 0x6E6F726D  # restart idx draws from default_rng((seed, _RESTART_KEY, idx))
-_ALS_BATCH = 256  # restarts in one _als_runs call of a norm table: 8 norms at the default 32
+_ALS_DOUBLES = 1 << 19  # restarts x data entries in one _als_runs call of a norm table
 
 
 @dataclass
@@ -241,9 +241,11 @@ def _als_runs(mats, shapes, inits, owner, restart, stall_rng, max_iter, tol) -> 
             for y, a, b in runs:
                 np.matmul(K[a:b, None, :], mats[r][y], out=v[a:b, None, :])
             nv = np.sqrt((v * v).sum(axis=1))
-            stalled = nv == 0.0
-            v /= np.where(stalled, 1.0, nv)[:, None]
-            if stalled.any():
+            if nv.all():
+                v /= nv[:, None]
+            else:
+                stalled = nv == 0.0
+                v /= np.where(stalled, 1.0, nv)[:, None]
                 for i in np.flatnonzero(stalled):
                     z = int(live[i])
                     if z not in rngs:
@@ -271,8 +273,10 @@ def _als_batches(pas: Sequence[PartialArray], Ps: Sequence[Partition], opts: Nor
     Each estimate is the certified lower bound set by the best of the same
     ``opts.restarts`` seeded starts, drawn once here, plus one run from
     ``start`` under the next restart index when given.  The norms run in
-    batches of whole norms, at most ``_ALS_BATCH`` restarts (at least one
-    norm) each.
+    batches of whole norms (at least one), as many as keep the batch's
+    restarts times one norm's data entries within ``_ALS_DOUBLES``.  That
+    product bounds the Khatri-Rao rows of a block update; at the default 32
+    restarts it admits 256 norms of 64 entries, or 12 of 1296.
     """
     positions = [_block_positions(pa, P) for pa, P in zip(pas, Ps)]
     shapes = [tuple(pas[0].sizes[p] for p in pos) for pos in positions[0]]
@@ -286,7 +290,7 @@ def _als_batches(pas: Sequence[PartialArray], Ps: Sequence[Partition], opts: Nor
     def stall_rng(idx: int) -> np.random.Generator:
         return _restart_rng(opts.seed, idx, shapes if idx < opts.restarts else None)
 
-    per_batch = max(1, _ALS_BATCH // R)
+    per_batch = max(1, _ALS_DOUBLES // (R * pas[0].data.size))
     out = []
     for b0 in range(0, len(pas), per_batch):
         rows = range(b0, min(b0 + per_batch, len(pas)))

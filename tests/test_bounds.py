@@ -317,8 +317,14 @@ def _als_signatures(table):
     return groups
 
 
+def _batch_rows(shapes, restarts):
+    """Norms of one signature in a batch: restarts x data entries within the cap."""
+    return max(1, norms._ALS_DOUBLES // (restarts * math.prod(math.prod(s) for s in shapes)))
+
+
 def test_main_norm_table_runs_one_als_batch_per_signature(monkeypatch):
-    # the 8 x 8 (2,2,2) table: 192 ALS rows of 30 ordered block-shape signatures
+    # the 8 x 8 (2,2,2) table: 192 ALS rows of 30 ordered block-shape signatures,
+    # one batch each at the module cap, whole norms in several under a small cap
     A = rearrange_matrix(np.random.default_rng(16).standard_normal((8, 8)), Dims([2, 2, 2]))
     calls = []
 
@@ -328,12 +334,17 @@ def test_main_norm_table_runs_one_als_batch_per_signature(monkeypatch):
 
     als_runs = norms._als_runs
     monkeypatch.setattr(norms, "_als_runs", counted)
-    table = main_norm_table(A, OPTS)
-    groups = _als_signatures(table)
-    assert (sum(groups.values()), len(groups)) == (192, 30)
-    per_batch = norms._ALS_BATCH // OPTS.restarts
-    assert sorted(calls) == sorted(
-        min(per_batch, n - b0) for n in groups.values() for b0 in range(0, n, per_batch))
+    for cap, n_batches in ((norms._ALS_DOUBLES, 30), (4 * OPTS.restarts * 64, 57)):
+        monkeypatch.setattr(norms, "_ALS_DOUBLES", cap)
+        calls.clear()
+        table = main_norm_table(A, OPTS)
+        groups = _als_signatures(table)
+        assert (sum(groups.values()), len(groups)) == (192, 30)
+        per_batch = {shapes: _batch_rows(shapes, OPTS.restarts) for shapes in groups}
+        assert sorted(calls) == sorted(min(per_batch[shapes], n - b0)
+                                       for shapes, n in groups.items()
+                                       for b0 in range(0, n, per_batch[shapes]))
+        assert len(calls) == n_batches
 
 
 def test_main_norm_table_is_one_table_norms_call(monkeypatch):
@@ -358,11 +369,14 @@ def test_main_norm_table_is_one_table_norms_call(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [3, 8])
-def test_main_norm_table_equals_tensor_norm_per_row(seed):
+def test_main_norm_table_equals_tensor_norm_per_row(seed, monkeypatch):
     A = rearrange_matrix(np.random.default_rng(seed).standard_normal((8, 8)), Dims([2, 2, 2]))
-    opts = NormOptions(restarts=16, seed=seed)  # 16 rows a batch: the largest signature takes two
+    opts = NormOptions(restarts=16, seed=seed)
+    # 8 order-6 norms a batch: the largest signatures take several batches
+    monkeypatch.setattr(norms, "_ALS_DOUBLES", 8 * opts.restarts * 64)
     table = main_norm_table(A, opts)
-    assert max(_als_signatures(table).values()) > norms._ALS_BATCH // opts.restarts
+    assert any(n > _batch_rows(shapes, opts.restarts)
+               for shapes, n in _als_signatures(table).items())
     for row in table:
         B = build_reduced_array(A, row.reduced_axes)
         one = tensor_norm(B, row.partition, opts)
