@@ -8,12 +8,19 @@ norm-deviation functional on a Gram rearrangement.  Tail-bound formulas take
 an explicit constant knob; the underlying theory only guarantees that some
 dimension-dependent constant works, so knobs default to 1 and calibrated
 values are reported, never asserted.
+
+A norm table estimates one kappa >= 3 partition per orbit of the pair swaps
+l <-> l + d that leave its reduced array exactly unchanged
+(:func:`swap_invariances`); the other rows of the orbit copy that estimate.
+Every Gram array has the full swap, a symmetrized array every swap.  The
+estimated rows run in ALS batches of whole norms, capped by restarts times
+data entries (see :mod:`kronchaos.norms`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,11 +69,14 @@ def build_reduced_array(A: PartialArray, I: Iterable[int]) -> PartialArray:
     return PartialArray(keep, [A.size(l) for l in keep], data)
 
 
-def _swap_axes_perm(d: int, I: Iterable[int]) -> list[int]:
-    perm = list(range(2 * d))
-    for l in I:
-        perm[l - 1], perm[l - 1 + d] = perm[l - 1 + d], perm[l - 1]
-    return perm
+def _swap(a: int, d: int, S: Sequence[int]) -> int:
+    """Axis label a after the pair swap l <-> l + d of every l in S."""
+    return a + d if a in S else a - d if a - d in S else a
+
+
+def _swap_axes_perm(axes: Sequence[int], d: int, S: Sequence[int]) -> list[int]:
+    """The transpose of an array on ``axes`` that swaps its paired axes l and l + d, l in S."""
+    return [axes.index(_swap(a, d, S)) for a in axes]
 
 
 def symmetrize(A: PartialArray) -> PartialArray:
@@ -80,17 +90,30 @@ def symmetrize(A: PartialArray) -> PartialArray:
     d = doubled_order(A)
     data = A.data
     for l in range(1, d + 1):
-        data = 0.5 * (data + data.transpose(_swap_axes_perm(d, [l])))
+        data = 0.5 * (data + data.transpose(_swap_axes_perm(A.axes, d, [l])))
     return PartialArray(A.axes, A.sizes, data)
+
+
+def swap_invariances(B: PartialArray, d: int) -> list[tuple[int, ...]]:
+    """The pair-swap subsets S under which B equals itself, exactly.
+
+    B lives on axes labelled within 1..2d, where l and l + d are a pair when
+    B has both; a reduced array keeps the pairs outside I.  S ranges over the
+    subsets of B's pairs, the empty one first and always included, and the
+    swap of S exchanges axes l and l + d for every l in S.  Each test is
+    ``np.array_equal``, with no tolerance, so the result is a group under
+    symmetric difference.
+    """
+    pairs = [l for l in B.axes if l <= d and l + d in B.axes]
+    return [S for S in subsets(pairs)
+            if not S or np.array_equal(B.data, B.data.transpose(_swap_axes_perm(B.axes, d, S)))]
 
 
 def check_symmetry(A: PartialArray) -> bool:
     """True iff the array equals every single-pair axis swap of itself, exactly."""
     d = doubled_order(A)
-    return all(
-        np.array_equal(A.data, A.data.transpose(_swap_axes_perm(d, [l])))
-        for l in range(1, d + 1)
-    )
+    invariant = swap_invariances(A, d)
+    return all((l,) in invariant for l in range(1, d + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -120,20 +143,54 @@ def table_warnings(rows: Sequence[NormTableRow]) -> list[str]:
             for row in rows for w in row.estimate.warnings]
 
 
+def _swap_partition(P: Partition, d: int, S: tuple[int, ...]) -> Partition:
+    return Partition([[_swap(a, d, S) for a in b] for b in P.blocks], ground=P.ground)
+
+
+def _swapped_estimate(est: NormEstimate, Q: Partition, d: int, S: tuple[int, ...]) -> NormEstimate:
+    """The ALS estimate of ``est``'s partition carried to Q, its image under the
+    swap of S, on an array that swap leaves unchanged: the same value, each
+    block factor moved onto the swapped block, and no restart run for it."""
+    moved = {}
+    for block, f in zip(est.partition.blocks, est.factors):
+        labels = [_swap(a, d, S) for a in block]
+        moved[tuple(sorted(labels))] = f.transpose(np.argsort(labels)).copy()
+    return replace(est, partition=Q, total_iterations=0,
+                   factors=tuple(moved[b] for b in Q.blocks), warnings=list(est.warnings))
+
+
 def _partition_rows(arrays: Sequence[tuple[tuple[int, ...], PartialArray]],
-                    opts: NormOptions) -> list[NormTableRow]:
+                    opts: NormOptions, d: int | None = None) -> list[NormTableRow]:
     """Norms of each (I, B) array over every partition of its axes, array by
     array, by increasing block count.
 
-    Every row goes through one :func:`norms.table_norms` call, which computes
-    the kappa <= 2 rows exactly and runs the ALS rows with the same ordered
-    block shapes as one restart batch, so rows of different arrays and
-    partitions share a batch.
+    With ``d``, each B lives on paired axes l and l + d (see
+    :func:`swap_invariances`), and its kappa >= 3 rows are quotiented by the
+    pair swaps that leave a nonzero B exactly unchanged: only the first row
+    of each orbit is estimated, and the others get its estimate through
+    :func:`_swapped_estimate`.  Every estimated row goes through one
+    :func:`norms.table_norms` call, which computes the kappa <= 2 rows
+    exactly and runs the ALS rows with the same ordered block shapes as one
+    restart batch, so rows of different arrays and partitions share a batch.
     """
-    keys = [(I, B, P) for I, B in arrays
+    keys = [(j, P) for j, (_, B) in enumerate(arrays)
             for kappa in range(1, B.order + 1) for P in partitions_into(B.axes, kappa)]
-    estimates = table_norms([B for _, B, _ in keys], [P for _, _, P in keys], opts)
-    return [NormTableRow(I, P, est) for (I, _, P), est in zip(keys, estimates, strict=True)]
+    swaps = [swap_invariances(B, d)[1:] if d is not None and np.any(B.data) else []
+             for _, B in arrays]
+    orbit: dict[tuple[int, Partition], tuple[int, tuple[int, ...]]] = {}  # (row, swap) it copies
+    source: dict[int, tuple[int, tuple[int, ...]]] = {}
+    for i, (j, P) in enumerate(keys):
+        if (j, P) in orbit:
+            source[i] = orbit[j, P]
+        elif P.kappa >= 3:
+            for S in swaps[j]:
+                orbit.setdefault((j, _swap_partition(P, d, S)), (i, S))
+    run = [i for i in range(len(keys)) if i not in source]
+    estimates = dict(zip(run, table_norms([arrays[keys[i][0]][1] for i in run],
+                                          [keys[i][1] for i in run], opts), strict=True))
+    for i, (rep, S) in source.items():
+        estimates[i] = _swapped_estimate(estimates[rep], keys[i][1], d, S)
+    return [NormTableRow(arrays[j][0], P, estimates[i]) for i, (j, P) in enumerate(keys)]
 
 
 def mp_decoupled(B: ArrayLike, p: float, opts: NormOptions | None = None) -> float:
@@ -172,13 +229,21 @@ def _kappa_sums(rows: Sequence[NormTableRow], d: int) -> dict[int, float]:
 def main_norm_table(A: PartialArray, opts: NormOptions | None = None) -> list[NormTableRow]:
     """Norms of every reduced array over every partition of its surviving axes.
 
-    The whole table is one :func:`norms.table_norms` call: the ALS rows of
-    all the reduced arrays run together, one restart batch per ordered tuple
-    of block shapes (see :func:`_partition_rows`).
+    A pair swap l <-> l + d that leaves a reduced array exactly unchanged
+    maps each partition to one of the same norm.  So the ALS rows of each
+    reduced array are quotiented by the swaps :func:`swap_invariances` finds
+    for it: the full swap on every Gram array A^T A, every swap on a
+    symmetrized array, none on a generic A.  Only the first kappa >= 3 row of
+    each orbit is estimated; each other row carries its estimate, with its
+    own partition, the factors moved onto its blocks and ``total_iterations``
+    0.  Row order and count do not change.  The estimated rows are one
+    :func:`norms.table_norms` call: the ALS rows of all the reduced arrays
+    run together, one restart batch per ordered tuple of block shapes (see
+    :func:`_partition_rows`).
     """
     d = doubled_order(A)
     reduced = [(I, build_reduced_array(A, I)) for I in subsets(range(1, d + 1)) if len(I) < d]
-    return _partition_rows(reduced, opts or DEFAULT_OPTIONS)
+    return _partition_rows(reduced, opts or DEFAULT_OPTIONS, d)
 
 
 def mp_main(A: PartialArray, p: float, L: float = 1.0, opts: NormOptions | None = None,

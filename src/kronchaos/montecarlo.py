@@ -16,13 +16,13 @@ over the whole batch: the sampler is counter based, so a chunk's draws are
 the same rows of the whole batch, and every statistic is row-wise.  BLAS
 rounds a row alike in both only on the same kernel path: OpenBLAS sends a
 product with a few rows through other kernels than a tall one, and rounds
-the rows after a matrix-vector product's last whole row block apart.  So S is split into the fewest chunks of at most _STAT_CHUNK
-samples, all of one size n, a multiple of _STAT_ALIGN, and every chunk
-starts at a multiple of _STAT_ALIGN.  The last one ends at S, overlaps its
-predecessor by fewer than _STAT_ALIGN samples per chunk and has more than
-n - _STAT_ALIGN (one chunk when S <= _STAT_CHUNK).  A threaded whole-batch
-product can round the rows at its thread boundaries apart; the chunks do
-not.
+the rows after a matrix-vector product's last whole row block apart.  So S
+is split into the fewest chunks of at most _STAT_CHUNK samples, all of one
+size n, a multiple of _STAT_ALIGN, and every chunk starts at a multiple of
+_STAT_ALIGN.  The last one ends at S, overlaps its predecessor by fewer than
+_STAT_ALIGN samples per chunk and has more than n - _STAT_ALIGN (one chunk
+when S <= _STAT_CHUNK).  A threaded whole-batch product can round the rows
+at its thread boundaries apart; the chunks do not.
 
 The bootstrap of ``estimate_lp`` draws RESAMPLES resamples of a sample stream
 from one integer stream keyed by (seed, STREAM_BOOTSTRAP + stream), one index

@@ -12,10 +12,15 @@ certified lower bounds, never exact.
 pair, then picks the method by kappa; :func:`tensor_norm` is its one-pair
 case.  ALS restarts run as one batch on a leading axis, and a batch holds the
 restarts of several norms whose partitions have the same ordered block
-shapes, every norm from the same seeded starts.  Each partition block is
-flattened to one axis, and each restart's block update is one matrix product
-of a fixed shape against its own norm's data, so a restart's result is
-bit-identical to a one-start call, and a norm's to a one-norm call.
+shapes, every norm from the same seeded starts: as many whole norms as keep
+restarts times data entries within ``_ALS_DOUBLES``.  Each partition block
+is flattened to one axis, and each restart's block update is one matrix
+product of a fixed shape against its own norm's data, so a restart's result
+is bit-identical to a one-start call, and a norm's to a one-norm call.
+
+:func:`table_norms` estimates every pair it is given.  Pairs whose norms are
+equal by symmetry are the caller's to drop: ``bounds.main_norm_table`` sends
+one partition per exact pair-swap orbit and copies its estimate to the rest.
 """
 
 from __future__ import annotations
@@ -324,9 +329,12 @@ def table_norms(arrays: Sequence[ArrayLike], partitions: Sequence, opts: NormOpt
     Frobenius norm, kappa = 2 the largest singular value of the
     matricization.  The kappa >= 3 pairs whose partitions have the same
     ordered block shapes run their restarts together, as batches of
-    :func:`_als_runs`; reordering the blocks would reorder the updates, so
-    only the ordered shapes are grouped.  Each ALS estimate equals the
-    one-norm ``_als_batches([B], [P], opts)[0]`` bit for bit.
+    :func:`_als_runs` of whole norms whose restarts times data entries stay
+    within ``_ALS_DOUBLES``; reordering the blocks would reorder the updates,
+    so only the ordered shapes are grouped.  Each ALS estimate equals the
+    one-norm ``_als_batches([B], [P], opts)[0]`` bit for bit.  Every pair is
+    estimated: a norm table drops the rows that an exact swap symmetry of
+    its array makes equal before it calls here (``bounds.main_norm_table``).
     """
     opts = opts or DEFAULT_OPTIONS
     pas = [as_partial(B) for B in arrays]

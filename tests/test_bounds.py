@@ -15,7 +15,9 @@ from kronchaos import (
     Dims,
     MixedMomentBound,
     NormOptions,
+    PartialArray,
     PartialIndex,
+    Partition,
     all_indices,
     build_reduced_array,
     check_gram_norm_bounds,
@@ -26,14 +28,21 @@ from kronchaos import (
     mp_decoupled,
     mp_main,
     mp_norm,
+    norm_objective,
     rearrange_matrix,
+    subsets,
     symmetrize,
     tail_bound_ax,
     tensor_norm,
     verify_reduction_lift,
 )
 from kronchaos import bounds, norms
-from kronchaos.bounds import compute_bound_report, gram_norm_table, tail_regimes_ax
+from kronchaos.bounds import (
+    compute_bound_report,
+    gram_norm_table,
+    swap_invariances,
+    tail_regimes_ax,
+)
 from kronchaos.errors import ArgumentError, AxisSetError, DegenerateInputError
 from kronchaos.identities import chaos_quadratic, expected_quadratic
 from kronchaos.norms import diagonal_restrict
@@ -179,6 +188,22 @@ def test_check_symmetry_negative():
     A = rearrange_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]), Dims([2]))
     assert not check_symmetry(A)
     assert check_symmetry(rearrange_matrix(np.eye(4), Dims([2, 2])))
+
+
+def test_swap_invariances_are_exact():
+    rng = np.random.default_rng(8)
+    dims = Dims([2, 2, 2])
+    M = rng.standard_normal((8, 8))
+    gram, generic = rearrange_matrix(M.T @ M, dims), rearrange_matrix(M, dims)
+    assert swap_invariances(gram, 3) == [(), (1, 2, 3)]
+    assert swap_invariances(symmetrize(generic), 3) == list(subsets([1, 2, 3]))
+    assert swap_invariances(generic, 3) == [()]
+    # a reduced array keeps the pairs outside I
+    assert swap_invariances(build_reduced_array(gram, [2]), 3) == [(), (1, 3)]
+    off = gram.data.copy()
+    off[0, 0, 0, 1, 1, 1] = np.nextafter(off[0, 0, 0, 1, 1, 1], np.inf)
+    assert swap_invariances(PartialArray(gram.axes, gram.sizes, off), 3) == [()]
+    assert not check_symmetry(gram) and check_symmetry(symmetrize(gram))
 
 
 def test_symmetrize_preserves_chaos():
@@ -345,6 +370,89 @@ def test_main_norm_table_runs_one_als_batch_per_signature(monkeypatch):
                                        for shapes, n in groups.items()
                                        for b0 in range(0, n, per_batch[shapes]))
         assert len(calls) == n_batches
+
+
+def _counted_als_runs(monkeypatch):
+    """Norms and summed total_iterations of every `_als_runs` batch from now on."""
+    counts = {"norms": 0, "total_iterations": 0}
+
+    def counted(mats, *args):
+        best = als_runs(mats, *args)
+        counts["norms"] += len(best)
+        counts["total_iterations"] += sum(b.total_iterations for b in best)
+        return best
+
+    als_runs = norms._als_runs
+    monkeypatch.setattr(norms, "_als_runs", counted)
+    return counts
+
+
+def _full_swap(P, d):
+    return Partition([[a + d if a <= d else a - d for a in b] for b in P.blocks], ground=P.ground)
+
+
+def _gram_2_2_2(seed):
+    M = np.random.default_rng(seed).standard_normal((8, 8))
+    return rearrange_matrix(M.T @ M, Dims([2, 2, 2]))
+
+
+def test_gram_table_runs_one_als_norm_per_swap_orbit(monkeypatch):
+    # A^T A is exactly invariant under the full swap, so its 192 ALS rows form 112 orbits
+    gram = _gram_2_2_2(24)
+    generic = main_norm_table(rearrange_matrix(np.random.default_rng(24).standard_normal((8, 8)),
+                                               Dims([2, 2, 2])), OPTS)
+    counts = _counted_als_runs(monkeypatch)
+    table = main_norm_table(gram, OPTS)
+    assert counts["norms"] == 112
+    assert [(r.reduced_axes, r.partition, r.estimate.method) for r in table] == \
+        [(r.reduced_axes, r.partition, r.estimate.method) for r in generic]
+    by_key = {(r.reduced_axes, r.partition): r for r in table}
+    copies = [r for r in table if r.kappa >= 3 and r.estimate.total_iterations == 0]
+    assert len(copies) == 192 - 112
+    assert sum(r.estimate.total_iterations for r in table) == counts["total_iterations"]
+    for row in copies:
+        rep = by_key[row.reduced_axes, _full_swap(row.partition, 3)].estimate
+        assert rep.total_iterations > 0 and rep.partition != row.partition
+        assert row.value.hex() == rep.value.hex()
+        assert (row.estimate.converged, row.estimate.iterations) == (rep.converged, rep.iterations)
+        B = build_reduced_array(gram, row.reduced_axes)
+        assert row.value == pytest.approx(tensor_norm(B, row.partition, OPTS).value, rel=1e-9)
+        assert norm_objective(B, row.partition, row.estimate.factors) == \
+            pytest.approx(row.value, rel=1e-12)
+
+
+def test_symmetrized_table_runs_one_als_norm_per_swap_orbit(monkeypatch):
+    # main-lower's array is invariant under every pair swap: 192 ALS rows, 64 orbits
+    M = np.random.default_rng(25).standard_normal((8, 8))
+    sym = symmetrize(rearrange_matrix(M, Dims([2, 2, 2])))
+    counts = _counted_als_runs(monkeypatch)
+    table = main_norm_table(sym, OPTS)
+    assert counts["norms"] == 64
+    assert sum(r.kappa >= 3 for r in table) == 192
+    assert sum(r.estimate.total_iterations for r in table) == counts["total_iterations"]
+
+
+def test_one_ulp_off_symmetry_gets_no_swap_orbit(monkeypatch):
+    # one entry of the full Gram array moves one ulp; its row and column
+    # indices differ on every pair, so no partial trace reads it and only the
+    # full array loses its swap invariance
+    gram = _gram_2_2_2(24)
+    off = gram.data.copy()
+    off[0, 0, 0, 1, 1, 1] = np.nextafter(off[0, 0, 0, 1, 1, 1], np.inf)
+    off = PartialArray(gram.axes, gram.sizes, off)
+    counts = _counted_als_runs(monkeypatch)
+    table = main_norm_table(off, OPTS)
+    full = [r for r in table if r.reduced_axes == () and r.kappa >= 3]
+    assert len(full) == 171
+    # the three order-4 reduced arrays keep their 5 orbits of 7 ALS rows each
+    assert counts["norms"] == 171 + 3 * 5
+    monkeypatch.undo()
+    for row in full:
+        one = tensor_norm(off, row.partition, OPTS)
+        assert row.estimate.total_iterations == one.total_iterations > 0
+        assert row.value.hex() == one.value.hex(), str(row.partition)
+        for f, g in zip(row.estimate.factors, one.factors, strict=True):
+            assert f.tobytes() == g.tobytes()
 
 
 def test_main_norm_table_is_one_table_norms_call(monkeypatch):
