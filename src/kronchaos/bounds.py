@@ -143,10 +143,6 @@ def table_warnings(rows: Sequence[NormTableRow]) -> list[str]:
             for row in rows for w in row.estimate.warnings]
 
 
-def _swap_partition(P: Partition, d: int, S: tuple[int, ...]) -> Partition:
-    return Partition([[_swap(a, d, S) for a in b] for b in P.blocks], ground=P.ground)
-
-
 def _swapped_estimate(est: NormEstimate, Q: Partition, d: int, S: tuple[int, ...]) -> NormEstimate:
     """The ALS estimate of ``est``'s partition carried to Q, its image under the
     swap of S, on an array that swap leaves unchanged: the same value, each
@@ -177,14 +173,16 @@ def _partition_rows(arrays: Sequence[tuple[tuple[int, ...], PartialArray]],
             for kappa in range(1, B.order + 1) for P in partitions_into(B.axes, kappa)]
     swaps = [swap_invariances(B, d)[1:] if d is not None and np.any(B.data) else []
              for _, B in arrays]
-    orbit: dict[tuple[int, Partition], tuple[int, tuple[int, ...]]] = {}  # (row, swap) it copies
+    # (array, partition) -> (its orbit's first row, the swap from that row onto it)
+    orbit: dict[tuple[int, Partition], tuple[int, tuple[int, ...]]] = {}
     source: dict[int, tuple[int, tuple[int, ...]]] = {}
     for i, (j, P) in enumerate(keys):
         if (j, P) in orbit:
             source[i] = orbit[j, P]
         elif P.kappa >= 3:
             for S in swaps[j]:
-                orbit.setdefault((j, _swap_partition(P, d, S)), (i, S))
+                Q = Partition([[_swap(a, d, S) for a in b] for b in P.blocks], ground=P.ground)
+                orbit.setdefault((j, Q), (i, S))
     run = [i for i in range(len(keys)) if i not in source]
     estimates = dict(zip(run, table_norms([arrays[keys[i][0]][1] for i in run],
                                           [keys[i][1] for i in run], opts), strict=True))

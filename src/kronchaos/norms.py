@@ -47,10 +47,10 @@ class NormOptions:
     same ordered block shapes therefore share their starts, and
     :func:`table_norms` runs them in one thread, in batches of whole norms
     whose restarts times data entries stay within ``_ALS_DOUBLES`` (a module
-    constant, not an option); no batch changes a value.  ``threads`` changes nothing.  It stays
-    only because the benchmark's job configs pass it and the golden
-    ``bounds`` configs record it, and it goes with the next change to the
-    benchmark.
+    constant, not an option); no batch changes a value.  ``threads`` changes
+    nothing.  It stays only because the benchmark's job configs pass it and
+    the golden ``bounds`` configs record it, and it goes with the next
+    change to the benchmark.
     """
 
     restarts: int = 32
