@@ -47,15 +47,11 @@ from .norms import (
     verify_merge_split,
 )
 from .bounds import (
-    MixedMomentBound,
     NormTableRow,
     build_reduced_array,
     check_gram_norm_bounds,
     check_symmetry,
-    compare_norm_deviation,
     main_norm_table,
-    moments_to_tail,
-    mp_decoupled,
     mp_main,
     mp_norm,
     symmetrize,

@@ -1,13 +1,12 @@
 """Closed-form bound quantities for the Kronecker chaos.
 
 Builds the reduced arrays obtained by partial traces over paired axes, the
-symmetrization that preserves the quadratic form, and the three moment
-functionals: the decoupled-chaos functional on an order-d array, the main
-functional on the order-2d rearrangement of a square matrix, and the
-norm-deviation functional on a Gram rearrangement.  Tail-bound formulas take
-an explicit constant knob; the underlying theory only guarantees that some
-dimension-dependent constant works, so knobs default to 1 and calibrated
-values are reported, never asserted.
+symmetrization that preserves the quadratic form, and the two moment
+functionals: the main functional on the order-2d rearrangement of a square
+matrix, and the norm-deviation functional on a Gram rearrangement.
+Tail-bound formulas take an explicit constant knob; the underlying theory
+only guarantees that some dimension-dependent constant works, so knobs
+default to 1 and calibrated values are reported, never asserted.
 
 A norm table estimates one kappa >= 3 partition per orbit of the pair swaps
 l <-> l + d that leave its reduced array exactly unchanged
@@ -37,10 +36,8 @@ from .norms import (
 from .partitions import Partition, partitions_into, subsets
 from .tensor import (
     _LETTERS,
-    ArrayLike,
     Dims,
     PartialArray,
-    as_partial,
     doubled_order,
     rearrange_matrix,
 )
@@ -155,51 +152,6 @@ def _swapped_estimate(est: NormEstimate, Q: Partition, d: int, S: tuple[int, ...
                    factors=tuple(moved[b] for b in Q.blocks), warnings=list(est.warnings))
 
 
-def _partition_rows(arrays: Sequence[tuple[tuple[int, ...], PartialArray]],
-                    opts: NormOptions, d: int | None = None) -> list[NormTableRow]:
-    """Norms of each (I, B) array over every partition of its axes, array by
-    array, by increasing block count.
-
-    With ``d``, each B lives on paired axes l and l + d (see
-    :func:`swap_invariances`), and its kappa >= 3 rows are quotiented by the
-    pair swaps that leave a nonzero B exactly unchanged: only the first row
-    of each orbit is estimated, and the others get its estimate through
-    :func:`_swapped_estimate`.  Every estimated row goes through one
-    :func:`norms.table_norms` call, which computes the kappa <= 2 rows
-    exactly and runs the ALS rows with the same ordered block shapes as one
-    restart batch, so rows of different arrays and partitions share a batch.
-    """
-    keys = [(j, P) for j, (_, B) in enumerate(arrays)
-            for kappa in range(1, B.order + 1) for P in partitions_into(B.axes, kappa)]
-    swaps = [swap_invariances(B, d)[1:] if d is not None and np.any(B.data) else []
-             for _, B in arrays]
-    # (array, partition) -> (its orbit's first row, the swap from that row onto it)
-    orbit: dict[tuple[int, Partition], tuple[int, tuple[int, ...]]] = {}
-    source: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for i, (j, P) in enumerate(keys):
-        if (j, P) in orbit:
-            source[i] = orbit[j, P]
-        elif P.kappa >= 3:
-            for S in swaps[j]:
-                Q = Partition([[_swap(a, d, S) for a in b] for b in P.blocks], ground=P.ground)
-                orbit.setdefault((j, Q), (i, S))
-    run = [i for i in range(len(keys)) if i not in source]
-    estimates = dict(zip(run, table_norms([arrays[keys[i][0]][1] for i in run],
-                                          [keys[i][1] for i in run], opts), strict=True))
-    for i, (rep, S) in source.items():
-        estimates[i] = _swapped_estimate(estimates[rep], keys[i][1], d, S)
-    return [NormTableRow(arrays[j][0], P, estimates[i]) for i, (j, P) in enumerate(keys)]
-
-
-def mp_decoupled(B: ArrayLike, p: float, opts: NormOptions | None = None) -> float:
-    """Decoupled-chaos moment functional: sum of p^(kappa/2) partition norms
-    of an order-d array over every partition of its axes."""
-    if p < 1:
-        raise ArgumentError(f"p = {p} must be >= 1")
-    table = _partition_rows([((), as_partial(B))], opts or DEFAULT_OPTIONS)
-    return sum(p ** (row.kappa / 2.0) * row.value for row in table)
-
-
 def _check_p_L(p: float, L: float) -> None:
     """The range of p and of the subgaussian-norm bound L where the functionals apply."""
     if p < 2:
@@ -227,21 +179,41 @@ def _kappa_sums(rows: Sequence[NormTableRow], d: int) -> dict[int, float]:
 def main_norm_table(A: PartialArray, opts: NormOptions | None = None) -> list[NormTableRow]:
     """Norms of every reduced array over every partition of its surviving axes.
 
-    A pair swap l <-> l + d that leaves a reduced array exactly unchanged
-    maps each partition to one of the same norm.  So the ALS rows of each
-    reduced array are quotiented by the swaps :func:`swap_invariances` finds
-    for it: the full swap on every Gram array A^T A, every swap on a
-    symmetrized array, none on a generic A.  Only the first kappa >= 3 row of
-    each orbit is estimated; each other row carries its estimate, with its
-    own partition, the factors moved onto its blocks and ``total_iterations``
-    0.  Row order and count do not change.  The estimated rows are one
-    :func:`norms.table_norms` call: the ALS rows of all the reduced arrays
-    run together, one restart batch per ordered tuple of block shapes (see
-    :func:`_partition_rows`).
+    Rows run reduced array by reduced array, by increasing block count.  A
+    pair swap l <-> l + d that leaves a reduced array exactly unchanged maps
+    each partition to one of the same norm.  So the kappa >= 3 rows of each
+    nonzero reduced array are quotiented by the swaps
+    :func:`swap_invariances` finds for it: the full swap on every Gram array
+    A^T A, every swap on a symmetrized array, none on a generic A.  Only the
+    first row of each orbit is estimated; each other row gets its estimate
+    through :func:`_swapped_estimate`.  Row order and count do not change.
+    The estimated rows are one :func:`norms.table_norms` call, which computes
+    the kappa <= 2 rows exactly and runs the ALS rows with the same ordered
+    block shapes as one restart batch, so rows of different reduced arrays
+    and partitions share a batch.
     """
     d = doubled_order(A)
-    reduced = [(I, build_reduced_array(A, I)) for I in subsets(range(1, d + 1)) if len(I) < d]
-    return _partition_rows(reduced, opts or DEFAULT_OPTIONS, d)
+    arrays = [(I, build_reduced_array(A, I)) for I in subsets(range(1, d + 1)) if len(I) < d]
+    keys = [(j, P) for j, (_, B) in enumerate(arrays)
+            for kappa in range(1, B.order + 1) for P in partitions_into(B.axes, kappa)]
+    swaps = [swap_invariances(B, d)[1:] if np.any(B.data) else [] for _, B in arrays]
+    # (array, partition) -> (its orbit's first row, the swap from that row onto it)
+    orbit: dict[tuple[int, Partition], tuple[int, tuple[int, ...]]] = {}
+    source: dict[int, tuple[int, tuple[int, ...]]] = {}
+    for i, (j, P) in enumerate(keys):
+        if (j, P) in orbit:
+            source[i] = orbit[j, P]
+        elif P.kappa >= 3:
+            for S in swaps[j]:
+                Q = Partition([[_swap(a, d, S) for a in b] for b in P.blocks], ground=P.ground)
+                orbit.setdefault((j, Q), (i, S))
+    run = [i for i in range(len(keys)) if i not in source]
+    estimates = dict(zip(run, table_norms([arrays[keys[i][0]][1] for i in run],
+                                          [keys[i][1] for i in run], opts or DEFAULT_OPTIONS),
+                         strict=True))
+    for i, (rep, S) in source.items():
+        estimates[i] = _swapped_estimate(estimates[rep], keys[i][1], d, S)
+    return [NormTableRow(arrays[j][0], P, estimates[i]) for i, (j, P) in enumerate(keys)]
 
 
 def mp_main(A: PartialArray, p: float, L: float = 1.0, opts: NormOptions | None = None,
@@ -364,59 +336,6 @@ def tail_bound_hanson_wright(A: np.ndarray, t: float, K: float, c: float = 1.0) 
     if c <= 0:
         raise ArgumentError(f"c = {c} must be > 0")
     return min(1.0, 2.0 * math.exp(-c * hanson_wright_exponent(A, K, t)))
-
-
-@dataclass(frozen=True)
-class MixedMomentBound:
-    """Moment growth sum_k min_l p^expo[k][l] * scale[k][l], valid for p >= p0."""
-
-    p0: float
-    expo: tuple[tuple[float, ...], ...]
-    scale: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        if self.p0 < 0:
-            raise ArgumentError("p0 must be >= 0")
-        if len(self.expo) < 1 or len(self.expo) != len(self.scale):
-            raise ArgumentError("need at least one term and aligned exponents/scales")
-        width = len(self.expo[0])
-        for e_row, g_row in zip(self.expo, self.scale):
-            if len(e_row) != width or len(g_row) != width or width < 1:
-                raise ArgumentError("every term needs the same nonempty label set")
-            if any(e <= 0 for e in e_row) or any(g <= 0 for g in g_row):
-                raise ArgumentError("exponents and scales must be > 0")
-
-    @property
-    def term_count(self) -> int:
-        return len(self.expo)
-
-
-def moments_to_tail(M: MixedMomentBound, t: float) -> float:
-    """Tail bound implied by a mixed moment bound, clipped to [0, 1].
-
-    e^p0 * exp(-min_k max_l (t / (e * d * scale))^(1/expo)) with d the number
-    of terms in the moment bound.
-    """
-    if t <= 0:
-        raise ArgumentError(f"t = {t} must be > 0")
-    dterms = M.term_count
-    exponent = min(
-        max((t / (math.e * dterms * g)) ** (1.0 / e) for e, g in zip(e_row, g_row))
-        for e_row, g_row in zip(M.expo, M.scale)
-    )
-    return min(1.0, math.exp(M.p0) * math.exp(-exponent))
-
-
-def compare_norm_deviation(a: float, b: float) -> tuple[float, float]:
-    """Envelope for |a - b| in terms of |a^2 - b^2|: (m / 3, m) with
-    m = min(|a^2 - b^2| / b, sqrt(|a^2 - b^2|))."""
-    if b <= 0:
-        raise ArgumentError(f"b = {b} must be > 0")
-    if a < 0:
-        raise ArgumentError(f"a = {a} must be >= 0")
-    gap = abs(a * a - b * b)
-    m = min(gap / b, math.sqrt(gap))
-    return (m / 3.0, m)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import pytest
 
 from kronchaos import (
     Dims,
-    MixedMomentBound,
     NormOptions,
     PartialArray,
     PartialIndex,
@@ -22,10 +21,7 @@ from kronchaos import (
     build_reduced_array,
     check_gram_norm_bounds,
     check_symmetry,
-    compare_norm_deviation,
     main_norm_table,
-    moments_to_tail,
-    mp_decoupled,
     mp_main,
     mp_norm,
     norm_objective,
@@ -221,26 +217,6 @@ def test_symmetrize_preserves_chaos():
 
 # ---------------------------------------------------------------------------
 # moment functionals
-
-
-def test_mp_decoupled_d1_vector():
-    a = np.array([3.0, 4.0])
-    for p in (1.0, 2.0, 7.5):
-        m = mp_decoupled(a, p)
-        assert m == pytest.approx(math.sqrt(p) * 5.0, rel=1e-14)
-
-
-def test_mp_decoupled_d2_matrix():
-    rng = np.random.default_rng(8)
-    B = rng.standard_normal((3, 4))
-    fro = np.linalg.norm(B)
-    spec = np.linalg.svd(B, compute_uv=False)[0]
-    for p in (2.0, 4.0):
-        m = mp_decoupled(B, p)
-        assert m == pytest.approx(math.sqrt(p) * fro + p * spec, rel=1e-12)
-    assert mp_decoupled(np.zeros((2, 2)), 4.0) == 0.0
-    with pytest.raises(ArgumentError):
-        mp_decoupled(B, 0.5)
 
 
 def test_mp_main_d1_identity_closed_form():
@@ -598,7 +574,6 @@ NON_FINITE_CALLS = {
     "gram_norm_table": "gram_norm_table(A, DIMS)",
     "mp_main": "mp_main(rearrange_matrix(A, DIMS), 2.0)",
     "mp_norm": "mp_norm(A, DIMS, 2.0)",
-    "mp_decoupled": "mp_decoupled(A, 2.0)",
     "tensor_norm": "tensor_norm(rearrange_matrix(A, DIMS), [[1, 3], [2, 4]])",
     "table_norms": "table_norms([rearrange_matrix(A, DIMS)], [[[1], [2], [3, 4]]])",
     "tail_regimes_ax": "tail_regimes_ax(A, DIMS, 1.0)",
@@ -657,12 +632,10 @@ def test_mp_monotone_in_p():
     A = rearrange_matrix(M, dims)
     table = main_norm_table(A, OPTS)
     gtable = gram_norm_table(M, dims, OPTS)
-    B = rng.standard_normal((3, 3))
     grid = [2.0, 4.0, 8.0, 16.0]
     for lo, hi in zip(grid, grid[1:]):
         assert mp_main(A, lo, 1.0, table=table) <= mp_main(A, hi, 1.0, table=table)
         assert mp_norm(M, dims, lo, 1.0, table=gtable) <= mp_norm(M, dims, hi, 1.0, table=gtable)
-        assert mp_decoupled(B, lo) <= mp_decoupled(B, hi)
 
 
 def test_mp_main_scaling():
@@ -737,64 +710,6 @@ def test_tail_bounds_reject_non_finite_t(t):
         bounds.hanson_wright_exponent(np.eye(4), 1.0, t)
     with pytest.raises(ArgumentError, match=f"t = {t} must be finite"):
         compute_bound_report(np.eye(4), Dims([2, 2]), [2], t_grid=[1, t])
-
-
-def test_moments_to_tail_plugins():
-    M = MixedMomentBound(0.0, ((0.5,),), ((1.0,),))
-    t = math.e
-    assert moments_to_tail(M, t) == pytest.approx(math.exp(-1.0), rel=1e-12)
-    # prefactor exceeding 1 clips
-    M2 = MixedMomentBound(2.0, ((1.0,),), ((1.0,),))
-    assert moments_to_tail(M2, 1e-9) == 1.0
-    with pytest.raises(ArgumentError):
-        moments_to_tail(M, 0.0)
-
-
-def test_moments_to_tail_max_over_labels_grid():
-    es = (0.5, 1.0, 2.0)
-    gs = (0.5, 1.0, 3.0)
-    t = 2.0
-    for e_pair in itertools.product(es, repeat=2):
-        for g_pair in itertools.product(gs, repeat=2):
-            M = MixedMomentBound(0.0, (e_pair,), (g_pair,))
-            got = moments_to_tail(M, t)
-            exponent = max((t / (math.e * 1 * g)) ** (1.0 / e) for e, g in zip(e_pair, g_pair))
-            assert got == pytest.approx(min(1.0, math.exp(-exponent)), rel=1e-12)
-    # same exponent, smaller scale wins the max
-    M = MixedMomentBound(0.0, ((1.0, 1.0),), ((0.5, 2.0),))
-    assert moments_to_tail(M, 2.0) == pytest.approx(
-        min(1.0, math.exp(-(2.0 / (math.e * 0.5)))), rel=1e-12)
-
-
-def test_mixed_moment_bound_validation():
-    with pytest.raises(ArgumentError):
-        MixedMomentBound(0.0, (), ())
-    with pytest.raises(ArgumentError):
-        MixedMomentBound(0.0, ((1.0,),), ((0.0,),))
-    with pytest.raises(ArgumentError):
-        MixedMomentBound(0.0, ((1.0, 2.0),), ((1.0,),))
-
-
-def test_compare_norm_deviation():
-    lo, hi = compare_norm_deviation(1.0, 1.0)
-    assert (lo, hi) == (0.0, 0.0)
-    lo, hi = compare_norm_deviation(2.0, 1.0)
-    assert hi == pytest.approx(math.sqrt(3.0), rel=1e-15)
-    assert lo <= 1.0 <= hi
-    lo, hi = compare_norm_deviation(0.0, 1.0)
-    assert (lo, hi) == (pytest.approx(1 / 3), 1.0)
-    with pytest.raises(ArgumentError):
-        compare_norm_deviation(1.0, 0.0)
-
-
-def test_compare_norm_deviation_envelope_random():
-    rng = np.random.default_rng(15)
-    for _ in range(200):
-        a = float(rng.uniform(0, 5))
-        b = float(rng.uniform(0.01, 5))
-        lo, hi = compare_norm_deviation(a, b)
-        assert lo <= abs(a - b) * (1 + 1e-12) + 1e-15
-        assert abs(a - b) <= hi * (1 + 1e-12) + 1e-15
 
 
 # ---------------------------------------------------------------------------
