@@ -95,6 +95,16 @@ def _parse_floats(text: str) -> list[float]:
     return [_finite(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _parse_grid(text: str | None) -> list[float] | None:
+    """A given --p or --t grid, which must hold a number; None when not given."""
+    if text is None:
+        return None
+    grid = _parse_floats(text)
+    if not grid:
+        raise UsageError(f"not a finite number: {text!r}")
+    return grid
+
+
 def _parse_formats(text: str) -> list[str]:
     formats = text.split(",")
     if not set(formats) <= {"json", "csv"}:
@@ -189,11 +199,15 @@ def report_to_csv(report: dict) -> str:
 def _write_atomic(path: Path, text: str) -> None:
     """Write a file durably under a temporary name, then rename it into place."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "w") as f:
-        f.write(text)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as f:
+            f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:  # an interrupt too: leave no temporary file in the slot
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_report(report: dict, cache: Path, formats: list[str]) -> tuple[Path, bool]:
@@ -228,8 +242,8 @@ def cmd_bounds(args) -> int:
     dims = _parse_dims(args.dims)
     seed = args.seed
     A, source = _load_matrix(args, dims, seed)
-    p_grid = _parse_floats(args.p) if args.p else [2.0, 4.0, 8.0]
-    t_grid = _parse_floats(args.t) if args.t else []
+    p_grid = _parse_grid(args.p) or [2.0, 4.0, 8.0]
+    t_grid = _parse_grid(args.t) or []
 
     config = {
         "suite": "bounds", "version": __version__, "matrix": source,
@@ -254,8 +268,8 @@ def cmd_verify(args) -> int:
         raise UsageError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     seed = args.seed
     S = args.samples
-    p_grid = _parse_floats(args.p) if args.p else None
-    t_grid = _parse_floats(args.t) if args.t else None
+    p_grid = _parse_grid(args.p)
+    t_grid = _parse_grid(args.t)
 
     if suite == "identities":
         report = run_identity_suite(seed=seed)

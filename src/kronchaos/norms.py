@@ -63,6 +63,12 @@ class NormOptions:
         # ALS keeps the best restart, so it needs at least one.
         if self.restarts < 1:
             raise ArgumentError(f"restarts must be >= 1, got {self.restarts}")
+        # with no iteration a restart keeps its unscored start and reports 0
+        if self.max_iter < 1:
+            raise ArgumentError(f"max_iter must be >= 1, got {self.max_iter}")
+        # a nan or negative tol never converges, so every restart runs max_iter
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ArgumentError(f"tol must be a finite number >= 0, got {self.tol}")
         # the seed keys numpy generators, which take only non-negative integers
         if self.seed < 0:
             raise ArgumentError(f"seed must be >= 0, got {self.seed}")

@@ -409,9 +409,11 @@ def _tail_fit(config: dict, batch: SampleBatch, t_grid: list[float], log_prefact
 
 def _check_tail_args(t_grid: Sequence[float], cap_name: str,
                      cap: float | None) -> list[float]:
-    """The t grid as floats, each t finite and >= 0, and the constant cap > 0
-    when given."""
+    """The t grid as floats, nonempty, each t finite and >= 0, and the
+    constant cap > 0 when given."""
     t_grid = [float(t) for t in t_grid]
+    if not t_grid:
+        raise PreconditionError("t grid must hold at least one t")
     for t in t_grid:
         _check_t(t)
     if cap is not None and not cap > 0:

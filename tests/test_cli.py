@@ -87,6 +87,11 @@ def test_zero_restarts_is_usage_error(tmp_path, capsys, argv):
     ("verify", "hanson-wright", "--c", "inf"),
     ("verify", "decoupling", "--dims", "2,2", "--q", "nan"),
     ("verify", "gaussian-decoupling", "--vector", "1,x"),
+    ("bounds", "--dims", "2,2", "--p", ","),
+    ("bounds", "--dims", "2,2", "--t", ","),
+    ("verify", "main-upper", "--dims", "2,2", "--p", ","),
+    ("verify", "ax-tail", "--dims", "2,2", "--t", ","),
+    ("verify", "hanson-wright", "--t", ""),
 ])
 def test_non_finite_number_is_usage_error(tmp_path, capsys, argv):
     assert run(*argv, "--cache", tmp_path / "c") == EXIT_USAGE
@@ -379,6 +384,7 @@ def test_interrupted_write_leaves_no_report(tmp_path, monkeypatch, capsys):
     slot = tmp_path / "c" / _slots(tmp_path / "c")[0]
     assert not any(p.name in ("report.json", "report.csv", "runinfo.json")
                    for p in slot.iterdir())
+    assert not any(p.name.endswith(".tmp") for p in slot.iterdir())
     monkeypatch.undo()
     capsys.readouterr()
     assert run(*argv) == EXIT_OK

@@ -2,6 +2,7 @@
 merge/split and diagonal-restriction inequality harnesses."""
 
 import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -239,6 +240,18 @@ def test_als_start_runs_after_the_seeded_restarts():
 def test_restarts_below_one_rejected(restarts):
     with pytest.raises(ArgumentError):
         NormOptions(restarts=restarts)
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_max_iter_below_one_rejected(max_iter):
+    with pytest.raises(ArgumentError, match="max_iter must be >= 1"):
+        NormOptions(max_iter=max_iter)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+def test_tol_not_finite_and_non_negative_rejected(tol):
+    with pytest.raises(ArgumentError, match="tol must be a finite number >= 0"):
+        NormOptions(tol=tol)
 
 
 def test_negative_seed_rejected():

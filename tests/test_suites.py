@@ -353,6 +353,17 @@ def test_tail_suites_check_t_and_constant_before_sampling(monkeypatch, run, mess
         run()
 
 
+@pytest.mark.parametrize("run", [
+    lambda: verify_ax_tail(np.eye(4), Dims([2, 2]), GAUSS, [], S=10_000),
+    lambda: verify_hanson_wright(np.eye(4), GAUSS, [], S=1000),
+], ids=["ax-tail", "hanson-wright"])
+def test_tail_suites_reject_an_empty_t_grid_before_sampling(monkeypatch, run):
+    # an empty grid used to draw every sample and pass with no rows
+    _no_sampling(monkeypatch)
+    with pytest.raises(PreconditionError, match="t grid must hold at least one t"):
+        run()
+
+
 @pytest.mark.parametrize("run, error", [
     (lambda: verify_ax_tail(np.zeros((216, 216)), Dims([6, 6, 6]), GAUSS, [1.0, 2.0]),
      DegenerateInputError),
