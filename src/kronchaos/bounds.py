@@ -352,6 +352,8 @@ class BoundReport:
     """
 
     dims: Dims
+    p_grid: list[float]
+    t_grid: list[float]
     L: float
     matrix_fro: float
     main_rows: list[NormTableRow]
@@ -400,7 +402,7 @@ class BoundReport:
         }
 
 
-def compute_bound_report(A: np.ndarray, dims: Dims, p_grid: Sequence[float],
+def compute_bound_report(A: np.ndarray, dims: Dims, p_grid: Sequence[float] = (2.0, 4.0, 8.0),
                          L: float = 1.0, C_tail: float = 1.0,
                          t_grid: Sequence[float] = (),
                          opts: NormOptions | None = None) -> BoundReport:
@@ -453,6 +455,8 @@ def compute_bound_report(A: np.ndarray, dims: Dims, p_grid: Sequence[float],
 
     return BoundReport(
         dims=dims,
+        p_grid=list(p_grid),
+        t_grid=list(t_grid),
         L=L,
         matrix_fro=float(np.linalg.norm(A)),
         main_rows=main_rows,

@@ -1,10 +1,17 @@
 """Batch command line front end.
 
-Subcommands:
-  bounds   compute the moment functionals and tail curve for a matrix
-  verify   run a verification suite (identities, decoupling, main-upper,
-           main-lower, ax-tail, gaussian-decoupling, hanson-wright)
-  report   merge cached JSON reports into one text summary
+Subcommands, each reading --seed, --cache, --formats and the options listed:
+  bounds: --matrix --dims --p --t --restarts --threads --L --C-tail
+  verify identities: nothing else
+  verify decoupling: --matrix --dims --dist --q --p --samples
+  verify main-upper: --matrix --dims --dist --q --p --samples --restarts --threads --ceiling
+  verify main-lower: --matrix --dims --p --samples --restarts --threads
+  verify ax-tail: --matrix --dims --dist --q --t --samples --C-tail
+  verify gaussian-decoupling: --vector --p --samples
+  verify hanson-wright: --matrix --n --dist --q --t --samples --c
+  report (merges cached reports into one summary): --cache only
+An option a command does not read is a usage error, and so are --q without
+--dist two_point and --n with --matrix.
 
 Exit codes: 0 pass (or inconclusive pass), 1 separated violation, 2 usage or
 input errors.  Reports land in one directory per key under the cache directory
@@ -33,7 +40,7 @@ import numpy as np
 from .arrayio import array_digest, load_matrix_csv
 from .bounds import compute_bound_report, main_norm_table
 from .errors import KronChaosError
-from .montecarlo import FAMILIES, distribution
+from .montecarlo import FAMILIES, DistributionSpec, distribution
 from .norms import NormOptions
 from .suites import (
     run_identity_suite,
@@ -47,9 +54,6 @@ from .suites import (
 from .tensor import Dims
 from .version import __version__
 
-SUITES = ("identities", "decoupling", "main-upper", "main-lower", "ax-tail",
-          "gaussian-decoupling", "hanson-wright")
-
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
@@ -57,6 +61,11 @@ EXIT_USAGE = 2
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a bad command line is a usage error, exit 2
+        raise UsageError(message)
 
 
 def _finite(text: str) -> float:
@@ -95,10 +104,8 @@ def _parse_floats(text: str) -> list[float]:
     return [_finite(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _parse_grid(text: str | None) -> list[float] | None:
-    """A given --p or --t grid, which must hold a number; None when not given."""
-    if text is None:
-        return None
+def _parse_grid(text: str) -> list[float]:
+    """A --p or --t grid, which must hold a number."""
     grid = _parse_floats(text)
     if not grid:
         raise UsageError(f"not a finite number: {text!r}")
@@ -119,17 +126,42 @@ def _parse_dims(text: str) -> Dims:
         raise UsageError(f"bad dims {text!r}: {e}") from None
 
 
-def _load_matrix(args, dims: Dims, seed: int) -> tuple[np.ndarray, str]:
+def _load_matrix(args, N: int) -> np.ndarray:
     """Matrix from --matrix CSV, or a seeded standard-normal square one of size N."""
     if args.matrix:
-        path = Path(args.matrix)
-        if not path.exists():
-            raise UsageError(f"matrix file not found: {path}")
-        A = load_matrix_csv(path)
-        return A, str(path)
-    N = dims.total
-    rng = np.random.default_rng((seed, 0x6D6174))
-    return rng.standard_normal((N, N)), f"random-normal(seed={seed})"
+        if "n" in args:
+            raise UsageError("--n changes nothing when --matrix is given")
+        try:
+            return load_matrix_csv(Path(args.matrix))
+        except (OSError, UnicodeDecodeError) as e:  # missing, a directory or not UTF-8 text
+            raise UsageError(f"cannot read matrix file {args.matrix}: {e}") from None
+    rng = np.random.default_rng((args.seed, 0x6D6174))
+    return rng.standard_normal((N, N))
+
+
+def _matrix_and_dims(args) -> tuple[np.ndarray, Dims]:
+    if args.dims is None:
+        raise UsageError(f"{getattr(args, 'suite', args.command)} requires --dims")
+    return _load_matrix(args, args.dims.total), args.dims
+
+
+def _vector(args) -> np.ndarray:
+    """--vector, or a seeded standard-normal one of length 8."""
+    if args.vector is None:
+        return np.random.default_rng((args.seed, 0x766563)).standard_normal(8)
+    return np.array(args.vector)
+
+
+def _dist(args) -> DistributionSpec:
+    if "q" in args and args.dist != "two_point":
+        raise UsageError("--q changes nothing unless --dist two_point")
+    return distribution(args.dist, **_given(args, ("q",)))
+
+
+def _given(args, names=("seed", "S", "p_grid", "t_grid", "ceiling", "C_d", "c")) -> dict:
+    """The named options a command's parser set, as keyword arguments.  It sets
+    only the options its command reads, and --p, --t, --q and --n only if given."""
+    return {name: getattr(args, name) for name in names if name in args}
 
 
 def _cache_dir(args) -> Path:
@@ -223,7 +255,10 @@ def write_report(report: dict, cache: Path, formats: list[str]) -> tuple[Path, b
         if "csv" in formats and not (slot / "report.csv").exists():
             _write_atomic(slot / "report.csv", report_to_csv(json.loads(target.read_text())))
         return slot, False
-    slot.mkdir(parents=True, exist_ok=True)
+    try:
+        slot.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # the cache or the slot is a file
+        raise UsageError(f"cannot make cache slot {slot}: {e}") from None
     if "csv" in formats:
         _write_atomic(slot / "report.csv", report_to_csv(report))
     _write_atomic(slot / "runinfo.json", json.dumps(
@@ -232,28 +267,21 @@ def write_report(report: dict, cache: Path, formats: list[str]) -> tuple[Path, b
     return slot, True
 
 
-def _norm_opts(args, seed: int) -> NormOptions:
-    return NormOptions(restarts=args.restarts, seed=seed, threads=args.threads)
+def _norm_opts(args) -> NormOptions:
+    return NormOptions(restarts=args.restarts, seed=args.seed, threads=args.threads)
 
 
 def cmd_bounds(args) -> int:
-    if not args.dims:
-        raise UsageError("bounds requires --dims")
-    dims = _parse_dims(args.dims)
-    seed = args.seed
-    A, source = _load_matrix(args, dims, seed)
-    p_grid = _parse_grid(args.p) or [2.0, 4.0, 8.0]
-    t_grid = _parse_grid(args.t) or []
-
+    A, dims = _matrix_and_dims(args)
+    result = compute_bound_report(A, dims, opts=_norm_opts(args),
+                                  **_given(args, ("p_grid", "t_grid", "L", "C_tail")))
     config = {
-        "suite": "bounds", "version": __version__, "matrix": source,
-        "input_sha256": array_digest(A),
-        "dims": list(dims.sizes), "p_grid": p_grid, "t_grid": t_grid,
-        "L": args.L, "C_tail": args.C_tail, "seed": seed,
+        "suite": "bounds", "version": __version__, "input_sha256": array_digest(A),
+        "matrix": str(Path(args.matrix)) if args.matrix else f"random-normal(seed={args.seed})",
+        "dims": list(dims.sizes), "p_grid": result.p_grid, "t_grid": result.t_grid,
+        "L": args.L, "C_tail": args.C_tail, "seed": args.seed,
         "restarts": args.restarts, "threads": args.threads,
     }
-    result = compute_bound_report(A, dims, p_grid, args.L, args.C_tail, t_grid,
-                                  _norm_opts(args, seed))
     report = {"suite": "bounds", "config": config, **result.to_dict()}
     slot, fresh = write_report(report, _cache_dir(args), args.formats)
     print(f"bounds: report {'written to' if fresh else 'cached at'} {slot}")
@@ -262,54 +290,35 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+# Each verify suite: the options it reads besides --seed, --cache and
+# --formats, and the library call that makes its report.
+VERIFY = {
+    "identities": ((), lambda a: run_identity_suite(**_given(a))),
+    "decoupling": (("--matrix", "--dims", "--dist", "--q", "--p", "--samples"),
+                   lambda a: verify_decoupling(*_matrix_and_dims(a), _dist(a), **_given(a))),
+    "main-upper": (("--matrix", "--dims", "--dist", "--q", "--p", "--samples", "--restarts",
+                    "--threads", "--ceiling"),
+                   lambda a: verify_main_upper(*_matrix_and_dims(a), _dist(a),
+                                               norm_opts=_norm_opts(a), **_given(a))),
+    "main-lower": (("--matrix", "--dims", "--p", "--samples", "--restarts", "--threads"),
+                   lambda a: verify_main_lower(*_matrix_and_dims(a), norm_opts=_norm_opts(a),
+                                               **_given(a))),
+    "ax-tail": (("--matrix", "--dims", "--dist", "--q", "--t", "--samples", "--C-tail"),
+                lambda a: verify_ax_tail(*_matrix_and_dims(a), _dist(a), **_given(a))),
+    "gaussian-decoupling": (("--vector", "--p", "--samples"),
+                            lambda a: verify_gaussian_decoupling(_vector(a), **_given(a))),
+    "hanson-wright": (("--matrix", "--n", "--dist", "--q", "--t", "--samples", "--c"),
+                      lambda a: verify_hanson_wright(
+                          _load_matrix(a, Dims([getattr(a, "n", 8)]).total), _dist(a),
+                          **_given(a))),
+}
+
+
 def cmd_verify(args) -> int:
-    suite = args.suite
-    if suite not in SUITES:
-        raise UsageError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    seed = args.seed
-    S = args.samples
-    p_grid = _parse_grid(args.p)
-    t_grid = _parse_grid(args.t)
-
-    if suite == "identities":
-        report = run_identity_suite(seed=seed)
-    elif suite == "gaussian-decoupling":
-        if args.vector:
-            a = np.array(_parse_floats(args.vector))
-        else:
-            a = np.random.default_rng((seed, 0x766563)).standard_normal(8)
-        report = verify_gaussian_decoupling(a, p_grid or (2.0, 4.0, 8.0), S, seed)
-    elif suite == "hanson-wright":
-        dist = distribution(args.dist, args.q)
-        A, _ = _load_matrix(args, Dims([args.n]), seed)
-        sigma = 2.0 * np.linalg.norm(A)  # rough scale of the centered statistic
-        report = verify_hanson_wright(A, dist, t_grid or [0.5 * sigma, sigma, 2.0 * sigma],
-                                      S, seed, args.c)
-    else:
-        if not args.dims:
-            raise UsageError(f"suite {suite} requires --dims")
-        dims = _parse_dims(args.dims)
-        dist = distribution(args.dist, args.q)
-        if suite == "main-lower" and args.dist != "gaussian":
-            raise UsageError("main-lower is defined for gaussian factors only")
-        A, _ = _load_matrix(args, dims, seed)
-        if suite == "decoupling":
-            report = verify_decoupling(A, dims, dist, p_grid or (2.0, 4.0), S, seed)
-        elif suite == "main-upper":
-            report = verify_main_upper(A, dims, dist, p_grid or (2.0, 4.0, 8.0), S, seed,
-                                       ceiling=args.ceiling, norm_opts=_norm_opts(args, seed))
-        elif suite == "main-lower":
-            report = verify_main_lower(A, dims, p_grid or (2.0, 4.0, 8.0), S, seed,
-                                       norm_opts=_norm_opts(args, seed))
-        else:  # ax-tail
-            fro = float(np.linalg.norm(A))
-            report = verify_ax_tail(A, dims, dist,
-                                    t_grid or [0.25 * fro, 0.5 * fro, fro],
-                                    S, seed, args.C_tail)
-
+    report = VERIFY[args.suite][1](args)
     slot, fresh = write_report(report, _cache_dir(args), args.formats)
     status = report["status"]
-    print(f"verify {suite}: {status} ({'written to' if fresh else 'cached at'} {slot})")
+    print(f"verify {args.suite}: {status} ({'written to' if fresh else 'cached at'} {slot})")
     for flag in report.get("flags", []):
         print(f"  note: {flag}")
     return EXIT_OK if status in ("pass", "inconclusive-pass") else EXIT_VIOLATION
@@ -343,11 +352,12 @@ def _summary_row(name: str, report) -> dict:
 
 def cmd_report(args) -> int:
     cache = _cache_dir(args)
-    if not cache.exists():
-        print(f"report: cache directory {cache} does not exist", file=sys.stderr)
-        return EXIT_USAGE
+    try:
+        slots = sorted(cache.iterdir())
+    except OSError as e:  # missing, or a file
+        raise UsageError(f"cannot list cache directory {cache}: {e}") from None
     rows = []
-    for slot in sorted(cache.iterdir()):
+    for slot in slots:
         target = slot / "report.json"
         if not target.is_file():
             continue
@@ -356,8 +366,7 @@ def cmd_report(args) -> int:
         except (OSError, ValueError) as e:  # json.JSONDecodeError is a ValueError
             print(f"report: skipping corrupt entry {slot.name}: {e}", file=sys.stderr)
     if not rows:
-        print("report: cache is empty", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"cache directory {cache} holds no report")
     header = ("hash", "suite", "status", "dims", "dist", "seed", "S", "constant")
     widths = {h: max(len(h), *(len(str(r[h])) for r in rows)) for h in header}
     print("  ".join(h.ljust(widths[h]) for h in header))
@@ -372,47 +381,51 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+# add_argument keywords of every option but bounds' own --L and --C-tail.
+OPTIONS = {
+    "--seed": dict(type=_nonnegative_int, default=0),
+    "--matrix": dict(help="CSV matrix, one row per line"),
+    "--dims": dict(type=_parse_dims, help="comma list of per-axis sizes, e.g. 2,2"),
+    "--p": dict(dest="p_grid", type=_parse_grid, default=argparse.SUPPRESS, help="moment orders, e.g. 2,4"),
+    "--t": dict(dest="t_grid", type=_parse_grid, default=argparse.SUPPRESS, help="tail thresholds, e.g. 1,2"),
+    "--restarts": dict(type=int, default=32),
+    "--threads": dict(type=int, default=1, help="changes nothing; deleted with the next benchmark change"),
+    "--dist": dict(default="gaussian", choices=list(FAMILIES)),
+    "--q": dict(type=_finite, default=argparse.SUPPRESS, help="two_point hit probability (default 0.25)"),
+    "--samples": dict(dest="S", type=int, default=100_000),
+    "--ceiling": dict(type=_ceiling, default=50.0, help="acceptance ceiling of the ratios (inf: none)"),
+    "--C-tail": dict(dest="C_d", type=_finite, default=None, help="cap for the fitted constant"),
+    "--c": dict(type=_finite, default=None, help="cap for the fitted order-1 constant"),
+    "--n": dict(type=int, default=argparse.SUPPRESS, help="size of the random matrix (default 8)"),
+    "--vector": dict(type=_parse_floats, help="comma list of coefficients"),
+    "--cache": dict(help="cache directory (default $KRONCHAOS_CACHE or ./kronchaos-cache)"),
+    "--formats": dict(type=_parse_formats, default="json,csv", help="report formats: json,csv"),
+}
+
+
+def _add_options(parser, names) -> None:
+    parser.allow_abbrev = False  # an abbreviation could name an option the command does not read
+    for name in ("--seed", *names, "--cache", "--formats"):
+        parser.add_argument(name, **OPTIONS[name])
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="kronchaos",
-                                     description="Kronecker-chaos moment/tail bounds and verification suites")
+    parser = _Parser(prog="kronchaos",
+                     description="Kronecker-chaos moment/tail bounds and verification suites")
     parser.add_argument("--version", action="version", version=f"kronchaos {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--matrix", help="CSV matrix, one row per line")
-        p.add_argument("--dims", help="comma list of per-axis sizes, e.g. 2,2")
-        p.add_argument("--p", help="comma list of moment orders")
-        p.add_argument("--t", help="comma list of tail thresholds")
-        p.add_argument("--seed", type=_nonnegative_int, default=0)
-        p.add_argument("--restarts", type=int, default=32)
-        p.add_argument("--threads", type=int, default=1,
-                       help="changes nothing (the ALS restarts run as one batch); "
-                            "kept until the next change to the benchmark")
-        p.add_argument("--cache", help="cache directory (default $KRONCHAOS_CACHE or ./kronchaos-cache)")
-        p.add_argument("--formats", type=_parse_formats, default="json,csv",
-                       help="report formats: json,csv")
-
     pb = sub.add_parser("bounds", help="compute bound reports for a matrix")
-    common(pb)
+    _add_options(pb, ("--matrix", "--dims", "--p", "--t", "--restarts", "--threads"))
     pb.add_argument("--L", type=_finite, default=1.0, help="subgaussian-norm bound (>= 1)")
     pb.add_argument("--C-tail", dest="C_tail", type=_finite, default=1.0,
                     help="constant knob of the norm-deviation tail bound")
     pb.set_defaults(func=cmd_bounds)
 
     pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("suite", help=f"one of: {', '.join(SUITES)}")
-    common(pv)
-    pv.add_argument("--dist", default="gaussian",
-                    choices=list(FAMILIES))
-    pv.add_argument("--q", type=_finite, default=0.25, help="two_point hit probability")
-    pv.add_argument("--samples", type=int, default=100_000)
-    pv.add_argument("--ceiling", type=_ceiling, default=50.0,
-                    help="acceptance ceiling for main-upper ratios (inf: none)")
-    pv.add_argument("--C-tail", dest="C_tail", type=_finite, default=None,
-                    help="cap for the fitted ax-tail constant")
-    pv.add_argument("--c", type=_finite, default=None, help="cap for the fitted order-1 constant")
-    pv.add_argument("--n", type=int, default=8, help="size of the random order-1 matrix")
-    pv.add_argument("--vector", help="comma list for gaussian-decoupling coefficients")
+    suites = pv.add_subparsers(dest="suite", required=True)
+    for name, (options, _) in VERIFY.items():
+        _add_options(suites.add_parser(name), options)
     pv.set_defaults(func=cmd_verify)
 
     pr = sub.add_parser("report", help="merge cached reports into a summary table")

@@ -422,17 +422,20 @@ def _check_tail_args(t_grid: Sequence[float], cap_name: str,
 
 
 def verify_ax_tail(A: np.ndarray, dims: Dims, dist: DistributionSpec,
-                   t_grid: Sequence[float], S: int = 100_000, seed: int = 0,
+                   t_grid: Sequence[float] | None = None, S: int = 100_000, seed: int = 0,
                    C_d: float | None = None) -> dict:
     """Empirical norm-deviation tail against the fitted three-regime bound.
 
     Fits the largest constant knob that keeps the bound above every empirical
     upper confidence limit and reports it; the fitted curve then dominates the
-    empirical curve at every grid point by construction.
+    empirical curve at every grid point by construction.  The default t grid
+    is 1/4, 1/2 and 1 times ||A||_F.
     """
     _check_samples("ax-tail", S)
-    t_grid = _check_tail_args(t_grid, "C_d", C_d)
     A = _finite_input("ax-tail", A)
+    if t_grid is None:
+        t_grid = np.linalg.norm(A) * np.array([0.25, 0.5, 1.0])
+    t_grid = _check_tail_args(t_grid, "C_d", C_d)
     # the exponents check A and dims, so no sample is drawn for a bad input
     exponents = [(max(exps.values()), {"exponents": exps})
                  for exps in (tail_regimes_ax(A, dims, t) for t in t_grid)]
@@ -450,12 +453,15 @@ def verify_ax_tail(A: np.ndarray, dims: Dims, dist: DistributionSpec,
 
 
 def verify_hanson_wright(A: np.ndarray, dist: DistributionSpec,
-                         t_grid: Sequence[float], S: int = 100_000,
+                         t_grid: Sequence[float] | None = None, S: int = 100_000,
                          seed: int = 0, c: float | None = None) -> dict:
-    """Order-1 baseline: empirical quadratic-form tail vs the two-regime bound."""
+    """Order-1 baseline: empirical quadratic-form tail vs the two-regime bound,
+    by default at t = 1/2, 1 and 2 times 2 ||A||_F, a rough scale of it."""
     _check_samples("hanson-wright", S)
-    t_grid = _check_tail_args(t_grid, "c", c)
     A = _finite_input("hanson-wright", A)
+    if t_grid is None:
+        t_grid = 2.0 * np.linalg.norm(A) * np.array([0.5, 1.0, 2.0])
+    t_grid = _check_tail_args(t_grid, "c", c)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise PreconditionError(f"need a square matrix, got shape {A.shape}")
     dims = Dims([A.shape[0]])

@@ -739,3 +739,10 @@ def test_reduction_lift_constructive():
         assert rep.passed
         rep2 = verify_reduction_lift(B2d, [2], [[1, 3]], OPTS)
         assert rep2.passed
+
+
+def test_bound_report_returns_the_grids_it_used():
+    report = compute_bound_report(np.eye(4), Dims([2, 2]))
+    assert (report.p_grid, report.t_grid) == ([2.0, 4.0, 8.0], [])
+    report = compute_bound_report(np.eye(4), Dims([2, 2]), [3.0], t_grid=(1.0,))
+    assert (report.p_grid, report.t_grid) == ([3.0], [1.0])

@@ -1,5 +1,6 @@
 """Command line contract: exit codes, caching, determinism, report merging."""
 
+import argparse
 import json
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from kronchaos.arrayio import save_matrix_csv
-from kronchaos.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from kronchaos.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, build_parser, main
 
 
 @pytest.fixture
@@ -390,3 +391,114 @@ def test_interrupted_write_leaves_no_report(tmp_path, monkeypatch, capsys):
     assert run(*argv) == EXIT_OK
     assert "written to" in capsys.readouterr().out
     assert json.loads((slot / "report.json").read_text())["suite"] == "identities"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "hanson-wright", "--n", "4", "--p", "2,4", "--samples", "10000"),
+     "unrecognized arguments: --p 2,4"),
+    (("verify", "decoupling", "--dims", "2,2", "--t", "5", "--samples", "1000"),
+     "unrecognized arguments: --t 5"),
+    (("verify", "identities", "--restarts", "0"), "unrecognized arguments: --restarts 0"),
+    # no abbreviation: --c would otherwise name ax-tail's --cache
+    (("verify", "ax-tail", "--dims", "2", "--c", "2"), "unrecognized arguments: --c 2"),
+    (("verify", "main-upper", "--dims", "2", "--dist", "rademacher", "--q", "0.01"),
+     "--q changes nothing unless --dist two_point"),
+    (("verify", "hanson-wright", "--q", "0.3"), "--q changes nothing unless --dist two_point"),
+    (("verify", "hanson-wright", "--n", "99", "--matrix", "ID4"),
+     "--n changes nothing when --matrix is given"),
+])
+def test_option_that_changes_nothing_is_usage_error(tmp_path, id4, capsys, argv, message):
+    argv = [id4 if a == "ID4" else a for a in argv]
+    assert run(*argv, "--cache", tmp_path / "c") == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--dims", "2", "--matrix", "DIR", "--cache", "CACHE"),
+    ("verify", "main-upper", "--dims", "2", "--matrix", "UTF16", "--cache", "CACHE"),
+    ("verify", "identities", "--cache", "FILE"),
+    ("report", "--cache", "FILE"),
+], ids=["matrix-is-a-directory", "matrix-is-utf16", "verify-cache-is-a-file",
+        "report-cache-is-a-file"])
+def test_unreadable_input_is_usage_error(tmp_path, capsys, argv):
+    paths = {"DIR": tmp_path / "dir", "UTF16": tmp_path / "m.csv", "FILE": tmp_path / "file",
+             "CACHE": tmp_path / "c"}
+    paths["DIR"].mkdir()
+    paths["UTF16"].write_text("1,0\n0,1\n", encoding="utf-16")
+    paths["FILE"].write_text("")
+    assert run(*(paths.get(a, a) for a in argv)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
+    assert not paths["CACHE"].exists()
+
+
+def _leaf_commands(parser, prefix=()):
+    """(command words, long options) of every command the parser runs."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield " ".join(prefix), {opt for a in parser._actions for opt in a.option_strings
+                                 if opt.startswith("--") and opt != "--help"}
+    for action in subparsers:
+        for name, child in action.choices.items():
+            yield from _leaf_commands(child, (*prefix, name))
+
+
+# The options each command reads besides --seed, --cache and --formats.
+READS = {
+    "bounds": "--matrix --dims --p --t --restarts --threads --L --C-tail",
+    "verify identities": "",
+    "verify decoupling": "--matrix --dims --dist --q --p --samples",
+    "verify main-upper": "--matrix --dims --dist --q --p --samples --restarts --threads --ceiling",
+    "verify main-lower": "--matrix --dims --p --samples --restarts --threads",
+    "verify ax-tail": "--matrix --dims --dist --q --t --samples --C-tail",
+    "verify gaussian-decoupling": "--vector --p --samples",
+    "verify hanson-wright": "--matrix --n --dist --q --t --samples --c",
+}
+
+
+def test_each_command_accepts_only_the_options_it_reads():
+    accepted = dict(_leaf_commands(build_parser()))
+    assert accepted.pop("report") == {"--cache"}
+    assert accepted == {cmd: {"--seed", "--cache", "--formats", *opts.split()}
+                        for cmd, opts in READS.items()}
+    assert sum(map(len, accepted.values())) == 70
+
+
+# --cache and --formats choose where and what is written; --threads changes
+# nothing and goes with the next change to the benchmark.
+NOT_IN_CONFIG = {"--cache", "--formats", "--threads"}
+# Each command at dims 2 and its smallest sample count.
+BASE = {
+    "bounds": ("--dims", "2"),
+    "verify identities": (),
+    "verify decoupling": ("--dims", "2", "--samples", "1000"),
+    "verify main-upper": ("--dims", "2", "--samples", "100"),
+    "verify main-lower": ("--dims", "2", "--samples", "100"),
+    "verify ax-tail": ("--dims", "2", "--samples", "10000"),
+    "verify gaussian-decoupling": ("--samples", "100"),
+    "verify hanson-wright": ("--samples", "100"),
+}
+# A value other than the default for each option, and the options --q needs to be read.
+CHANGED = {"--seed": "1", "--matrix": "MATRIX", "--dims": "3", "--p": "2", "--t": "1",
+           "--restarts": "1", "--L": "2", "--C-tail": "2", "--dist": "rademacher", "--q": "0.1",
+           "--samples": "20000", "--ceiling": "10", "--c": "2", "--n": "3", "--vector": "1,2"}
+CONTEXT = {"--q": ("--dist", "two_point")}
+PAIRS = [(cmd, opt) for cmd, opts in _leaf_commands(build_parser()) if cmd != "report"
+         for opt in sorted(opts - NOT_IN_CONFIG)]
+
+
+@pytest.mark.parametrize("command, option", PAIRS)
+def test_every_accepted_option_changes_the_report_config(tmp_path, command, option):
+    matrix = tmp_path / "m.csv"
+    save_matrix_csv(matrix, np.array([[1.0, 0.5], [0.5, 2.0]]))
+    argv = (*command.split(), *BASE[command], *CONTEXT.get(option, ()))
+
+    def config(*extra):
+        cache = tmp_path / f"c{len(extra)}"
+        extra = [matrix if a == "MATRIX" else a for a in extra]
+        assert run(*argv, *extra, "--cache", cache, "--formats", "json") in (EXIT_OK,
+                                                                             EXIT_VIOLATION)
+        return json.loads(next(cache.iterdir()).joinpath("report.json").read_text())["config"]
+
+    assert config(option, CHANGED[option]) != config()

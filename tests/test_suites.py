@@ -399,3 +399,9 @@ def test_ax_tail_peak_memory_does_not_grow_with_S_times_N():
         tracemalloc.stop()
     assert rep["status"] == "pass"
     assert peak < 100e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_tail_suites_default_t_grids_scale_with_the_frobenius_norm():
+    A = np.diag([3.0, 4.0])  # ||A||_F = 5
+    assert verify_ax_tail(A, Dims([2]), GAUSS, S=10_000)["config"]["t_grid"] == [1.25, 2.5, 5.0]
+    assert verify_hanson_wright(A, GAUSS, S=100)["config"]["t_grid"] == [5.0, 10.0, 20.0]
