@@ -75,6 +75,7 @@ from .montecarlo import (
     estimate_tail,
 )
 from .suites import (
+    bound_report,
     run_identity_suite,
     verify_ax_tail,
     verify_decoupling,

@@ -1,11 +1,11 @@
 """Batch command line front end.
 
 Subcommands, each reading --seed, --cache, --formats and the options listed:
-  bounds: --matrix --dims --p --t --restarts --threads --L --C-tail
+  bounds: --matrix --dims --p --t --restarts --L --C-tail
   verify identities: nothing else
   verify decoupling: --matrix --dims --dist --q --p --samples
-  verify main-upper: --matrix --dims --dist --q --p --samples --restarts --threads --ceiling
-  verify main-lower: --matrix --dims --p --samples --restarts --threads
+  verify main-upper: --matrix --dims --dist --q --p --samples --restarts --ceiling
+  verify main-lower: --matrix --dims --p --samples --restarts
   verify ax-tail: --matrix --dims --dist --q --t --samples --C-tail
   verify gaussian-decoupling: --vector --p --samples
   verify hanson-wright: --matrix --n --dist --q --t --samples --c
@@ -15,12 +15,13 @@ An option a command does not read is a usage error, and so are --q without
 
 Exit codes: 0 pass (or inconclusive pass), 1 separated violation, 2 usage or
 input errors.  Reports land in one directory per key under the cache directory
-(flag --cache, else $KRONCHAOS_CACHE, else ./kronchaos-cache).  The key hashes
-the config, which holds a digest of the input and every option that changes a
-value, and a fingerprint of the package source.  report.json is deterministic
-for a fixed configuration and seed, and timestamps live in a separate
-runinfo.json sidecar.  Files are renamed into place once written, report.json
-last, so an interrupted run leaves no truncated report.
+(flag --cache, else $KRONCHAOS_CACHE, else ./kronchaos-cache), which is checked
+before any report is computed.  The key hashes the config, which holds a
+digest of the input and every option that changes a value, and a fingerprint
+of the package source.  report.json is deterministic for a fixed
+configuration and seed, and timestamps live in a separate runinfo.json
+sidecar.  Files are renamed into place once written, report.json last, so an
+interrupted run leaves no truncated report.
 """
 
 from __future__ import annotations
@@ -37,12 +38,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrayio import array_digest, load_matrix_csv
-from .bounds import compute_bound_report, main_norm_table
+from .arrayio import load_matrix_csv
+from .bounds import main_norm_table
 from .errors import KronChaosError
 from .montecarlo import FAMILIES, DistributionSpec, distribution
 from .norms import NormOptions
 from .suites import (
+    bound_report,
     run_identity_suite,
     verify_ax_tail,
     verify_decoupling,
@@ -165,10 +167,14 @@ def _given(args, names=("seed", "S", "p_grid", "t_grid", "ceiling", "C_d", "c"))
 
 
 def _cache_dir(args) -> Path:
-    if args.cache:
-        return Path(args.cache)
+    """The cache directory; a usage error, before any report is computed, if
+    it or its nearest existing ancestor is not a directory."""
     env = os.environ.get("KRONCHAOS_CACHE")
-    return Path(env) if env else Path("kronchaos-cache")
+    cache = Path(args.cache or env or "kronchaos-cache")
+    existing = next(p for p in (cache, *cache.parents) if p.exists())
+    if not existing.is_dir():
+        raise UsageError(f"cannot use cache directory {cache}: {existing} is not a directory")
+    return cache
 
 
 @functools.lru_cache(maxsize=None)
@@ -268,22 +274,14 @@ def write_report(report: dict, cache: Path, formats: list[str]) -> tuple[Path, b
 
 
 def _norm_opts(args) -> NormOptions:
-    return NormOptions(restarts=args.restarts, seed=args.seed, threads=args.threads)
+    return NormOptions(restarts=args.restarts, seed=args.seed)
 
 
 def cmd_bounds(args) -> int:
-    A, dims = _matrix_and_dims(args)
-    result = compute_bound_report(A, dims, opts=_norm_opts(args),
-                                  **_given(args, ("p_grid", "t_grid", "L", "C_tail")))
-    config = {
-        "suite": "bounds", "version": __version__, "input_sha256": array_digest(A),
-        "matrix": str(Path(args.matrix)) if args.matrix else f"random-normal(seed={args.seed})",
-        "dims": list(dims.sizes), "p_grid": result.p_grid, "t_grid": result.t_grid,
-        "L": args.L, "C_tail": args.C_tail, "seed": args.seed,
-        "restarts": args.restarts, "threads": args.threads,
-    }
-    report = {"suite": "bounds", "config": config, **result.to_dict()}
-    slot, fresh = write_report(report, _cache_dir(args), args.formats)
+    cache = _cache_dir(args)
+    report = bound_report(*_matrix_and_dims(args), norm_opts=_norm_opts(args),
+                          **_given(args, ("seed", "p_grid", "t_grid", "L", "C_tail")))
+    slot, fresh = write_report(report, cache, args.formats)
     print(f"bounds: report {'written to' if fresh else 'cached at'} {slot}")
     for w in report["warnings"]:
         print(f"  warning: {w}")
@@ -297,10 +295,10 @@ VERIFY = {
     "decoupling": (("--matrix", "--dims", "--dist", "--q", "--p", "--samples"),
                    lambda a: verify_decoupling(*_matrix_and_dims(a), _dist(a), **_given(a))),
     "main-upper": (("--matrix", "--dims", "--dist", "--q", "--p", "--samples", "--restarts",
-                    "--threads", "--ceiling"),
+                    "--ceiling"),
                    lambda a: verify_main_upper(*_matrix_and_dims(a), _dist(a),
                                                norm_opts=_norm_opts(a), **_given(a))),
-    "main-lower": (("--matrix", "--dims", "--p", "--samples", "--restarts", "--threads"),
+    "main-lower": (("--matrix", "--dims", "--p", "--samples", "--restarts"),
                    lambda a: verify_main_lower(*_matrix_and_dims(a), norm_opts=_norm_opts(a),
                                                **_given(a))),
     "ax-tail": (("--matrix", "--dims", "--dist", "--q", "--t", "--samples", "--C-tail"),
@@ -315,8 +313,9 @@ VERIFY = {
 
 
 def cmd_verify(args) -> int:
+    cache = _cache_dir(args)
     report = VERIFY[args.suite][1](args)
-    slot, fresh = write_report(report, _cache_dir(args), args.formats)
+    slot, fresh = write_report(report, cache, args.formats)
     status = report["status"]
     print(f"verify {args.suite}: {status} ({'written to' if fresh else 'cached at'} {slot})")
     for flag in report.get("flags", []):
@@ -389,7 +388,6 @@ OPTIONS = {
     "--p": dict(dest="p_grid", type=_parse_grid, default=argparse.SUPPRESS, help="moment orders, e.g. 2,4"),
     "--t": dict(dest="t_grid", type=_parse_grid, default=argparse.SUPPRESS, help="tail thresholds, e.g. 1,2"),
     "--restarts": dict(type=int, default=32),
-    "--threads": dict(type=int, default=1, help="changes nothing; deleted with the next benchmark change"),
     "--dist": dict(default="gaussian", choices=list(FAMILIES)),
     "--q": dict(type=_finite, default=argparse.SUPPRESS, help="two_point hit probability (default 0.25)"),
     "--samples": dict(dest="S", type=int, default=100_000),
@@ -416,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pb = sub.add_parser("bounds", help="compute bound reports for a matrix")
-    _add_options(pb, ("--matrix", "--dims", "--p", "--t", "--restarts", "--threads"))
+    _add_options(pb, ("--matrix", "--dims", "--p", "--t", "--restarts"))
     pb.add_argument("--L", type=_finite, default=1.0, help="subgaussian-norm bound (>= 1)")
     pb.add_argument("--C-tail", dest="C_tail", type=_finite, default=1.0,
                     help="constant knob of the norm-deviation tail bound")

@@ -1,8 +1,10 @@
-"""Verification suites: exact identities plus seeded Monte Carlo checks.
+"""Verification suites (exact identities plus seeded Monte Carlo checks) and
+the bound report.
 
-Every suite returns a JSON-serializable report embedding its full
-configuration, including a digest of its input array and every option that
-changes a value; identical configurations produce bit-identical reports.
+Every suite and the bound report return a JSON-serializable report
+embedding its full configuration, including a digest of its input array and
+every option that changes a value; identical configurations produce
+bit-identical reports.
 Inequality suites compare confidence bands and only fail on a separated
 violation: overlapping bands count as an inconclusive pass, flagged as such,
 because the underlying inequalities hold with unknown constants and sampling
@@ -31,6 +33,7 @@ from .arrayio import array_digest
 from .bounds import (
     _check_t,
     check_symmetry,
+    compute_bound_report,
     hanson_wright_exponent,
     main_norm_table,
     mp_main,
@@ -375,6 +378,24 @@ def verify_main_lower(A: np.ndarray, dims: Dims, p_grid: Sequence[float] = (2.0,
 
 
 # ---------------------------------------------------------------------------
+# bound report
+
+
+def bound_report(A: np.ndarray, dims: Dims, p_grid: Sequence[float] = (2.0, 4.0, 8.0),
+                 t_grid: Sequence[float] = (), L: float = 1.0, C_tail: float = 1.0,
+                 seed: int = 0, norm_opts: NormOptions | None = None) -> dict:
+    """The moment functionals and tail curve of ``bounds.compute_bound_report``
+    as a report, under a config that records the input digest and every
+    option that changes a value."""
+    norm_opts = norm_opts or NormOptions(seed=seed)
+    result = compute_bound_report(A, dims, p_grid, L, C_tail, t_grid, norm_opts)
+    config = _config("bounds", seed=int(seed), dims=list(dims.sizes), p_grid=result.p_grid,
+                     t_grid=result.t_grid, L=L, C_tail=C_tail,
+                     norm_options=_norm_config(norm_opts), input_sha256=array_digest(A))
+    return {"suite": "bounds", "config": config, **result.to_dict()}
+
+
+# ---------------------------------------------------------------------------
 # tail suites
 
 
@@ -401,7 +422,8 @@ def _tail_fit(config: dict, batch: SampleBatch, t_grid: list[float], log_prefact
         row["dominated"] = bool(row["frequency"] <= row["bound"])
     return _report(config, "pass" if all(row["dominated"] for row in rows) else "fail",
                    [] if math.isfinite(fitted) else
-                   ["no exceedances on the grid: any constant keeps the bound above the curve"],
+                   ["no t on the grid has both ci_high > 0 and a positive exponent, so no "
+                    "constant is fitted: any constant keeps the bound above the curve"],
                    results=rows,
                    fitted_constant=None if not math.isfinite(fitted) else fitted,
                    constant_used=finite_c)

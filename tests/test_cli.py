@@ -3,12 +3,14 @@
 import argparse
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from kronchaos import Dims, NormOptions, bound_report, cli
 from kronchaos.arrayio import save_matrix_csv
-from kronchaos.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, build_parser, main
+from kronchaos.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, _report_json, build_parser, main
 
 
 @pytest.fixture
@@ -362,8 +364,6 @@ def test_cache_hit_adds_missing_formats(tmp_path, capsys):
 
 
 def test_cache_slot_depends_on_code(tmp_path, monkeypatch, capsys):
-    import kronchaos.cli as cli
-
     argv = ("verify", "identities", "--seed", "1", "--cache", tmp_path / "c")
     run(*argv)
     monkeypatch.setattr(cli, "_code_fingerprint", lambda: "edited source")
@@ -373,8 +373,6 @@ def test_cache_slot_depends_on_code(tmp_path, monkeypatch, capsys):
 
 
 def test_interrupted_write_leaves_no_report(tmp_path, monkeypatch, capsys):
-    import kronchaos.cli as cli
-
     def crash(src, dst):
         raise KeyboardInterrupt
 
@@ -446,11 +444,11 @@ def _leaf_commands(parser, prefix=()):
 
 # The options each command reads besides --seed, --cache and --formats.
 READS = {
-    "bounds": "--matrix --dims --p --t --restarts --threads --L --C-tail",
+    "bounds": "--matrix --dims --p --t --restarts --L --C-tail",
     "verify identities": "",
     "verify decoupling": "--matrix --dims --dist --q --p --samples",
-    "verify main-upper": "--matrix --dims --dist --q --p --samples --restarts --threads --ceiling",
-    "verify main-lower": "--matrix --dims --p --samples --restarts --threads",
+    "verify main-upper": "--matrix --dims --dist --q --p --samples --restarts --ceiling",
+    "verify main-lower": "--matrix --dims --p --samples --restarts",
     "verify ax-tail": "--matrix --dims --dist --q --t --samples --C-tail",
     "verify gaussian-decoupling": "--vector --p --samples",
     "verify hanson-wright": "--matrix --n --dist --q --t --samples --c",
@@ -462,12 +460,23 @@ def test_each_command_accepts_only_the_options_it_reads():
     assert accepted.pop("report") == {"--cache"}
     assert accepted == {cmd: {"--seed", "--cache", "--formats", *opts.split()}
                         for cmd, opts in READS.items()}
-    assert sum(map(len, accepted.values())) == 70
+    assert sum(map(len, accepted.values())) == 67
 
 
-# --cache and --formats choose where and what is written; --threads changes
-# nothing and goes with the next change to the benchmark.
-NOT_IN_CONFIG = {"--cache", "--formats", "--threads"}
+def test_module_docstring_lists_the_options_each_command_accepts():
+    listed = {}
+    for line in cli.__doc__.splitlines():
+        m = re.fullmatch(r"  (\w+(?: [\w-]+)?)(?: \(.*\))?: (.*)", line)
+        if m:
+            listed[m[1]] = {word for word in m[2].split() if word.startswith("--")}
+    accepted = dict(_leaf_commands(build_parser()))
+    common = {"--seed", "--cache", "--formats"}
+    assert listed == {cmd: opts if cmd == "report" else opts - common
+                      for cmd, opts in accepted.items()}
+
+
+# --cache and --formats choose where and what is written.
+NOT_IN_CONFIG = {"--cache", "--formats"}
 # Each command at dims 2 and its smallest sample count.
 BASE = {
     "bounds": ("--dims", "2"),
@@ -502,3 +511,44 @@ def test_every_accepted_option_changes_the_report_config(tmp_path, command, opti
         return json.loads(next(cache.iterdir()).joinpath("report.json").read_text())["config"]
 
     assert config(option, CHANGED[option]) != config()
+
+
+def test_bounds_writes_the_library_bound_report(tmp_path, capsys):
+    # one matrix read from two paths lands in one cache slot: the config holds
+    # the digest of the matrix, not its path
+    A = np.random.default_rng(5).standard_normal((4, 4))
+    (tmp_path / "sub").mkdir()
+    paths = (tmp_path / "m.csv", tmp_path / "sub" / "m.csv")
+    for path in paths:
+        save_matrix_csv(path, A)
+    argv = ("bounds", "--dims", "2,2", "--t", "1", "--seed", "3", "--restarts", "4")
+    opts = NormOptions(restarts=4, seed=3)
+    for path, verb in zip(paths, ("written to", "cached at")):
+        assert run(*argv, "--matrix", path, "--cache", tmp_path / "c") == EXIT_OK
+        assert f"bounds: report {verb}" in capsys.readouterr().out
+    slot, = (tmp_path / "c").iterdir()
+    expected = bound_report(A, Dims([2, 2]), t_grid=[1.0], seed=3, norm_opts=opts)
+    assert (slot / "report.json").read_text() == _report_json(expected)
+
+    assert run(*argv, "--cache", tmp_path / "r") == EXIT_OK
+    random = np.random.default_rng((3, 0x6D6174)).standard_normal((4, 4))
+    expected = bound_report(random, Dims([2, 2]), t_grid=[1.0], seed=3, norm_opts=opts)
+    slot, = (tmp_path / "r").iterdir()
+    assert (slot / "report.json").read_text() == _report_json(expected)
+
+
+@pytest.mark.parametrize("argv, call", [
+    (("bounds", "--dims", "2"), "bound_report"),
+    (("verify", "identities"), "run_identity_suite"),
+])
+def test_unusable_cache_is_usage_error_before_the_report_is_computed(tmp_path, monkeypatch,
+                                                                     capsys, argv, call):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the report was computed before the cache was checked")
+
+    monkeypatch.setattr(cli, call, refuse)
+    (tmp_path / "file").write_text("")
+    for cache in (tmp_path / "file", tmp_path / "file" / "sub"):
+        assert run(*argv, "--cache", cache) == EXIT_USAGE
+        assert capsys.readouterr().err == (f"error: cannot use cache directory {cache}: "
+                                           f"{tmp_path / 'file'} is not a directory\n")

@@ -15,13 +15,10 @@ numeric values and every other value that differs; it exits 1 on a difference.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 import os
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +27,7 @@ import pytest
 import kronchaos
 from kronchaos import (
     Dims,
+    bound_report,
     distribution,
     run_identity_suite,
     verify_ax_tail,
@@ -39,8 +37,7 @@ from kronchaos import (
     verify_main_lower,
     verify_main_upper,
 )
-from kronchaos.arrayio import save_matrix_csv
-from kronchaos.cli import _report_json, main, report_to_csv
+from kronchaos.cli import _report_json, report_to_csv
 
 GOLDEN = Path(__file__).resolve().with_name("golden")
 GAUSS = distribution("gaussian")
@@ -52,22 +49,9 @@ def _matrix(rows: int, cols: int, seed: int) -> np.ndarray:
     return np.random.default_rng((seed, 0x60_1D)).standard_normal((rows, cols))
 
 
-def _bounds(*argv: str, matrix: np.ndarray | None = None) -> str:
-    """report.json of a `kronchaos bounds` run; a --matrix CSV gets a fixed
-    relative path, because the report's config records it."""
-    cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
-        try:
-            if matrix is not None:
-                save_matrix_csv("matrix.csv", matrix)
-                argv += ("--matrix", "matrix.csv")
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = main(["bounds", *argv, "--cache", "cache", "--formats", "json"])
-            assert code == 0
-            return next(Path("cache").iterdir()).joinpath("report.json").read_text()
-        finally:
-            os.chdir(cwd)
+def _cli_matrix(n: int, seed: int) -> np.ndarray:
+    """The CLI's default random n x n matrix for a seed."""
+    return np.random.default_rng((seed, 0x6D6174)).standard_normal((n, n))
 
 
 def _hw_matrix() -> np.ndarray:
@@ -94,16 +78,15 @@ CASES = {
                                                   S=10_000, seed=5),
     "gaussian-decoupling": lambda: verify_gaussian_decoupling(_matrix(1, 5, 7)[0],
                                                               (2.0, 4.0, 8.0), S=2000, seed=7),
-    "bounds-square": lambda: _bounds("--dims", "2,2", "--p", "2,4", "--t", "0.5,1",
-                                     "--seed", "8"),
-    "bounds-rectangular": lambda: _bounds("--dims", "2,2", "--t", "0.5,1", "--seed", "9",
-                                          matrix=_matrix(3, 4, 9)),
+    "bounds-square": lambda: bound_report(_cli_matrix(4, 8), D22, (2.0, 4.0), (0.5, 1.0),
+                                          seed=8),
+    "bounds-rectangular": lambda: bound_report(_matrix(3, 4, 9), D22, t_grid=(0.5, 1.0),
+                                               seed=9),
 }
 
 
 def render(name: str) -> str:
-    out = CASES[name]()
-    return out if isinstance(out, str) else _report_json(out)
+    return _report_json(CASES[name]())
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

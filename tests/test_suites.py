@@ -11,6 +11,7 @@ import pytest
 
 from kronchaos import (
     Dims,
+    bound_report,
     distribution,
     run_identity_suite,
     verify_ax_tail,
@@ -136,6 +137,16 @@ def test_ax_tail_identity_rademacher_trivial():
     # finite and conservative
     assert rep["fitted_constant"] > 0
     assert all(r["dominated"] for r in rep["results"])
+
+
+def test_ax_tail_flags_a_grid_that_fits_no_constant():
+    # every sample exceeds t = 0, but its exponent is 0, so no t bounds the constant
+    rep = verify_ax_tail(np.eye(4), Dims([2, 2]), GAUSS, t_grid=[0.0], S=10_000)
+    assert rep["results"][0]["frequency"] == 1.0
+    assert rep["fitted_constant"] is None and rep["status"] == "pass"
+    assert rep["flags"] == ["no t on the grid has both ci_high > 0 and a positive exponent, "
+                            "so no constant is fitted: any constant keeps the bound above "
+                            "the curve"]
 
 
 def test_ax_tail_gaussian_dominated_and_monotone():
@@ -267,11 +278,13 @@ def test_norm_config_records_every_value_changing_option():
     # missing from it would let the cache return a report computed with other options
     fields = {f.name for f in dataclasses.fields(NormOptions)} - {"threads"}
     assert set(_norm_config(NormOptions())) == fields
+    assert set(SUITE_CALLS["bound_report"]()["config"]["norm_options"]) == fields
 
 
 # Every suite on its zero-matrix or smallest-S path.
 SUITE_CALLS = {
     "run_identity_suite": lambda: run_identity_suite(instances=1, d_values=(1,)),
+    "bound_report": lambda: bound_report(np.eye(2), Dims([2]), t_grid=[1.0]),
     "verify_decoupling": lambda: verify_decoupling(np.eye(2), Dims([2]), GAUSS, (2.0,), S=1000),
     "verify_main_upper": lambda: verify_main_upper(np.zeros((4, 4)), Dims([2, 2]), GAUSS,
                                                    S=100),
@@ -289,7 +302,7 @@ CONFIG_KEYS = {"A": "input_sha256", "a": "input_sha256", "norm_opts": "norm_opti
 
 def test_every_suite_has_a_config_check():
     names = {name for name in vars(suites) if name.startswith("verify_")}
-    assert names | {"run_identity_suite"} == set(SUITE_CALLS)
+    assert names | {"run_identity_suite", "bound_report"} == set(SUITE_CALLS)
 
 
 @pytest.mark.parametrize("name", sorted(SUITE_CALLS))
