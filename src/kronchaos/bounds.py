@@ -286,22 +286,22 @@ def _matrix_norms(A: np.ndarray) -> tuple[float, float]:
     return fro, spec
 
 
-def tail_regimes_ax(A: np.ndarray, dims: Dims, t: float) -> dict[str, float]:
-    """Exponents (at constant knob 1) of every regime applicable at t.
-
-    Regimes: "small-t" for t <= n^(d/2) s, "large-t" for t >= n^(d/2) s, and
-    "stable-rank" on [n^((d-1)/4) s, n^((d-1)/4) f], with s and f the spectral
-    and Frobenius norms; the intervals overlap and every applicable bound holds.
-    """
-    _check_t(t)
+def _ax_scales(A: np.ndarray, dims: Dims) -> tuple[int, int, float, float]:
+    """n, d and the Frobenius and spectral norms f and s of a matrix, the
+    scales of the norm-deviation tail regimes, with the checks of the matrix
+    and dims; a tail curve computes them once for all its t."""
     n = dims.sizes[0]
     if any(m != n for m in dims.sizes):
         raise ArgumentError(f"tail bound needs equal per-axis dims, got {dims.sizes}")
-    d = dims.order
     A = np.asarray(A, dtype=np.float64)
     if A.shape[1] != dims.total:
         raise ShapeError(f"matrix has {A.shape[1]} columns, expected {dims.total}")
-    fro, spec = _matrix_norms(A)
+    return (n, dims.order, *_matrix_norms(A))
+
+
+def _ax_regimes(scales: tuple[int, int, float, float], t: float) -> dict[str, float]:
+    """The exponents of :func:`tail_regimes_ax` from the :func:`_ax_scales` of its matrix."""
+    n, d, fro, spec = scales
     out: dict[str, float] = {}
     if t <= n ** (d / 2.0) * spec:
         out["small-t"] = t * t / (n ** (d - 1.0) * spec * spec)
@@ -312,30 +312,61 @@ def tail_regimes_ax(A: np.ndarray, dims: Dims, t: float) -> dict[str, float]:
     return out
 
 
-def tail_bound_ax(A: np.ndarray, dims: Dims, t: float, C_d: float = 1.0) -> TailBound:
-    """Three-regime tail bound for | ||AX||_2 - ||A||_F |, clipped to [0, 1]."""
-    if C_d <= 0:
-        raise ArgumentError(f"C_d = {C_d} must be > 0")
-    exponents = tail_regimes_ax(A, dims, t)
+def _ax_bound(t: float, exponents: dict[str, float], C_d: float) -> TailBound:
+    """The :func:`tail_bound_ax` at t from the regime exponents at t."""
     regimes = {name: min(1.0, math.e**2 * math.exp(-C_d * e)) for name, e in exponents.items()}
     regime = min(regimes, key=lambda k: (regimes[k], k))
     return TailBound(t, regimes[regime], regime, exponents)
 
 
+def tail_regimes_ax(A: np.ndarray, dims: Dims, t: float) -> dict[str, float]:
+    """Exponents (at constant knob 1) of every regime applicable at t.
+
+    Regimes: "small-t" for t <= n^(d/2) s, "large-t" for t >= n^(d/2) s, and
+    "stable-rank" on [n^((d-1)/4) s, n^((d-1)/4) f], with s and f the spectral
+    and Frobenius norms; the intervals overlap and every applicable bound holds.
+    """
+    _check_t(t)
+    return _ax_regimes(_ax_scales(A, dims), t)
+
+
+def tail_bound_ax(A: np.ndarray, dims: Dims, t: float, C_d: float = 1.0) -> TailBound:
+    """Three-regime tail bound for | ||AX||_2 - ||A||_F |, clipped to [0, 1]."""
+    if C_d <= 0:
+        raise ArgumentError(f"C_d = {C_d} must be > 0")
+    return _ax_bound(t, tail_regimes_ax(A, dims, t), C_d)
+
+
+def _hw_norms(A: np.ndarray, K: float) -> tuple[float, float]:
+    """The Frobenius and spectral norms of a matrix, which the order-1 tail
+    exponent reads at every t, with the check of K."""
+    if K <= 0:
+        raise ArgumentError(f"K = {K} must be > 0")
+    return _matrix_norms(A)
+
+
+def _hw_exponent(norms: tuple[float, float], K: float, t: float) -> float:
+    """The :func:`hanson_wright_exponent` from the :func:`_hw_norms` of its matrix."""
+    fro, spec = norms
+    return min(t * t / (K**4 * fro * fro), t / (K**2 * spec))
+
+
+def _hw_bound(exponent: float, c: float) -> float:
+    """The :func:`tail_bound_hanson_wright` at the given exponent."""
+    return min(1.0, 2.0 * math.exp(-c * exponent))
+
+
 def hanson_wright_exponent(A: np.ndarray, K: float, t: float) -> float:
     """min(t^2 / (K^4 ||A||_F^2), t / (K^2 ||A||_2->2)) of the order-1 tail bound."""
     _check_t(t)
-    if K <= 0:
-        raise ArgumentError(f"K = {K} must be > 0")
-    fro, spec = _matrix_norms(A)
-    return min(t * t / (K**4 * fro * fro), t / (K**2 * spec))
+    return _hw_exponent(_hw_norms(A, K), K, t)
 
 
 def tail_bound_hanson_wright(A: np.ndarray, t: float, K: float, c: float = 1.0) -> float:
     """Two-regime quadratic-form tail bound 2 exp(-c min(...)), clipped to [0, 1]."""
     if c <= 0:
         raise ArgumentError(f"c = {c} must be > 0")
-    return min(1.0, 2.0 * math.exp(-c * hanson_wright_exponent(A, K, t)))
+    return _hw_bound(hanson_wright_exponent(A, K, t), c)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +456,8 @@ def compute_bound_report(A: np.ndarray, dims: Dims, p_grid: Sequence[float] = (2
     warnings: list[str] = []
     tail_curve: list[TailBound] = []
     if t_grid and len(set(dims.sizes)) == 1 and np.any(A):
-        tail_curve = [tail_bound_ax(A, dims, t, C_tail) for t in t_grid]
+        scales = _ax_scales(A, dims)
+        tail_curve = [_ax_bound(t, _ax_regimes(scales, t), C_tail) for t in t_grid]
     elif t_grid:
         warnings.append("tail curve skipped: needs equal per-axis dims and a nonzero matrix")
     main_rows: list[NormTableRow] = []

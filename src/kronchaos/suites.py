@@ -16,8 +16,8 @@ chunk, and only the (S,) or (K, S) statistics are kept, so memory does not
 grow with S times the Kronecker length, and the values are those of the whole
 batch.  The returned batch carries the stream it was drawn on, which keys its
 bootstrap; every L_p band uses montecarlo.RESAMPLES resamples, which the
-configs record.  Input arrays, t grids and constant caps are checked before
-any sample is drawn.
+configs record.  Sample counts, seeds, input arrays, t grids and constant
+caps are checked before any norm or sample is computed.
 """
 
 from __future__ import annotations
@@ -31,17 +31,19 @@ import numpy as np
 from .version import __version__
 from .arrayio import array_digest
 from .bounds import (
+    _ax_bound,
+    _ax_regimes,
+    _ax_scales,
     _check_t,
+    _hw_bound,
+    _hw_exponent,
+    _hw_norms,
     check_symmetry,
     compute_bound_report,
-    hanson_wright_exponent,
     main_norm_table,
     mp_main,
     symmetrize,
     table_warnings,
-    tail_bound_ax,
-    tail_bound_hanson_wright,
-    tail_regimes_ax,
 )
 from .errors import ArgumentError, PreconditionError
 from .identities import (
@@ -59,6 +61,7 @@ from .montecarlo import (
     FactorSampler,
     SampleBatch,
     chaos_batch,
+    check_seed,
     distribution,
     estimate_lp,
     estimate_tail,
@@ -93,10 +96,13 @@ def _config(suite: str, **kwargs) -> dict:
     return cfg
 
 
-def _check_samples(suite: str, S: int) -> None:
+def _check_sampling(suite: str, S: int, seed: int) -> None:
+    """The sample count and the sampling seed of a Monte Carlo suite, checked
+    before any norm or sample is computed."""
     floor = _MIN_SAMPLES.get(suite, 100)
     if S < floor:
         raise PreconditionError(f"{suite} suite needs S >= {floor}, got {S}")
+    check_seed(seed)
 
 
 def _finite_input(suite: str, A) -> np.ndarray:
@@ -250,7 +256,7 @@ def verify_decoupling(A: np.ndarray, dims: Dims, dist: DistributionSpec,
     """Empirical check that the centered chaos L_p norm is bounded by the
     weighted sum of semi-decoupled term L_p norms."""
     p_grid = _check_p_grid(p_grid, 1.0)
-    _check_samples("decoupling", S)
+    _check_sampling("decoupling", S, seed)
     A = _finite_input("decoupling", A)
     d = dims.order
     base = _STREAMS["decoupling"]
@@ -326,7 +332,7 @@ def verify_main_upper(A: np.ndarray, dims: Dims, dist: DistributionSpec,
     passes when every ratio stays below the configured acceptance ceiling.
     """
     p_grid = _check_p_grid(p_grid, 2.0)
-    _check_samples("main-upper", S)
+    _check_sampling("main-upper", S, seed)
     A = _finite_input("main-upper", A)
     norm_opts = norm_opts or NormOptions(seed=seed)
     config = _config("main-upper", seed=int(seed), S=S, dims=list(dims.sizes),
@@ -355,7 +361,7 @@ def verify_main_lower(A: np.ndarray, dims: Dims, p_grid: Sequence[float] = (2.0,
     and must be strictly positive.
     """
     p_grid = _check_p_grid(p_grid, 2.0)
-    _check_samples("main-lower", S)
+    _check_sampling("main-lower", S, seed)
     A = _finite_input("main-lower", A)
     norm_opts = norm_opts or NormOptions(seed=seed)
     dist = distribution("gaussian")
@@ -453,20 +459,22 @@ def verify_ax_tail(A: np.ndarray, dims: Dims, dist: DistributionSpec,
     empirical curve at every grid point by construction.  The default t grid
     is 1/4, 1/2 and 1 times ||A||_F.
     """
-    _check_samples("ax-tail", S)
+    _check_sampling("ax-tail", S, seed)
     A = _finite_input("ax-tail", A)
     if t_grid is None:
         t_grid = np.linalg.norm(A) * np.array([0.25, 0.5, 1.0])
     t_grid = _check_tail_args(t_grid, "C_d", C_d)
-    # the exponents check A and dims, so no sample is drawn for a bad input
+    # the one SVD of the report; it checks A and dims, so no sample is drawn
+    # for a bad input
+    scales = _ax_scales(A, dims)
     exponents = [(max(exps.values()), {"exponents": exps})
-                 for exps in (tail_regimes_ax(A, dims, t) for t in t_grid)]
+                 for exps in (_ax_regimes(scales, t) for t in t_grid)]
     base = _STREAMS["ax-tail"]
     batch = sampled_statistics([FactorSampler(dims, dist, seed, base)], S,
                                lambda mats: norm_batch(A, mats))
 
     def bound(t: float, c: float) -> dict:
-        tb = tail_bound_ax(A, dims, t, c)
+        tb = _ax_bound(t, _ax_regimes(scales, t), c)
         return {"bound": tb.value, "regime": tb.regime}
 
     config = _config("ax-tail", seed=int(seed), S=S, dims=list(dims.sizes),
@@ -479,7 +487,7 @@ def verify_hanson_wright(A: np.ndarray, dist: DistributionSpec,
                          seed: int = 0, c: float | None = None) -> dict:
     """Order-1 baseline: empirical quadratic-form tail vs the two-regime bound,
     by default at t = 1/2, 1 and 2 times 2 ||A||_F, a rough scale of it."""
-    _check_samples("hanson-wright", S)
+    _check_sampling("hanson-wright", S, seed)
     A = _finite_input("hanson-wright", A)
     if t_grid is None:
         t_grid = 2.0 * np.linalg.norm(A) * np.array([0.5, 1.0, 2.0])
@@ -489,15 +497,16 @@ def verify_hanson_wright(A: np.ndarray, dist: DistributionSpec,
     dims = Dims([A.shape[0]])
     base = _STREAMS["hanson-wright"]
     K = dist.psi2_bound
-    # the exponents check A, so no sample is drawn for a zero matrix
-    exponents = [(e, {"exponent": e}) for e in (hanson_wright_exponent(A, K, t) for t in t_grid)]
+    # the one SVD of the report; it checks A, so no sample is drawn for a zero matrix
+    norms = _hw_norms(A, K)
+    exponents = [(e, {"exponent": e}) for e in (_hw_exponent(norms, K, t) for t in t_grid)]
     batch = sampled_statistics([FactorSampler(dims, dist, seed, base)], S,
                                lambda mats: chaos_batch(A, mats))
 
     config = _config("hanson-wright", seed=int(seed), S=S, n=A.shape[0],
                      dist=dist.label, t_grid=t_grid, K=K, c=c, input_sha256=array_digest(A))
     return _tail_fit(config, batch, t_grid, math.log(2.0), exponents,
-                     lambda t, c_fit: {"bound": tail_bound_hanson_wright(A, t, K, c_fit)}, c)
+                     lambda t, c_fit: {"bound": _hw_bound(_hw_exponent(norms, K, t), c_fit)}, c)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +517,7 @@ def verify_gaussian_decoupling(a: np.ndarray, p_grid: Sequence[float] = (2.0, 4.
                                S: int = 100_000, seed: int = 0) -> dict:
     """Check || sum a_k (g_k^2 - 1) ||_p <= 2 || sum a_k g_k gbar_k ||_p empirically."""
     p_grid = _check_p_grid(p_grid, 1.0)
-    _check_samples("gaussian-decoupling", S)
+    _check_sampling("gaussian-decoupling", S, seed)
     a = _finite_input("gaussian-decoupling", a).reshape(-1)
     if a.size == 0:
         raise PreconditionError("gaussian-decoupling needs at least one coefficient")

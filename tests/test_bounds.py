@@ -545,6 +545,24 @@ def test_bound_report_rejects_negative_t_when_the_tail_curve_is_skipped(monkeypa
         compute_bound_report(A, dims, [2], t_grid=[1, -1])
 
 
+def test_bound_report_computes_the_tail_norms_once(monkeypatch):
+    # each t used to take its own SVD of A; the curve is the one tail_bound_ax gives per t
+    A, dims, t_grid = np.random.default_rng(5).standard_normal((8, 8)), Dims([2, 2, 2]), [0.5, 2, 9]
+    expected = [tail_bound_ax(A, dims, t, 1.5) for t in t_grid]
+    calls = []
+    matrix_norms = bounds._matrix_norms
+
+    def counted(B):
+        calls.append(np.shape(B))
+        return matrix_norms(B)
+
+    monkeypatch.setattr(bounds, "_matrix_norms", counted)
+    report = compute_bound_report(A, dims, [2], C_tail=1.5, t_grid=t_grid,
+                                  opts=NormOptions(restarts=2))
+    assert calls == [(8, 8)]
+    assert report.tail_curve == expected
+
+
 @pytest.mark.parametrize("A, dims, C_tail", [(np.eye(6), Dims([2, 3]), 0),
                                              (np.zeros((2, 2)), Dims([2]), -3)])
 def test_bound_report_rejects_nonpositive_C_tail_when_the_tail_curve_is_skipped(

@@ -137,6 +137,16 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, argv):
     assert not (tmp_path / "c").exists()
 
 
+def test_sampling_seed_outside_64_bits_is_usage_error(tmp_path, capsys, id4):
+    # masked to 64 bits, this seed drew the samples of --seed 0 into another cache slot
+    argv = ("verify", "decoupling", "--matrix", id4, "--dims", "2,2", "--samples", "1000",
+            "--seed", str(2**64))
+    assert run(*argv, "--cache", tmp_path / "c") == EXIT_USAGE
+    assert capsys.readouterr().err == ("error: sampling seed must lie in [0, 2^64), "
+                                       f"got {2**64}\n")
+    assert not (tmp_path / "c").exists()
+
+
 @pytest.mark.parametrize("ceiling", ["nan", "-inf", "x"])
 def test_nan_ceiling_is_usage_error(tmp_path, capsys, ceiling):
     assert run(*MAIN_UPPER_SMALL, f"--ceiling={ceiling}", "--cache", tmp_path / "c") == EXIT_USAGE

@@ -1,11 +1,14 @@
-"""Every global name a function in the package looks up must exist, and
-every name a module imports must be used.
+"""Every global name a function in the package looks up must exist, every
+name a module imports must be used, and no module imports scipy when it is
+imported.
 
 Python resolves a global name only when the function body runs, so an
 import left out of a module passes collection and fails at call time.  This
 walks each module's symbol table instead of running it.  The converse check
 walks each module's syntax tree, annotations included, for imports that a
-deletion left behind.
+deletion left behind.  A third walk lists the imports a module runs when it
+is imported: scipy.special is imported inside the function that needs it, on
+the first Gaussian draw, so that importing the package stays cheap.
 """
 
 import ast
@@ -95,3 +98,60 @@ def test_module_imports_are_used(module):
     # __init__.py is left out: its imports are the package's public names
     unused = unused_imports((PACKAGE / module).read_text())
     assert [name for name in unused if (module, name) not in KEPT_IMPORTS] == []
+
+
+def module_level_imports(source: str) -> list[str]:
+    """Top-level names of the absolute imports a module runs when it is
+    imported: every import outside a function body, class bodies and
+    ``try``/``if`` blocks included."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend(alias.name.split(".")[0] for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                found.append(child.module.split(".")[0])
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_checker_finds_module_level_imports():
+    source = (
+        "import os.path, numpy as np\n"
+        "from scipy.special import ndtri\n"
+        "from .errors import ArgumentError\n"
+        "try:\n"
+        "    import scipy.linalg as sl\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "class C:\n"
+        "    import json\n"
+        "    def m(self):\n"
+        "        import scipy\n"
+        "def f():\n"
+        "    import scipy.special\n"
+        "    return scipy.special\n"
+    )
+    assert module_level_imports(source) == ["os", "numpy", "scipy", "scipy", "json"]
+
+
+def test_checkers_accept_a_function_level_import():
+    source = (
+        "def f():\n"
+        "    import scipy.special\n"
+        "\n"
+        "    return scipy.special\n"
+    )
+    assert undefined_globals(source, "<case>") == []
+    assert unused_imports(source) == []
+    assert module_level_imports(source) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_does_not_import_scipy_when_imported(module):
+    assert "scipy" not in module_level_imports((PACKAGE / module).read_text())

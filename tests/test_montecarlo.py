@@ -59,6 +59,19 @@ def test_sampler_determinism_and_streams():
         assert not np.array_equal(a[l], d[l])
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_sampler_rejects_a_seed_outside_64_bits(seed):
+    # masked to 64 bits, such a seed drew the samples of seed mod 2^64
+    with pytest.raises(ArgumentError, match=r"sampling seed must lie in \[0, 2\^64\)"):
+        FactorSampler(DIMS, distribution("rademacher"), seed=seed, stream=5)
+
+
+def test_sampler_accepts_the_largest_64_bit_seed():
+    top = FactorSampler(DIMS, distribution("rademacher"), seed=2**64 - 1, stream=5).batch(0, 50)
+    zero = FactorSampler(DIMS, distribution("rademacher"), seed=0, stream=5).batch(0, 50)
+    assert not all(np.array_equal(a, b) for a, b in zip(top, zero))
+
+
 def test_sampler_counter_based_regeneration():
     # any sample is reproducible standalone and from any batch offset
     for fam in ("gaussian", "rademacher", "uniform_sym", "two_point"):
@@ -374,6 +387,13 @@ def test_estimate_tail_rejects_a_nan_t():
 def test_estimate_lp_rejects_resamples_below_one(resamples):
     with pytest.raises(ArgumentError, match="resamples"):
         estimate_lp(_batch(np.ones(150)), [2.0], resamples)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_estimate_lp_rejects_a_seed_outside_64_bits(seed):
+    # masked to 64 bits, such a seed drew the bootstrap of seed mod 2^64
+    with pytest.raises(ArgumentError, match="sampling seed"):
+        estimate_lp(SampleBatch(seed, 0, np.arange(150.0)), [2.0])
 
 
 def test_estimate_lp_deterministic():

@@ -21,7 +21,7 @@ from kronchaos import (
     verify_main_lower,
     verify_main_upper,
 )
-from kronchaos import montecarlo, suites
+from kronchaos import bounds, montecarlo, suites
 from kronchaos.montecarlo import EmpiricalMoment
 from kronchaos.errors import ArgumentError, DegenerateInputError, PreconditionError
 from kronchaos.norms import NormOptions
@@ -340,6 +340,57 @@ def test_monte_carlo_suites_reject_non_finite_input_before_sampling(monkeypatch,
     _no_sampling(monkeypatch)
     with pytest.raises(PreconditionError, match="non-finite entry"):
         run(A)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("run", [
+    lambda seed: verify_decoupling(np.eye(4), Dims([2, 2]), RADEMACHER, S=1000, seed=seed),
+    lambda seed: verify_main_upper(np.eye(4), Dims([2, 2]), GAUSS, S=1000, seed=seed),
+    lambda seed: verify_main_lower(np.eye(4), Dims([2, 2]), S=1000, seed=seed),
+    lambda seed: verify_ax_tail(np.eye(4), Dims([2, 2]), GAUSS, [1.0], S=10_000, seed=seed),
+    lambda seed: verify_hanson_wright(np.eye(4), GAUSS, [1.0], S=10_000, seed=seed),
+    lambda seed: verify_gaussian_decoupling(np.ones(3), S=1000, seed=seed),
+], ids=["decoupling", "main-upper", "main-lower", "ax-tail", "hanson-wright",
+        "gaussian-decoupling"])
+def test_monte_carlo_suites_reject_a_seed_outside_64_bits_first(monkeypatch, run, seed):
+    # the sampler masked such a seed to 64 bits: seed 2^64 drew the samples
+    # of seed 0 under another config, and no norm or sample may come first
+    calls = []
+    batch, table_norms = montecarlo.FactorSampler.batch, bounds.table_norms
+
+    def counted(self, start, count):
+        calls.append(("batch", count))
+        return batch(self, start, count)
+
+    def counted_norms(arrays, partitions, opts):
+        calls.append(("norms", len(arrays)))
+        return table_norms(arrays, partitions, opts)
+
+    monkeypatch.setattr(montecarlo.FactorSampler, "batch", counted)
+    monkeypatch.setattr(bounds, "table_norms", counted_norms)
+    with pytest.raises(ArgumentError, match=r"sampling seed must lie in \[0, 2\^64\)"):
+        run(seed)
+    assert calls == []
+
+
+@pytest.mark.parametrize("run", [
+    lambda: verify_ax_tail(np.random.default_rng(2).standard_normal((8, 8)), Dims([2, 2, 2]),
+                           GAUSS, [0.5, 1.0, 2.0, 4.0], S=10_000),
+    lambda: verify_hanson_wright(np.random.default_rng(2).standard_normal((8, 8)), GAUSS,
+                                 [0.5, 1.0, 2.0, 4.0], S=1000),
+], ids=["ax-tail", "hanson-wright"])
+def test_tail_suites_compute_the_matrix_norms_once(monkeypatch, run):
+    # each t used to take its own SVD for the exponent and another for the bound
+    calls = []
+    matrix_norms = bounds._matrix_norms
+
+    def counted(A):
+        calls.append(np.shape(A))
+        return matrix_norms(A)
+
+    monkeypatch.setattr(bounds, "_matrix_norms", counted)
+    assert run()["status"] == "pass"
+    assert calls == [(8, 8)]
 
 
 @pytest.mark.parametrize("run, message", [
