@@ -56,7 +56,6 @@ from .bounds import (
     mp_norm,
     symmetrize,
     tail_bound_ax,
-    tail_bound_hanson_wright,
     verify_reduction_lift,
 )
 from .identities import (

@@ -300,7 +300,13 @@ def _ax_scales(A: np.ndarray, dims: Dims) -> tuple[int, int, float, float]:
 
 
 def _ax_regimes(scales: tuple[int, int, float, float], t: float) -> dict[str, float]:
-    """The exponents of :func:`tail_regimes_ax` from the :func:`_ax_scales` of its matrix."""
+    """Exponents (at constant knob 1) of every regime applicable at t, from
+    the :func:`_ax_scales` n, d, f and s of the matrix.
+
+    Regimes: "small-t" for t <= n^(d/2) s, "large-t" for t >= n^(d/2) s, and
+    "stable-rank" on [n^((d-1)/4) s, n^((d-1)/4) f], with s and f the spectral
+    and Frobenius norms; the intervals overlap and every applicable bound holds.
+    """
     n, d, fro, spec = scales
     out: dict[str, float] = {}
     if t <= n ** (d / 2.0) * spec:
@@ -319,54 +325,25 @@ def _ax_bound(t: float, exponents: dict[str, float], C_d: float) -> TailBound:
     return TailBound(t, regimes[regime], regime, exponents)
 
 
-def tail_regimes_ax(A: np.ndarray, dims: Dims, t: float) -> dict[str, float]:
-    """Exponents (at constant knob 1) of every regime applicable at t.
-
-    Regimes: "small-t" for t <= n^(d/2) s, "large-t" for t >= n^(d/2) s, and
-    "stable-rank" on [n^((d-1)/4) s, n^((d-1)/4) f], with s and f the spectral
-    and Frobenius norms; the intervals overlap and every applicable bound holds.
-    """
-    _check_t(t)
-    return _ax_regimes(_ax_scales(A, dims), t)
-
-
+# bench/tracing.py wraps this one-t form of the tail curve.
 def tail_bound_ax(A: np.ndarray, dims: Dims, t: float, C_d: float = 1.0) -> TailBound:
-    """Three-regime tail bound for | ||AX||_2 - ||A||_F |, clipped to [0, 1]."""
+    """Three-regime (:func:`_ax_regimes`) tail bound for | ||AX||_2 - ||A||_F |, clipped to [0, 1]."""
     if C_d <= 0:
         raise ArgumentError(f"C_d = {C_d} must be > 0")
-    return _ax_bound(t, tail_regimes_ax(A, dims, t), C_d)
-
-
-def _hw_norms(A: np.ndarray, K: float) -> tuple[float, float]:
-    """The Frobenius and spectral norms of a matrix, which the order-1 tail
-    exponent reads at every t, with the check of K."""
-    if K <= 0:
-        raise ArgumentError(f"K = {K} must be > 0")
-    return _matrix_norms(A)
+    _check_t(t)
+    return _ax_bound(t, _ax_regimes(_ax_scales(A, dims), t), C_d)
 
 
 def _hw_exponent(norms: tuple[float, float], K: float, t: float) -> float:
-    """The :func:`hanson_wright_exponent` from the :func:`_hw_norms` of its matrix."""
+    """min(t^2 / (K^4 ||A||_F^2), t / (K^2 ||A||_2->2)), the exponent of the
+    order-1 tail bound, from the :func:`_matrix_norms` of A."""
     fro, spec = norms
     return min(t * t / (K**4 * fro * fro), t / (K**2 * spec))
 
 
 def _hw_bound(exponent: float, c: float) -> float:
-    """The :func:`tail_bound_hanson_wright` at the given exponent."""
+    """The order-1 tail bound 2 exp(-c exponent), clipped to [0, 1]."""
     return min(1.0, 2.0 * math.exp(-c * exponent))
-
-
-def hanson_wright_exponent(A: np.ndarray, K: float, t: float) -> float:
-    """min(t^2 / (K^4 ||A||_F^2), t / (K^2 ||A||_2->2)) of the order-1 tail bound."""
-    _check_t(t)
-    return _hw_exponent(_hw_norms(A, K), K, t)
-
-
-def tail_bound_hanson_wright(A: np.ndarray, t: float, K: float, c: float = 1.0) -> float:
-    """Two-regime quadratic-form tail bound 2 exp(-c min(...)), clipped to [0, 1]."""
-    if c <= 0:
-        raise ArgumentError(f"c = {c} must be > 0")
-    return _hw_bound(hanson_wright_exponent(A, K, t), c)
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +360,6 @@ class BoundReport:
     """
 
     dims: Dims
-    p_grid: list[float]
-    t_grid: list[float]
     L: float
     matrix_fro: float
     main_rows: list[NormTableRow]
@@ -487,8 +462,6 @@ def compute_bound_report(A: np.ndarray, dims: Dims, p_grid: Sequence[float] = (2
 
     return BoundReport(
         dims=dims,
-        p_grid=list(p_grid),
-        t_grid=list(t_grid),
         L=L,
         matrix_fro=float(np.linalg.norm(A)),
         main_rows=main_rows,

@@ -11,7 +11,8 @@ Subcommands, each reading --seed, --cache, --formats and the options listed:
   verify hanson-wright: --matrix --n --dist --q --t --samples --c
   report (merges cached reports into one summary): --cache only
 An option a command does not read is a usage error, and so are --q without
---dist two_point and --n with --matrix.
+--dist two_point and --n with --matrix.  An option that is not given is not
+passed to the library call, so every default is the library's.
 
 Exit codes: 0 pass (or inconclusive pass), 1 separated violation, 2 usage or
 input errors.  Reports land in one directory per key under the cache directory
@@ -155,14 +156,12 @@ def _vector(args) -> np.ndarray:
 
 
 def _dist(args) -> DistributionSpec:
-    if "q" in args and args.dist != "two_point":
-        raise UsageError("--q changes nothing unless --dist two_point")
     return distribution(args.dist, **_given(args, ("q",)))
 
 
 def _given(args, names=("seed", "S", "p_grid", "t_grid", "ceiling", "C_d", "c")) -> dict:
     """The named options a command's parser set, as keyword arguments.  It sets
-    only the options its command reads, and --p, --t, --q and --n only if given."""
+    only the options its command reads, and a library keyword only if given."""
     return {name: getattr(args, name) for name in names if name in args}
 
 
@@ -273,13 +272,14 @@ def write_report(report: dict, cache: Path, formats: list[str]) -> tuple[Path, b
     return slot, True
 
 
-def _norm_opts(args) -> NormOptions:
-    return NormOptions(restarts=args.restarts, seed=args.seed)
+def _norm_opts(args) -> dict:
+    """norm_opts only if --restarts is given; the library's default options take the seed."""
+    return {"norm_opts": NormOptions(restarts=args.restarts, seed=args.seed)} if "restarts" in args else {}
 
 
 def cmd_bounds(args) -> int:
     cache = _cache_dir(args)
-    report = bound_report(*_matrix_and_dims(args), norm_opts=_norm_opts(args),
+    report = bound_report(*_matrix_and_dims(args), **_norm_opts(args),
                           **_given(args, ("seed", "p_grid", "t_grid", "L", "C_tail")))
     slot, fresh = write_report(report, cache, args.formats)
     print(f"bounds: report {'written to' if fresh else 'cached at'} {slot}")
@@ -297,9 +297,9 @@ VERIFY = {
     "main-upper": (("--matrix", "--dims", "--dist", "--q", "--p", "--samples", "--restarts",
                     "--ceiling"),
                    lambda a: verify_main_upper(*_matrix_and_dims(a), _dist(a),
-                                               norm_opts=_norm_opts(a), **_given(a))),
+                                               **_norm_opts(a), **_given(a))),
     "main-lower": (("--matrix", "--dims", "--p", "--samples", "--restarts"),
-                   lambda a: verify_main_lower(*_matrix_and_dims(a), norm_opts=_norm_opts(a),
+                   lambda a: verify_main_lower(*_matrix_and_dims(a), **_norm_opts(a),
                                                **_given(a))),
     "ax-tail": (("--matrix", "--dims", "--dist", "--q", "--t", "--samples", "--C-tail"),
                 lambda a: verify_ax_tail(*_matrix_and_dims(a), _dist(a), **_given(a))),
@@ -387,13 +387,13 @@ OPTIONS = {
     "--dims": dict(type=_parse_dims, help="comma list of per-axis sizes, e.g. 2,2"),
     "--p": dict(dest="p_grid", type=_parse_grid, default=argparse.SUPPRESS, help="moment orders, e.g. 2,4"),
     "--t": dict(dest="t_grid", type=_parse_grid, default=argparse.SUPPRESS, help="tail thresholds, e.g. 1,2"),
-    "--restarts": dict(type=int, default=32),
+    "--restarts": dict(type=int, default=argparse.SUPPRESS),
     "--dist": dict(default="gaussian", choices=list(FAMILIES)),
-    "--q": dict(type=_finite, default=argparse.SUPPRESS, help="two_point hit probability (default 0.25)"),
-    "--samples": dict(dest="S", type=int, default=100_000),
-    "--ceiling": dict(type=_ceiling, default=50.0, help="acceptance ceiling of the ratios (inf: none)"),
-    "--C-tail": dict(dest="C_d", type=_finite, default=None, help="cap for the fitted constant"),
-    "--c": dict(type=_finite, default=None, help="cap for the fitted order-1 constant"),
+    "--q": dict(type=_finite, default=argparse.SUPPRESS, help="two_point hit probability"),
+    "--samples": dict(dest="S", type=int, default=argparse.SUPPRESS),
+    "--ceiling": dict(type=_ceiling, default=argparse.SUPPRESS, help="acceptance ceiling of the ratios (inf: none)"),
+    "--C-tail": dict(dest="C_d", type=_finite, default=argparse.SUPPRESS, help="cap for the fitted constant"),
+    "--c": dict(type=_finite, default=argparse.SUPPRESS, help="cap for the fitted order-1 constant"),
     "--n": dict(type=int, default=argparse.SUPPRESS, help="size of the random matrix (default 8)"),
     "--vector": dict(type=_parse_floats, help="comma list of coefficients"),
     "--cache": dict(help="cache directory (default $KRONCHAOS_CACHE or ./kronchaos-cache)"),
@@ -415,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bounds", help="compute bound reports for a matrix")
     _add_options(pb, ("--matrix", "--dims", "--p", "--t", "--restarts"))
-    pb.add_argument("--L", type=_finite, default=1.0, help="subgaussian-norm bound (>= 1)")
-    pb.add_argument("--C-tail", dest="C_tail", type=_finite, default=1.0,
+    pb.add_argument("--L", type=_finite, default=argparse.SUPPRESS, help="subgaussian-norm bound (>= 1)")
+    pb.add_argument("--C-tail", dest="C_tail", type=_finite, default=argparse.SUPPRESS,
                     help="constant knob of the norm-deviation tail bound")
     pb.set_defaults(func=cmd_bounds)
 

@@ -46,6 +46,7 @@ thread gives the same report bytes as the default thread count.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -154,24 +155,33 @@ class DistributionSpec:
         return f"two_point({self.q})" if self.family == "two_point" else self.family
 
 
-def distribution(family: str, q: float = 0.25) -> DistributionSpec:
-    """DistributionSpec with the stored subgaussian-norm constant for the family."""
+def distribution(family: str, q: float | None = None) -> DistributionSpec:
+    """DistributionSpec with the stored subgaussian-norm constant for the family.
+    Only two_point reads q (0.25 if not given); a q for another family is an ArgumentError."""
     psi2 = _family(family).psi2
     if psi2 is not None:
+        if q is not None:
+            raise ArgumentError(f"q changes nothing unless the family is two_point, got {family}")
         return DistributionSpec(family, psi2)
+    q = 0.25 if q is None else q
     if not 0.0 < q <= 0.5:
         raise ArgumentError(f"two_point needs 0 < q <= 1/2, got {q}")
     return DistributionSpec(family, math.ceil(psi2_numeric(family, q) * 1000) / 1000, q)
 
 
-def check_seed(seed: int) -> int:
-    """The seed as one 64-bit Philox key word.  A seed outside [0, 2^64)
-    would draw the samples of the seed it equals modulo 2^64, so it is an
+def _key_word(value: int, name: str) -> int:
+    """The value as one 64-bit Philox key word.  A value outside [0, 2^64)
+    would key the stream of the value it equals modulo 2^64, so it is an
     ArgumentError."""
-    seed = int(seed)
-    if not 0 <= seed <= _MASK64:
-        raise ArgumentError(f"sampling seed must lie in [0, 2^64), got {seed}")
-    return seed
+    value = int(value)
+    if not 0 <= value <= _MASK64:
+        raise ArgumentError(f"{name} must lie in [0, 2^64), got {value}")
+    return value
+
+
+def check_seed(seed: int) -> int:
+    """The sampling seed as one 64-bit Philox key word (:func:`_key_word`)."""
+    return _key_word(seed, "sampling seed")
 
 
 class FactorSampler:
@@ -180,21 +190,16 @@ class FactorSampler:
     Sample s occupies Philox counter block s * stride_blocks of the stream
     keyed by (seed, stream); axis l occupies a fixed slot range inside the
     block, so ``batch(s, 1)`` reproduces row s of any batch bit-identically.
-    The seed must lie in [0, 2^64) (:func:`check_seed`).
+    The seed and the stream must lie in [0, 2^64) (:func:`_key_word`).
     """
 
     def __init__(self, dims: Dims, dist: DistributionSpec, seed: int, stream: int):
         self.dims = dims
         self.dist = dist
         self.seed = check_seed(seed)
-        self.stream = int(stream) & _MASK64
-        self.offsets = []
-        pos = 0
-        for n in dims.sizes:
-            self.offsets.append(pos)
-            pos += n
-        self.entries = pos
-        self.stride_blocks = (pos + 3) // 4  # Philox advances in 4-double blocks
+        self.stream = _key_word(stream, "sampling stream")
+        self.offsets = list(itertools.accumulate(dims.sizes, initial=0))[:-1]
+        self.stride_blocks = (sum(dims.sizes) + 3) // 4  # Philox advances in 4-double blocks
 
     def _key(self):
         return np.array([self.seed, self.stream], dtype=np.uint64)
@@ -373,8 +378,8 @@ def estimate_lp(batch: SampleBatch, p_grid: Sequence[float],
     _COUNT_BLOCK resamples (the last one padded with zero counts) are
     contracted with _SAMPLE_BLOCK samples at a time, and the blocks are added
     in sample order.  Every product has a shape fixed by S and the p grid, so
-    no value depends on the number of statistics.  The batch's seed must lie
-    in [0, 2^64) (:func:`check_seed`).
+    no value depends on the number of statistics.  The batch's seed, its stream
+    and STREAM_BOOTSTRAP + stream must lie in [0, 2^64) (:func:`_key_word`).
     """
     p_grid = [float(p) for p in p_grid]
     if any(not 1 <= p < math.inf for p in p_grid):
@@ -382,6 +387,8 @@ def estimate_lp(batch: SampleBatch, p_grid: Sequence[float],
     if resamples < 1:
         raise ArgumentError(f"resamples = {resamples} must be >= 1")
     seed = check_seed(batch.seed)
+    _key_word(batch.stream, "sampling stream")
+    boot_stream = _key_word(STREAM_BOOTSTRAP + batch.stream, "bootstrap stream")
     values = np.asarray(batch.values, dtype=np.float64)
     if values.ndim not in (1, 2):
         raise ArgumentError(f"batch values must be (S,) or (K, S), got shape {values.shape}")
@@ -397,8 +404,7 @@ def estimate_lp(batch: SampleBatch, p_grid: Sequence[float],
     # whole number of count blocks
     padded = -(-resamples // _COUNT_BLOCK) * _COUNT_BLOCK
     sums = np.zeros((rows.shape[0], len(p_grid), padded))
-    rng = Generator(Philox(key=np.array([seed, (STREAM_BOOTSTRAP + batch.stream) & _MASK64],
-                                        dtype=np.uint64)))
+    rng = Generator(Philox(key=np.array([seed, boot_stream], dtype=np.uint64)))
     counts = np.empty((_COUNT_BLOCK, S), dtype=np.uint8)
     weights = np.empty((min(_SAMPLE_BLOCK, S), _COUNT_BLOCK))
     block_powers = np.empty((len(p_grid), weights.shape[0]))

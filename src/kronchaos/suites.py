@@ -37,7 +37,7 @@ from .bounds import (
     _check_t,
     _hw_bound,
     _hw_exponent,
-    _hw_norms,
+    _matrix_norms,
     check_symmetry,
     compute_bound_report,
     main_norm_table,
@@ -395,8 +395,8 @@ def bound_report(A: np.ndarray, dims: Dims, p_grid: Sequence[float] = (2.0, 4.0,
     option that changes a value."""
     norm_opts = norm_opts or NormOptions(seed=seed)
     result = compute_bound_report(A, dims, p_grid, L, C_tail, t_grid, norm_opts)
-    config = _config("bounds", seed=int(seed), dims=list(dims.sizes), p_grid=result.p_grid,
-                     t_grid=result.t_grid, L=L, C_tail=C_tail,
+    config = _config("bounds", seed=int(seed), dims=list(dims.sizes), p_grid=list(p_grid),
+                     t_grid=list(t_grid), L=L, C_tail=C_tail,
                      norm_options=_norm_config(norm_opts), input_sha256=array_digest(A))
     return {"suite": "bounds", "config": config, **result.to_dict()}
 
@@ -498,7 +498,7 @@ def verify_hanson_wright(A: np.ndarray, dist: DistributionSpec,
     base = _STREAMS["hanson-wright"]
     K = dist.psi2_bound
     # the one SVD of the report; it checks A, so no sample is drawn for a zero matrix
-    norms = _hw_norms(A, K)
+    norms = _matrix_norms(A)
     exponents = [(e, {"exponent": e}) for e in (_hw_exponent(norms, K, t) for t in t_grid)]
     batch = sampled_statistics([FactorSampler(dims, dist, seed, base)], S,
                                lambda mats: chaos_batch(A, mats))

@@ -33,12 +33,7 @@ from kronchaos import (
     verify_reduction_lift,
 )
 from kronchaos import bounds, norms
-from kronchaos.bounds import (
-    compute_bound_report,
-    gram_norm_table,
-    swap_invariances,
-    tail_regimes_ax,
-)
+from kronchaos.bounds import compute_bound_report, gram_norm_table, swap_invariances
 from kronchaos.errors import ArgumentError, AxisSetError, DegenerateInputError
 from kronchaos.identities import chaos_quadratic, expected_quadratic
 from kronchaos.norms import diagonal_restrict
@@ -594,9 +589,7 @@ NON_FINITE_CALLS = {
     "mp_norm": "mp_norm(A, DIMS, 2.0)",
     "tensor_norm": "tensor_norm(rearrange_matrix(A, DIMS), [[1, 3], [2, 4]])",
     "table_norms": "table_norms([rearrange_matrix(A, DIMS)], [[[1], [2], [3, 4]]])",
-    "tail_regimes_ax": "tail_regimes_ax(A, DIMS, 1.0)",
     "tail_bound_ax": "tail_bound_ax(A, DIMS, 1.0)",
-    "tail_bound_hanson_wright": "tail_bound_hanson_wright(A, 1.0, 1.0)",
     "check_gram_norm_bounds": "check_gram_norm_bounds(A, DIMS, [1], [[2], [4]])",
     "verify_reduction_lift": "verify_reduction_lift(rearrange_matrix(A, DIMS), [1], [[2], [4]])",
     "verify_merge_split": "verify_merge_split(rearrange_matrix(A, DIMS), [[1], [2], [3, 4]], (0, 1))",
@@ -608,7 +601,7 @@ _NON_FINITE_CHILD = """
 import json, sys
 import numpy as np
 from kronchaos import *
-from kronchaos.bounds import compute_bound_report, gram_norm_table, tail_regimes_ax
+from kronchaos.bounds import compute_bound_report, gram_norm_table
 from kronchaos.norms import table_norms
 DIMS = Dims([2, 2])
 for bad in (np.inf, -np.inf, np.nan):
@@ -688,7 +681,7 @@ def test_tail_bound_regime_boundary_agreement():
     spec = np.linalg.svd(A, compute_uv=False)[0]
     n, d = 4, 2
     t_star = n ** (d / 2.0) * spec
-    exps = tail_regimes_ax(A, dims, t_star)
+    exps = tail_bound_ax(A, dims, t_star).exponents
     assert exps["small-t"] == pytest.approx(n, rel=1e-12)
     assert exps["large-t"] == pytest.approx(n, rel=1e-12)
 
@@ -725,8 +718,6 @@ def test_tail_bounds_reject_non_finite_t(t):
     with pytest.raises(ArgumentError, match=f"t = {t} must be finite"):
         tail_bound_ax(np.eye(4), Dims([4]), t)
     with pytest.raises(ArgumentError, match=f"t = {t} must be finite"):
-        bounds.hanson_wright_exponent(np.eye(4), 1.0, t)
-    with pytest.raises(ArgumentError, match=f"t = {t} must be finite"):
         compute_bound_report(np.eye(4), Dims([2, 2]), [2], t_grid=[1, t])
 
 
@@ -758,9 +749,3 @@ def test_reduction_lift_constructive():
         rep2 = verify_reduction_lift(B2d, [2], [[1, 3]], OPTS)
         assert rep2.passed
 
-
-def test_bound_report_returns_the_grids_it_used():
-    report = compute_bound_report(np.eye(4), Dims([2, 2]))
-    assert (report.p_grid, report.t_grid) == ([2.0, 4.0, 8.0], [])
-    report = compute_bound_report(np.eye(4), Dims([2, 2]), [3.0], t_grid=(1.0,))
-    assert (report.p_grid, report.t_grid) == ([3.0], [1.0])

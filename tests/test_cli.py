@@ -410,8 +410,9 @@ def test_interrupted_write_leaves_no_report(tmp_path, monkeypatch, capsys):
     # no abbreviation: --c would otherwise name ax-tail's --cache
     (("verify", "ax-tail", "--dims", "2", "--c", "2"), "unrecognized arguments: --c 2"),
     (("verify", "main-upper", "--dims", "2", "--dist", "rademacher", "--q", "0.01"),
-     "--q changes nothing unless --dist two_point"),
-    (("verify", "hanson-wright", "--q", "0.3"), "--q changes nothing unless --dist two_point"),
+     "q changes nothing unless the family is two_point, got rademacher"),
+    (("verify", "hanson-wright", "--q", "0.3"),
+     "q changes nothing unless the family is two_point, got gaussian"),
     (("verify", "hanson-wright", "--n", "99", "--matrix", "ID4"),
      "--n changes nothing when --matrix is given"),
 ])
@@ -521,6 +522,34 @@ def test_every_accepted_option_changes_the_report_config(tmp_path, command, opti
         return json.loads(next(cache.iterdir()).joinpath("report.json").read_text())["config"]
 
     assert config(option, CHANGED[option]) != config()
+
+
+# Namespace keys the CLI reads itself; --seed also draws the default matrix
+# and vector, so it keeps a default of its own.
+CLI_KEYS = {"command", "suite", "func", "seed", "matrix", "dims", "dist", "vector", "cache",
+            "formats"}
+CLI_OPTIONS = {"--seed", "--matrix", "--dims", "--dist", "--vector", "--cache", "--formats"}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_namespace_holds_a_library_keyword_only_when_given(command):
+    # an option default would restate the library's, so each default lives
+    # only in the library signature
+    parser = build_parser()
+    keys = set(vars(parser.parse_args(command.split())))
+    assert keys <= CLI_KEYS
+    for option in sorted(set(READS[command].split()) - CLI_OPTIONS):
+        given = vars(parser.parse_args([*command.split(), *CONTEXT.get(option, ()),
+                                        option, CHANGED[option]]))
+        assert len(set(given) - keys - CLI_KEYS) == 1, option
+
+
+def test_library_defaults_given_share_the_slot_of_the_run_without_them(tmp_path, capsys):
+    argv = ("verify", "main-upper", "--dims", "2", "--p", "2", "--cache", tmp_path / "c")
+    assert run(*argv) == EXIT_OK
+    assert "written to" in capsys.readouterr().out
+    assert run(*argv, "--restarts", "32", "--samples", "100000", "--ceiling", "50") == EXIT_OK
+    assert "cached at" in capsys.readouterr().out
 
 
 def test_bounds_writes_the_library_bound_report(tmp_path, capsys):

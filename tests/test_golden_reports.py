@@ -27,6 +27,7 @@ import pytest
 import kronchaos
 from kronchaos import (
     Dims,
+    NormOptions,
     bound_report,
     distribution,
     run_identity_suite,
@@ -37,6 +38,7 @@ from kronchaos import (
     verify_main_lower,
     verify_main_upper,
 )
+from kronchaos.bounds import compute_bound_report
 from kronchaos.cli import _report_json, report_to_csv
 
 GOLDEN = Path(__file__).resolve().with_name("golden")
@@ -87,6 +89,23 @@ CASES = {
 
 def render(name: str) -> str:
     return _report_json(CASES[name]())
+
+
+# The benchmark's bound gate audits the stored moment values with
+# BoundReport.recompute_mp_main and recompute_mp_norm.
+@pytest.mark.parametrize("A, dims, p_grid, seed", [
+    (_cli_matrix(4, 8), D22, (2.0, 4.0), 8),
+    (_matrix(3, 4, 9), D22, (2.0, 4.0, 8.0), 9),
+    (_matrix(8, 8, 11), Dims([2, 2, 2]), (2.0, 4.0, 8.0), 11),
+], ids=["bounds-square", "bounds-rectangular", "square-d3"])
+def test_bound_report_recomputes_its_moment_values(A, dims, p_grid, seed):
+    report = compute_bound_report(A, dims, p_grid, opts=NormOptions(seed=seed))
+    assert list(report.mp_norm_values) == list(p_grid)
+    assert list(report.mp_main_values) == (list(p_grid) if A.shape[0] == A.shape[1] else [])
+    for stored, recompute in ((report.mp_main_values, report.recompute_mp_main),
+                              (report.mp_norm_values, report.recompute_mp_norm)):
+        for p, value in stored.items():
+            assert recompute(p) == pytest.approx(value, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

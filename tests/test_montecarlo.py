@@ -66,6 +66,13 @@ def test_sampler_rejects_a_seed_outside_64_bits(seed):
         FactorSampler(DIMS, distribution("rademacher"), seed=seed, stream=5)
 
 
+@pytest.mark.parametrize("stream", [-1, 2**64])
+def test_sampler_rejects_a_stream_outside_64_bits(stream):
+    # masked to 64 bits, stream -1 drew the samples of stream 2^64 - 1
+    with pytest.raises(ArgumentError, match=r"sampling stream must lie in \[0, 2\^64\)"):
+        FactorSampler(DIMS, distribution("rademacher"), seed=0, stream=stream)
+
+
 def test_sampler_accepts_the_largest_64_bit_seed():
     top = FactorSampler(DIMS, distribution("rademacher"), seed=2**64 - 1, stream=5).batch(0, 50)
     zero = FactorSampler(DIMS, distribution("rademacher"), seed=0, stream=5).batch(0, 50)
@@ -136,6 +143,15 @@ def test_two_point_q_validation():
         distribution("two_point", q=0.75)
     with pytest.raises(ArgumentError):
         distribution("nonesuch")
+
+
+def test_only_two_point_reads_q():
+    assert distribution("two_point") == distribution("two_point", 0.25)
+    for family in ("gaussian", "rademacher", "uniform_sym"):
+        # q used to be ignored silently for these families
+        with pytest.raises(ArgumentError, match=f"q changes nothing unless the family is "
+                                                f"two_point, got {family}"):
+            distribution(family, q=0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +410,15 @@ def test_estimate_lp_rejects_a_seed_outside_64_bits(seed):
     # masked to 64 bits, such a seed drew the bootstrap of seed mod 2^64
     with pytest.raises(ArgumentError, match="sampling seed"):
         estimate_lp(SampleBatch(seed, 0, np.arange(150.0)), [2.0])
+
+
+@pytest.mark.parametrize("stream, name", [(-0x30, "sampling stream"),
+                                          (2**64, "sampling stream"),
+                                          (2**64 - 0x30, "bootstrap stream")])
+def test_estimate_lp_rejects_a_stream_outside_64_bits(stream, name):
+    # masked to 64 bits, stream -0x30 bootstrapped on the resamples of stream 0's batch
+    with pytest.raises(ArgumentError, match=rf"{name} must lie in \[0, 2\^64\)"):
+        estimate_lp(SampleBatch(0, stream, np.arange(150.0)), [2.0])
 
 
 def test_estimate_lp_deterministic():

@@ -1,6 +1,7 @@
 """Partition norms: exact paths, the alternating estimator, and the
 merge/split and diagonal-restriction inequality harnesses."""
 
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -722,6 +723,37 @@ def test_diagonal_restriction_inequality_exact_kappa2():
         rep = verify_diagonal_restriction(A, [1], [[1, 2], [3, 4]], OPTS)
         assert rep.restricted_method == "spectral-exact"
         assert rep.passed
+
+
+def test_diagonal_restriction_retries_a_full_estimate_below_the_restricted_one(monkeypatch):
+    A = rearrange_matrix(np.random.default_rng(19).standard_normal((4, 4)), Dims([2, 2]))
+    I, P = [1], [[1], [2], [3, 4]]
+    lhs = tensor_norm(diagonal_restrict(A, I), P, OPTS)
+    full = tensor_norm(A, P, OPTS)
+    assert full.method == "als"
+
+    def low_full(pa, P, opts=None):
+        return dataclasses.replace(full, value=0.0) if pa is A else tensor_norm(pa, P, opts)
+
+    starts = []
+
+    def recorded(pas, Ps, opts, start=None):
+        if start is not None:
+            starts.append((opts.restarts, start))
+        return _als_batches(pas, Ps, opts, start)
+
+    monkeypatch.setattr(norms, "tensor_norm", low_full)
+    monkeypatch.setattr(norms, "_als_batches", recorded)
+    rep = verify_diagonal_restriction(A, I, P, OPTS)
+    assert rep.retried and rep.passed
+    # one retry at twice the restarts, from the restricted optimizer, a
+    # feasible point of the full array
+    [(restarts, start)] = starts
+    assert restarts == 2 * OPTS.restarts
+    assert all(np.array_equal(a, b) for a, b in zip(start, lhs.factors, strict=True))
+    [retry] = _als_batches([A], [full.partition], dataclasses.replace(OPTS, restarts=restarts),
+                           start=lhs.factors)
+    assert rep.full_value == retry.value
 
 
 def test_diagonal_restriction_inequality_als_partitions():
