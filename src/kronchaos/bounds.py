@@ -168,6 +168,14 @@ def _check_t(t: float) -> None:
         raise ArgumentError(f"t = {t} must be >= 0")
 
 
+def _power(x: float, k: float, name: str) -> float:
+    """x ** k; a float overflow is an ArgumentError that names the input ``name``."""
+    try:
+        return x ** k
+    except OverflowError:
+        raise ArgumentError(f"{name} is too large: a power of it in the bound overflows") from None
+
+
 def _kappa_sums(rows: Sequence[NormTableRow], d: int) -> dict[int, float]:
     """Summed partition norms per block count kappa = 1..2d."""
     sums = {k: 0.0 for k in range(1, 2 * d + 1)}
@@ -227,7 +235,7 @@ def mp_main(A: PartialArray, p: float, L: float = 1.0, opts: NormOptions | None 
     _check_p_L(p, L)
     d = doubled_order(A)
     rows = table if table is not None else main_norm_table(A, opts)
-    return L ** (2 * d) * sum(p ** (row.kappa / 2.0) * row.value for row in rows)
+    return _power(L, 2 * d, f"L = {L:g}") * sum(p ** (row.kappa / 2.0) * row.value for row in rows)
 
 
 def gram_norm_table(A: np.ndarray, dims: Dims, opts: NormOptions | None = None) -> list[NormTableRow]:
@@ -255,7 +263,7 @@ def mp_norm(A: np.ndarray, dims: Dims, p: float, L: float = 1.0,
         raise DegenerateInputError("zero matrix")
     d = dims.order
     rows = table if table is not None else gram_norm_table(A, dims, opts)
-    return L ** (2 * d) * sum(
+    return _power(L, 2 * d, f"L = {L:g}") * sum(
         min(p ** (k / 2.0) * mk / fro, p ** (k / 4.0) * math.sqrt(mk))
         for k, mk in _kappa_sums(rows, d).items()
     )
@@ -312,7 +320,7 @@ def _ax_regimes(scales: tuple[int, int, float, float], t: float) -> dict[str, fl
     if t <= n ** (d / 2.0) * spec:
         out["small-t"] = t * t / (n ** (d - 1.0) * spec * spec)
     if t >= n ** (d / 2.0) * spec:
-        out["large-t"] = (t / spec) ** (2.0 / d)
+        out["large-t"] = _power(t / spec, 2.0 / d, f"t = {t:g}")
     if n ** ((d - 1.0) / 4.0) * spec <= t <= n ** ((d - 1.0) / 4.0) * fro:
         out["stable-rank"] = t * t / (n ** ((d - 1.0) / 2.0) * fro * fro)
     return out

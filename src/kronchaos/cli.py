@@ -372,11 +372,6 @@ def cmd_report(args) -> int:
     print("  ".join("-" * widths[h] for h in header))
     for r in rows:
         print("  ".join(str(r[h]).ljust(widths[h]) for h in header))
-    constants = [r for r in rows if r["constant"]]
-    if constants:
-        print("\nfitted-constant history:")
-        for r in constants:
-            print(f"  {r['suite']:<22} seed={r['seed']!s:<6} -> {r['constant']}")
     return EXIT_OK
 
 

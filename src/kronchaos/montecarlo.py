@@ -126,6 +126,11 @@ def _family(name: str) -> Family:
         raise ArgumentError(f"unknown family {name!r}") from None
 
 
+def _check_q(family: str, q: float) -> None:
+    if family == "two_point" and not 0.0 < q <= 0.5:
+        raise ArgumentError(f"two_point needs 0 < q <= 1/2, got {q}")
+
+
 def psi2_numeric(family: str, q: float = 0.25) -> float:
     """sup_p ||Y||_p / sqrt(p) evaluated on a dense p grid."""
     curve = _family(family).lp_norm(_PSI2_P_GRID, q) / np.sqrt(_PSI2_P_GRID)
@@ -139,12 +144,18 @@ class DistributionSpec:
     Every family has mean 0 and variance 1.  two_point(q) takes the values
     +-sqrt(1/(2q)) with probability q each and 0 otherwise, q <= 1/2.
     ``bound_L`` is the value used inside the moment functionals, which
-    require a bound that is at least 1.
+    require a bound that is at least 1.  A bad family, bound or q is an ArgumentError.
     """
 
     family: str
     psi2_bound: float
     q: float = 0.25
+
+    def __post_init__(self):
+        _family(self.family)
+        if not (math.isfinite(self.psi2_bound) and self.psi2_bound > 0):
+            raise ArgumentError(f"psi2 bound {self.psi2_bound} must be finite and > 0")
+        _check_q(self.family, self.q)
 
     @property
     def bound_L(self) -> float:
@@ -164,8 +175,7 @@ def distribution(family: str, q: float | None = None) -> DistributionSpec:
             raise ArgumentError(f"q changes nothing unless the family is two_point, got {family}")
         return DistributionSpec(family, psi2)
     q = 0.25 if q is None else q
-    if not 0.0 < q <= 0.5:
-        raise ArgumentError(f"two_point needs 0 < q <= 1/2, got {q}")
+    _check_q(family, q)
     return DistributionSpec(family, math.ceil(psi2_numeric(family, q) * 1000) / 1000, q)
 
 
@@ -348,7 +358,6 @@ class EmpiricalMoment:
     estimate: float
     ci_low: float
     ci_high: float
-    count: int
 
 
 # Block shape of the bootstrap contraction: counts of _COUNT_BLOCK resamples are
@@ -428,7 +437,7 @@ def estimate_lp(batch: SampleBatch, p_grid: Sequence[float],
                     np.power(u, p, out=t[j])
                 sums[k, :, r0 : r0 + _COUNT_BLOCK] += t @ w
 
-    result = [[EmpiricalMoment(p, 0.0, 0.0, 0.0, S) for p in p_grid] for _ in scales]
+    result = [[EmpiricalMoment(p, 0.0, 0.0, 0.0) for p in p_grid] for _ in scales]
     for k in live:
         m = scales[k]
         u = np.abs(rows[k]) / m
@@ -436,8 +445,7 @@ def estimate_lp(batch: SampleBatch, p_grid: Sequence[float],
             est = float(m * (np.add.reduce(u ** p) / S) ** (1.0 / p))
             lo_q, hi_q = np.quantile(m * (sums[k, j, :resamples] / S) ** (1.0 / p),
                                      [0.025, 0.975])
-            result[k][j] = EmpiricalMoment(p, est, min(float(lo_q), est), max(float(hi_q), est),
-                                           S)
+            result[k][j] = EmpiricalMoment(p, est, min(float(lo_q), est), max(float(hi_q), est))
     return result if values.ndim == 2 else result[0]
 
 
@@ -445,11 +453,9 @@ def estimate_lp(batch: SampleBatch, p_grid: Sequence[float],
 class TailFrequency:
     """Empirical exceedance frequency with a Wilson 95% interval."""
 
-    t: float
     frequency: float
     ci_low: float
     ci_high: float
-    count: int
 
 
 def estimate_tail(batch: SampleBatch, t: float) -> TailFrequency:
@@ -469,4 +475,4 @@ def estimate_tail(batch: SampleBatch, t: float) -> TailFrequency:
     denom = 1.0 + z * z / S
     center = (phat + z * z / (2 * S)) / denom
     half = z * math.sqrt(phat * (1.0 - phat) / S + z * z / (4 * S * S)) / denom
-    return TailFrequency(t, phat, max(0.0, center - half), min(1.0, center + half), S)
+    return TailFrequency(phat, max(0.0, center - half), min(1.0, center + half))

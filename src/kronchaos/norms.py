@@ -107,10 +107,6 @@ class NormEstimate:
     factors: tuple[np.ndarray, ...] | None = None
     warnings: list[str] = field(default_factory=list)
 
-    @property
-    def kappa(self) -> int:
-        return self.partition.kappa
-
 
 def _coerce_partition(pa: PartialArray, P) -> Partition:
     if not isinstance(P, Partition):

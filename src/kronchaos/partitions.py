@@ -68,7 +68,7 @@ def subsets(T: Iterable[int]) -> list[tuple[int, ...]]:
 
 
 def _growth_strings(m: int, kappa: int) -> Iterator[tuple[int, ...]]:
-    """Restricted growth strings of length m with exactly kappa classes."""
+    """Restricted growth strings of length m >= 1 with exactly kappa classes."""
     a = [0] * m
 
     def rec(pos: int, used: int) -> Iterator[tuple[int, ...]]:
@@ -86,8 +86,6 @@ def _growth_strings(m: int, kappa: int) -> Iterator[tuple[int, ...]]:
             a[pos] = used
             yield from rec(pos + 1, used + 1)
 
-    if m == 0:
-        return
     a[0] = 0
     yield from rec(1, 1)
 

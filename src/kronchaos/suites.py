@@ -23,7 +23,7 @@ caps are checked before any norm or sample is computed.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import asdict
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,6 +38,7 @@ from .bounds import (
     _hw_bound,
     _hw_exponent,
     _matrix_norms,
+    _power,
     check_symmetry,
     compute_bound_report,
     main_norm_table,
@@ -57,7 +58,6 @@ from .identities import (
 from .montecarlo import (
     RESAMPLES,
     DistributionSpec,
-    EmpiricalMoment,
     FactorSampler,
     SampleBatch,
     chaos_batch,
@@ -133,10 +133,6 @@ def _report(config: dict, status: str, flags: list[str],
             flags.append(f"mean sanity: |mean| = {abs(sanity['mean']):.3g} of the centered "
                          f"statistic exceeds 5 std / sqrt(S) = {sanity['limit']:.3g}")
     return report
-
-
-def _moment_dict(m: EmpiricalMoment) -> dict:
-    return {"p": m.p, "estimate": m.estimate, "ci_low": m.ci_low, "ci_high": m.ci_high}
 
 
 def _verdict(lhs_hi: float, lhs_lo: float, rhs_lo: float, rhs_hi: float) -> str:
@@ -283,10 +279,10 @@ def verify_decoupling(A: np.ndarray, dims: Dims, dist: DistributionSpec,
             rhs_lo += weight * est.ci_low
             rhs_hi += weight * est.ci_high
             term_rows.append({"I": list(I), "J": list(J), "weight": weight,
-                              **_moment_dict(est)})
+                              **asdict(est)})
         verdict = _verdict(lhs.ci_high, lhs.ci_low, rhs_lo, rhs_hi)
         results.append({
-            "p": p, "lhs": _moment_dict(lhs),
+            "p": p, "lhs": asdict(lhs),
             "rhs": {"estimate": rhs_est, "ci_low": rhs_lo, "ci_high": rhs_hi},
             "terms": term_rows, "verdict": verdict,
         })
@@ -318,7 +314,7 @@ def _moment_ratios(suite: str, A: np.ndarray, dims: Dims, dist: DistributionSpec
     for p, lp in zip(p_grid, estimate_lp(batch, p_grid)):
         m = mp_main(A2d, p, dist.bound_L, table=table)
         ratio = lp.estimate / m if m > 0 else 0.0
-        results.append({"p": p, "lhs": _moment_dict(lp), "mp": m, "ratio": ratio})
+        results.append({"p": p, "lhs": asdict(lp), "mp": m, "ratio": ratio})
     return results, sorted(set(table_warnings(table))), batch.values
 
 
@@ -344,6 +340,7 @@ def verify_main_upper(A: np.ndarray, dims: Dims, dist: DistributionSpec,
                        results=[{"p": p, "ratio": 0.0} for p in p_grid],
                        constant_estimate=0.0)
 
+    _power(dist.bound_L, 2 * dims.order, f"the psi2 bound L = {dist.bound_L:g} of {dist.label}")
     results, flags, vals = _moment_ratios("main-upper", A, dims, dist, p_grid, S, seed,
                                           norm_opts)
     c_hat = max(r["ratio"] for r in results)
@@ -499,6 +496,7 @@ def verify_hanson_wright(A: np.ndarray, dist: DistributionSpec,
     K = dist.psi2_bound
     # the one SVD of the report; it checks A, so no sample is drawn for a zero matrix
     norms = _matrix_norms(A)
+    _power(K, 4, f"the psi2 bound K = {K:g} of {dist.label}")  # _hw_exponent's K^4
     exponents = [(e, {"exponent": e}) for e in (_hw_exponent(norms, K, t) for t in t_grid)]
     batch = sampled_statistics([FactorSampler(dims, dist, seed, base)], S,
                                lambda mats: chaos_batch(A, mats))
@@ -524,20 +522,18 @@ def verify_gaussian_decoupling(a: np.ndarray, p_grid: Sequence[float] = (2.0, 4.
     dims = Dims([a.size])
     dist = distribution("gaussian")
     base = _STREAMS["gaussian-decoupling"]
-    # one pass over both streams: row 0 is the LHS statistic, row 1 the RHS
-    # one, whose bootstrap is keyed on its own gbar stream
-    drawn = sampled_statistics(
-        [FactorSampler(dims, dist, seed, base), FactorSampler(dims, dist, seed, base + 1)], S,
-        lambda g, gbar: np.stack([(g[0] * g[0] - 1.0) @ a, (g[0] * gbar[0]) @ a]))
-    lhs_vals, rhs_vals = drawn.values
+    g = FactorSampler(dims, dist, seed, base)
+    lhs_batch = sampled_statistics([g], S, lambda x: (x[0] * x[0] - 1.0) @ a)
+    # gbar's sampler comes first, so the RHS bootstrap is keyed on its stream
+    rhs_batch = sampled_statistics([FactorSampler(dims, dist, seed, base + 1), g], S,
+                                   lambda xbar, x: (x[0] * xbar[0]) @ a)
 
     norm_a = float(np.linalg.norm(a))
     results = []
-    for p, lhs, rhs in zip(p_grid, estimate_lp(replace(drawn, values=lhs_vals), p_grid),
-                           estimate_lp(SampleBatch(seed, base + 1, rhs_vals), p_grid)):
+    for p, lhs, rhs in zip(p_grid, estimate_lp(lhs_batch, p_grid), estimate_lp(rhs_batch, p_grid)):
         verdict = _verdict(lhs.ci_high, lhs.ci_low, 2.0 * rhs.ci_low, 2.0 * rhs.ci_high)
-        row = {"p": p, "lhs": _moment_dict(lhs), "rhs_times_2": 2.0 * rhs.estimate,
-               "rhs": _moment_dict(rhs), "verdict": verdict}
+        row = {"p": p, "lhs": asdict(lhs), "rhs_times_2": 2.0 * rhs.estimate,
+               "rhs": asdict(rhs), "verdict": verdict}
         if p == 2.0:
             row["exact_lhs"] = math.sqrt(2.0) * norm_a
             row["exact_rhs_times_2"] = 2.0 * norm_a

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from kronchaos import Dims, NormOptions, bound_report, cli
-from kronchaos.arrayio import save_matrix_csv
+from kronchaos.arrayio import load_matrix_csv, save_matrix_csv
 from kronchaos.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, _report_json, build_parser, main
 
 
@@ -233,7 +233,6 @@ def test_report_merging_and_corrupt_entry(tmp_path, capsys):
     out = capsys.readouterr()
     assert "identities" in out.out and "hanson-wright" in out.out
     assert "deadbeef0000" in out.err  # corrupt entry skipped with a warning
-    assert "fitted-constant history" in out.out
 
 
 def test_report_skips_entry_that_is_not_an_object(tmp_path, capsys):
@@ -246,6 +245,19 @@ def test_report_skips_entry_that_is_not_an_object(tmp_path, capsys):
     out = capsys.readouterr()
     assert "identities" in out.out
     assert "skipping corrupt entry deadbeef0000" in out.err
+
+
+def test_report_skips_a_slot_without_report_json(tmp_path, capsys):
+    cache = tmp_path / "c"
+    run("verify", "identities", "--seed", "1", "--cache", cache)
+    (cache / "0123456789ab").mkdir()  # an interrupted write leaves a slot like this
+    (cache / "0123456789ab" / "runinfo.json").write_text("{}\n")
+    capsys.readouterr()
+    assert run("report", "--cache", cache) == EXIT_OK
+    out = capsys.readouterr()
+    lines = out.out.splitlines()
+    assert len(lines) == 3 and lines[2].split()[1] == "identities"
+    assert "0123456789ab" not in out.out + out.err
 
 
 @pytest.mark.parametrize("text", ['{"config": [1]}', '{"fitted_constant": "x"}'])
@@ -313,6 +325,58 @@ def test_bounds_rectangular_matrix(tmp_path):
     assert report["mp_norm"]
     assert report["tail_curve"]
     assert any("not square" in w for w in report["warnings"])
+
+
+def test_bounds_of_a_zero_matrix_prints_both_warnings(tmp_path, capsys):
+    path = tmp_path / "zero.csv"
+    save_matrix_csv(path, np.zeros((4, 4)))
+    assert run("bounds", "--matrix", path, "--dims", "2,2", "--t", "1",
+               "--cache", tmp_path / "c") == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  warning: tail curve skipped: needs equal per-axis dims and a nonzero matrix",
+        "  warning: zero matrix: norm-deviation functional undefined"]
+
+
+@pytest.mark.parametrize("argv, shape, message", [
+    (("verify", "hanson-wright", "--samples", "1000"), (4, 3),
+     "need a square matrix, got shape (4, 3)"),
+    (("verify", "ax-tail", "--dims", "2,2", "--samples", "10000"), (4, 5),
+     "matrix has 5 columns, expected 4"),
+], ids=["hanson-wright-not-square", "ax-tail-columns"])
+def test_matrix_of_the_wrong_shape_is_usage_error(tmp_path, capsys, argv, shape, message):
+    path = tmp_path / "m.csv"
+    save_matrix_csv(path, np.ones(shape))
+    assert run(*argv, "--matrix", path, "--cache", tmp_path / "c") == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "c").exists()
+
+
+def test_matrix_csv_skips_blank_and_comment_lines(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_text("# identity\n\n1,0\n  # between rows\n0,1\n\n")
+    assert np.array_equal(load_matrix_csv(path), np.eye(2))
+    path.write_text("# only\n\n# comments\n")
+    assert run("bounds", "--matrix", path, "--dims", "2", "--cache", tmp_path / "c") == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {path}: empty matrix\n"
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("bounds", "--dims", "2,2", "--L", "1e200"), "L = 1e+200"),
+    (("bounds", "--dims", "4", "--t", "1e200"), "t = 1e+200"),
+    (("verify", "ax-tail", "--dims", "4", "--t", "1e200", "--samples", "10000"), "t = 1e+200"),
+    (("verify", "main-upper", "--dims", "2,2", "--dist", "two_point", "--q", "1e-300",
+      "--samples", "1000"), "L = 1.58663e+147 of two_point(1e-300)"),
+    (("verify", "hanson-wright", "--dist", "two_point", "--q", "1e-300", "--samples", "1000"),
+     "K = 1.58663e+147 of two_point(1e-300)"),
+], ids=["bounds-L", "bounds-t", "ax-tail-t", "main-upper-q", "hanson-wright-q"])
+def test_input_whose_bound_power_overflows_is_usage_error(tmp_path, capsys, argv, name):
+    # each printed an OverflowError traceback and exited 1, the code of a violation
+    assert run(*argv, "--cache", tmp_path / "c") == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert name in err and "too large" in err
+    assert not (tmp_path / "c").exists()
 
 
 @pytest.mark.parametrize("argv", [

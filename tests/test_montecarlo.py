@@ -1,6 +1,7 @@
 """Sampling streams, statistics, and the empirical estimators."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from numpy.random import Generator, Philox
 
 from kronchaos import (
     Dims,
+    DistributionSpec,
     FactorSampler,
     SampleBatch,
     chaos_quadratic,
@@ -152,6 +154,31 @@ def test_only_two_point_reads_q():
         with pytest.raises(ArgumentError, match=f"q changes nothing unless the family is "
                                                 f"two_point, got {family}"):
             distribution(family, q=0.3)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("nonesuch", 1.0), "unknown family 'nonesuch'"),
+    (("gaussian", 0.0), "psi2 bound 0.0 must be finite and > 0"),
+    (("gaussian", -1.0), "psi2 bound -1.0 must be finite and > 0"),
+    (("gaussian", math.inf), "psi2 bound inf must be finite and > 0"),
+    (("gaussian", math.nan), "psi2 bound nan must be finite and > 0"),
+    (("two_point", 1.0, 0.9), "two_point needs 0 < q <= 1/2, got 0.9"),
+    (("two_point", 1.0, 0.0), "two_point needs 0 < q <= 1/2, got 0.0"),
+], ids=["family", "zero-bound", "negative-bound", "inf-bound", "nan-bound", "q-0.9", "q-0"])
+def test_hand_built_distribution_spec_checks_itself(args, message):
+    # a zero bound raised ZeroDivisionError in the hanson-wright exponent, and
+    # q = 0.9 drew a distribution that is not two_point(q)
+    with pytest.raises(ArgumentError, match=re.escape(message)):
+        DistributionSpec(*args)
+
+
+def test_distribution_rejects_q_before_the_numeric_bound(monkeypatch):
+    def unreachable(family, q):
+        raise AssertionError("psi2_numeric ran for a bad q")
+
+    monkeypatch.setattr(montecarlo, "psi2_numeric", unreachable)
+    with pytest.raises(ArgumentError, match=re.escape("two_point needs 0 < q <= 1/2, got 0.9")):
+        distribution("two_point", 0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +418,11 @@ def test_estimate_tail_rejects_values_that_are_not_one_statistic(shape):
     # a (K, S) batch counted every entry against S and died in the Wilson interval
     with pytest.raises(ArgumentError, match=r"must be \(S,\)"):
         estimate_tail(SampleBatch(0, 0, np.ones(shape)), 0.5)
+
+
+def test_estimate_tail_needs_100_samples():
+    with pytest.raises(ArgumentError, match="need at least 100 samples, got 99"):
+        estimate_tail(_batch(np.ones(99)), 0.5)
 
 
 def test_estimate_tail_rejects_a_nan_t():

@@ -128,6 +128,24 @@ def test_main_lower_rank_one_chi_square_anchor():
     assert rep["status"] == "pass"
 
 
+TAIL_SKIPPED = "tail curve skipped: needs equal per-axis dims and a nonzero matrix"
+
+
+def test_bound_report_of_a_zero_matrix_skips_the_norm_deviation_parts():
+    rep = bound_report(np.zeros((4, 4)), Dims([2, 2]), t_grid=(1.0,))
+    assert rep["mp_main"] == {"2": 0.0, "4": 0.0, "8": 0.0}
+    assert rep["mp_norm"] == rep["mp_kappa"] == {}
+    assert rep["tail_curve"] == []
+    assert rep["warnings"] == [TAIL_SKIPPED, "zero matrix: norm-deviation functional undefined"]
+
+
+def test_bound_report_on_unequal_dims_skips_only_the_tail_curve():
+    rep = bound_report(np.eye(6), Dims([2, 3]), t_grid=(1.0,))
+    assert rep["warnings"] == [TAIL_SKIPPED]
+    assert rep["tail_curve"] == []
+    assert rep["mp_main"] and rep["mp_norm"] and rep["mp_kappa"]
+
+
 def test_ax_tail_identity_rademacher_trivial():
     rep = verify_ax_tail(np.eye(4), Dims([2, 2]), RADEMACHER,
                          t_grid=[0.5, 1.0, 2.0], S=10_000, seed=0)
@@ -200,7 +218,7 @@ def test_gaussian_decoupling_flags_a_separated_violation(monkeypatch):
         # stream: the LHS band lies above 2 x the RHS band
         streams.append(batch.stream)
         mid = 10.0 if batch.stream == base else 1.0
-        return [EmpiricalMoment(p, mid, 0.9 * mid, 1.1 * mid, batch.count) for p in p_grid]
+        return [EmpiricalMoment(p, mid, 0.9 * mid, 1.1 * mid) for p in p_grid]
 
     monkeypatch.setattr(suites, "estimate_lp", estimates)
     rep = verify_gaussian_decoupling(np.ones(3), p_grid=(2.0, 4.0), S=500, seed=0)
