@@ -4,9 +4,12 @@ Builds the reduced arrays obtained by partial traces over paired axes, the
 symmetrization that preserves the quadratic form, and the two moment
 functionals: the main functional on the order-2d rearrangement of a square
 matrix, and the norm-deviation functional on a Gram rearrangement.
-Tail-bound formulas take an explicit constant knob; the underlying theory
-only guarantees that some dimension-dependent constant works, so knobs
-default to 1 and calibrated values are reported, never asserted.
+Both tail bounds, for | ||AX||_2 - ||A||_F | and its order-1 Hanson-Wright
+baseline, have the one form min(1, P exp(-c e(t))), where e(t) is the
+largest regime exponent at t (:func:`tail_bound`).  The prefactor P is
+e^2 (:data:`AX_PREFACTOR`) or 2 (:data:`HW_PREFACTOR`).  The theory only
+guarantees that some dimension-dependent constant c > 0 works, so c is an
+argument; the suites fit it and report it, never assert it.
 
 A norm table estimates one kappa >= 3 partition per orbit of the pair swaps
 l <-> l + d that leave its reduced array exactly unchanged
@@ -168,6 +171,15 @@ def _check_t(t: float) -> None:
         raise ArgumentError(f"t = {t} must be >= 0")
 
 
+def check_tail_args(t_grid: Sequence[float], name: str, c: float) -> None:
+    """Each t of a tail grid, then the constant c of the bound, named ``name``:
+    ``not c > 0`` also rejects nan."""
+    for t in t_grid:
+        _check_t(t)
+    if not c > 0:
+        raise ArgumentError(f"{name} = {c} must be > 0")
+
+
 def _power(x: float, k: float, name: str) -> float:
     """x ** k; a float overflow is an ArgumentError that names the input ``name``."""
     try:
@@ -272,6 +284,10 @@ def mp_norm(A: np.ndarray, dims: Dims, p: float, L: float = 1.0,
 # ---------------------------------------------------------------------------
 # tail bounds
 
+# The prefactor P of each family's tail bound min(1, P exp(-c e(t))).
+AX_PREFACTOR = math.e**2
+HW_PREFACTOR = 2.0
+
 
 @dataclass
 class TailBound:
@@ -287,71 +303,71 @@ def _matrix_norms(A: np.ndarray) -> tuple[float, float]:
     A = np.asarray(A, dtype=np.float64)
     if not np.isfinite(A).all():
         raise ArgumentError("matrix has a non-finite entry")
-    fro = float(np.linalg.norm(A))
+    with np.errstate(over="ignore"):  # an overflow is the ArgumentError below
+        fro = float(np.linalg.norm(A))
     if fro == 0.0:
         raise DegenerateInputError("zero matrix")
+    if not math.isfinite(fro):
+        raise ArgumentError("matrix is too large: its Frobenius norm overflows")
     spec = float(np.linalg.svd(A, compute_uv=False)[0])
     return fro, spec
 
 
-def _ax_scales(A: np.ndarray, dims: Dims) -> tuple[int, int, float, float]:
-    """n, d and the Frobenius and spectral norms f and s of a matrix, the
-    scales of the norm-deviation tail regimes, with the checks of the matrix
-    and dims; a tail curve computes them once for all its t."""
-    n = dims.sizes[0]
-    if any(m != n for m in dims.sizes):
-        raise ArgumentError(f"tail bound needs equal per-axis dims, got {dims.sizes}")
-    A = np.asarray(A, dtype=np.float64)
-    if A.shape[1] != dims.total:
-        raise ShapeError(f"matrix has {A.shape[1]} columns, expected {dims.total}")
-    return (n, dims.order, *_matrix_norms(A))
-
-
-def _ax_regimes(scales: tuple[int, int, float, float], t: float) -> dict[str, float]:
-    """Exponents (at constant knob 1) of every regime applicable at t, from
-    the :func:`_ax_scales` n, d, f and s of the matrix.
+def ax_exponents(A: np.ndarray, dims: Dims, t_grid: Sequence[float]) -> list[dict[str, float]]:
+    """Each t's exponents of the norm-deviation tail regimes that apply at t,
+    after the checks of every t, the dims and the matrix, from one SVD of A.
 
     Regimes: "small-t" for t <= n^(d/2) s, "large-t" for t >= n^(d/2) s, and
     "stable-rank" on [n^((d-1)/4) s, n^((d-1)/4) f], with s and f the spectral
     and Frobenius norms; the intervals overlap and every applicable bound holds.
     """
-    n, d, fro, spec = scales
-    out: dict[str, float] = {}
-    if t <= n ** (d / 2.0) * spec:
-        out["small-t"] = t * t / (n ** (d - 1.0) * spec * spec)
-    if t >= n ** (d / 2.0) * spec:
-        out["large-t"] = _power(t / spec, 2.0 / d, f"t = {t:g}")
-    if n ** ((d - 1.0) / 4.0) * spec <= t <= n ** ((d - 1.0) / 4.0) * fro:
-        out["stable-rank"] = t * t / (n ** ((d - 1.0) / 2.0) * fro * fro)
+    for t in t_grid:
+        _check_t(t)
+    n, d = dims.sizes[0], dims.order
+    if any(m != n for m in dims.sizes):
+        raise ArgumentError(f"tail bound needs equal per-axis dims, got {dims.sizes}")
+    A = np.asarray(A, dtype=np.float64)
+    if A.shape[1] != dims.total:
+        raise ShapeError(f"matrix has {A.shape[1]} columns, expected {dims.total}")
+    fro, spec = _matrix_norms(A)
+    out = []
+    for t in t_grid:
+        exps: dict[str, float] = {}
+        if t <= n ** (d / 2.0) * spec:
+            exps["small-t"] = t * t / (n ** (d - 1.0) * spec * spec)
+        if t >= n ** (d / 2.0) * spec:
+            exps["large-t"] = _power(t / spec, 2.0 / d, f"t = {t:g}")
+        if n ** ((d - 1.0) / 4.0) * spec <= t <= n ** ((d - 1.0) / 4.0) * fro:
+            exps["stable-rank"] = t * t / (n ** ((d - 1.0) / 2.0) * fro * fro)
+        out.append(exps)
     return out
 
 
-def _ax_bound(t: float, exponents: dict[str, float], C_d: float) -> TailBound:
-    """The :func:`tail_bound_ax` at t from the regime exponents at t."""
-    regimes = {name: min(1.0, math.e**2 * math.exp(-C_d * e)) for name, e in exponents.items()}
+def hw_exponents(A: np.ndarray, t_grid: Sequence[float], K: float,
+                 K_name: str) -> list[dict[str, float]]:
+    """Each t's exponent min(t^2 / (K^4 ||A||_F^2), t / (K^2 ||A||_2->2)) of the
+    order-1 tail bound, its one regime "hanson-wright", after the checks of every
+    t, the matrix, and then K, named ``K_name``; from one SVD of A."""
+    for t in t_grid:
+        _check_t(t)
+    fro, spec = _matrix_norms(A)
+    K4 = _power(K, 4, K_name)
+    return [{"hanson-wright": min(t * t / (K4 * fro * fro), t / (K**2 * spec))} for t in t_grid]
+
+
+def tail_bound(t: float, exponents: dict[str, float], c: float, prefactor: float) -> TailBound:
+    """The tail bound at t from the regime exponents at t: the smallest
+    min(1, prefactor exp(-c e)) over them, a tie going to the first regime name."""
+    regimes = {name: min(1.0, prefactor * math.exp(-c * e)) for name, e in exponents.items()}
     regime = min(regimes, key=lambda k: (regimes[k], k))
     return TailBound(t, regimes[regime], regime, exponents)
 
 
 # bench/tracing.py wraps this one-t form of the tail curve.
 def tail_bound_ax(A: np.ndarray, dims: Dims, t: float, C_d: float = 1.0) -> TailBound:
-    """Three-regime (:func:`_ax_regimes`) tail bound for | ||AX||_2 - ||A||_F |, clipped to [0, 1]."""
-    if C_d <= 0:
-        raise ArgumentError(f"C_d = {C_d} must be > 0")
-    _check_t(t)
-    return _ax_bound(t, _ax_regimes(_ax_scales(A, dims), t), C_d)
-
-
-def _hw_exponent(norms: tuple[float, float], K: float, t: float) -> float:
-    """min(t^2 / (K^4 ||A||_F^2), t / (K^2 ||A||_2->2)), the exponent of the
-    order-1 tail bound, from the :func:`_matrix_norms` of A."""
-    fro, spec = norms
-    return min(t * t / (K**4 * fro * fro), t / (K**2 * spec))
-
-
-def _hw_bound(exponent: float, c: float) -> float:
-    """The order-1 tail bound 2 exp(-c exponent), clipped to [0, 1]."""
-    return min(1.0, 2.0 * math.exp(-c * exponent))
+    """The three-regime tail bound (:func:`ax_exponents`) for | ||AX||_2 - ||A||_F | at t."""
+    check_tail_args((), "C_d", C_d)  # the constant before t
+    return tail_bound(t, ax_exponents(A, dims, [t])[0], C_d, AX_PREFACTOR)
 
 
 # ---------------------------------------------------------------------------
@@ -432,15 +448,12 @@ def compute_bound_report(A: np.ndarray, dims: Dims, p_grid: Sequence[float] = (2
     opts = opts or DEFAULT_OPTIONS
     for p in p_grid:
         _check_p_L(p, L)
-    for t in t_grid:  # also when the tail curve is skipped
-        _check_t(t)
-    if C_tail <= 0:
-        raise ArgumentError(f"C_tail = {C_tail} must be > 0")
+    check_tail_args(t_grid, "C_tail", C_tail)  # also when the tail curve is skipped
     warnings: list[str] = []
     tail_curve: list[TailBound] = []
     if t_grid and len(set(dims.sizes)) == 1 and np.any(A):
-        scales = _ax_scales(A, dims)
-        tail_curve = [_ax_bound(t, _ax_regimes(scales, t), C_tail) for t in t_grid]
+        tail_curve = [tail_bound(t, exps, C_tail, AX_PREFACTOR)
+                      for t, exps in zip(t_grid, ax_exponents(A, dims, t_grid))]
     elif t_grid:
         warnings.append("tail curve skipped: needs equal per-axis dims and a nonzero matrix")
     main_rows: list[NormTableRow] = []

@@ -31,22 +31,22 @@ import numpy as np
 from .version import __version__
 from .arrayio import array_digest
 from .bounds import (
-    _ax_bound,
-    _ax_regimes,
-    _ax_scales,
-    _check_t,
-    _hw_bound,
-    _hw_exponent,
-    _matrix_norms,
+    AX_PREFACTOR,
+    HW_PREFACTOR,
+    TailBound,
     _power,
+    ax_exponents,
     check_symmetry,
+    check_tail_args,
     compute_bound_report,
+    hw_exponents,
     main_norm_table,
     mp_main,
     symmetrize,
     table_warnings,
+    tail_bound,
 )
-from .errors import ArgumentError, PreconditionError
+from .errors import PreconditionError
 from .identities import (
     backbone_pairs,
     backbone_term,
@@ -402,27 +402,27 @@ def bound_report(A: np.ndarray, dims: Dims, p_grid: Sequence[float] = (2.0, 4.0,
 # tail suites
 
 
-def _tail_fit(config: dict, batch: SampleBatch, t_grid: list[float], log_prefactor: float,
-              exponents: list[tuple[float, dict]],
-              bound: Callable[[float, float], dict], cap: float | None) -> dict:
-    """Fit the largest c with exp(log_prefactor - c e(t)) above every empirical
-    upper confidence limit, capped at ``cap``, and check that the bound at that
-    c dominates.  ``exponents`` holds e(t) and its row fields for each t of
-    the grid, ``bound(t, c)`` gives the row fields of the bound, "bound"
-    among them."""
+def _tail_fit(config: dict, batch: SampleBatch, t_grid: list[float],
+              exponents: list[dict[str, float]], prefactor: float, cap: float | None,
+              fields: Callable[[TailBound], dict]) -> dict:
+    """Fit the largest c with prefactor exp(-c e(t)) above every empirical upper
+    confidence limit, capped at ``cap``, and check that the bound at that c
+    dominates.  ``exponents`` holds each t's regime exponents, e(t) the
+    largest; ``fields`` gives a row's family fields from its bound at c."""
     fitted = math.inf
     rows = []
-    for t, (e, fields) in zip(t_grid, exponents, strict=True):
+    for t, exps in zip(t_grid, exponents, strict=True):
         freq = estimate_tail(batch, t)
+        e = max(exps.values())
         if freq.ci_high > 0.0 and e > 0.0:
-            fitted = min(fitted, (log_prefactor - math.log(freq.ci_high)) / e)
-        rows.append({"t": t, "frequency": freq.frequency, "ci_high": freq.ci_high, **fields})
+            fitted = min(fitted, (math.log(prefactor) - math.log(freq.ci_high)) / e)
+        rows.append({"t": t, "frequency": freq.frequency, "ci_high": freq.ci_high})
 
     c_used = min(fitted, cap) if cap is not None else fitted
     finite_c = c_used if math.isfinite(c_used) else 1.0
-    for row in rows:
-        row.update(bound(row["t"], finite_c))
-        row["dominated"] = bool(row["frequency"] <= row["bound"])
+    for row, exps in zip(rows, exponents):
+        tb = tail_bound(row["t"], exps, finite_c, prefactor)
+        row.update(fields(tb), bound=tb.value, dominated=bool(row["frequency"] <= tb.value))
     return _report(config, "pass" if all(row["dominated"] for row in rows) else "fail",
                    [] if math.isfinite(fitted) else
                    ["no t on the grid has both ci_high > 0 and a positive exponent, so no "
@@ -432,17 +432,12 @@ def _tail_fit(config: dict, batch: SampleBatch, t_grid: list[float], log_prefact
                    constant_used=finite_c)
 
 
-def _check_tail_args(t_grid: Sequence[float], cap_name: str,
-                     cap: float | None) -> list[float]:
-    """The t grid as floats, nonempty, each t finite and >= 0, and the
-    constant cap > 0 when given."""
+def _check_tail_args(t_grid: Sequence[float], cap_name: str, cap: float | None) -> list[float]:
+    """The t grid as floats, nonempty, and :func:`bounds.check_tail_args`."""
     t_grid = [float(t) for t in t_grid]
     if not t_grid:
         raise PreconditionError("t grid must hold at least one t")
-    for t in t_grid:
-        _check_t(t)
-    if cap is not None and not cap > 0:
-        raise ArgumentError(f"{cap_name} = {cap} must be > 0")
+    check_tail_args(t_grid, cap_name, math.inf if cap is None else cap)  # no cap: an infinite one
     return t_grid
 
 
@@ -461,22 +456,15 @@ def verify_ax_tail(A: np.ndarray, dims: Dims, dist: DistributionSpec,
     if t_grid is None:
         t_grid = np.linalg.norm(A) * np.array([0.25, 0.5, 1.0])
     t_grid = _check_tail_args(t_grid, "C_d", C_d)
-    # the one SVD of the report; it checks A and dims, so no sample is drawn
-    # for a bad input
-    scales = _ax_scales(A, dims)
-    exponents = [(max(exps.values()), {"exponents": exps})
-                 for exps in (_ax_regimes(scales, t) for t in t_grid)]
-    base = _STREAMS["ax-tail"]
-    batch = sampled_statistics([FactorSampler(dims, dist, seed, base)], S,
+    # the one SVD of the report, after the checks of A and dims: no sample for a bad input
+    exponents = ax_exponents(A, dims, t_grid)
+    batch = sampled_statistics([FactorSampler(dims, dist, seed, _STREAMS["ax-tail"])], S,
                                lambda mats: norm_batch(A, mats))
-
-    def bound(t: float, c: float) -> dict:
-        tb = _ax_bound(t, _ax_regimes(scales, t), c)
-        return {"bound": tb.value, "regime": tb.regime}
 
     config = _config("ax-tail", seed=int(seed), S=S, dims=list(dims.sizes),
                      dist=dist.label, t_grid=t_grid, C_d=C_d, input_sha256=array_digest(A))
-    return _tail_fit(config, batch, t_grid, 2.0, exponents, bound, C_d)
+    return _tail_fit(config, batch, t_grid, exponents, AX_PREFACTOR, C_d,
+                     lambda tb: {"exponents": tb.exponents, "regime": tb.regime})
 
 
 def verify_hanson_wright(A: np.ndarray, dist: DistributionSpec,
@@ -492,19 +480,16 @@ def verify_hanson_wright(A: np.ndarray, dist: DistributionSpec,
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise PreconditionError(f"need a square matrix, got shape {A.shape}")
     dims = Dims([A.shape[0]])
-    base = _STREAMS["hanson-wright"]
     K = dist.psi2_bound
     # the one SVD of the report; it checks A, so no sample is drawn for a zero matrix
-    norms = _matrix_norms(A)
-    _power(K, 4, f"the psi2 bound K = {K:g} of {dist.label}")  # _hw_exponent's K^4
-    exponents = [(e, {"exponent": e}) for e in (_hw_exponent(norms, K, t) for t in t_grid)]
-    batch = sampled_statistics([FactorSampler(dims, dist, seed, base)], S,
+    exponents = hw_exponents(A, t_grid, K, f"the psi2 bound K = {K:g} of {dist.label}")
+    batch = sampled_statistics([FactorSampler(dims, dist, seed, _STREAMS["hanson-wright"])], S,
                                lambda mats: chaos_batch(A, mats))
 
     config = _config("hanson-wright", seed=int(seed), S=S, n=A.shape[0],
                      dist=dist.label, t_grid=t_grid, K=K, c=c, input_sha256=array_digest(A))
-    return _tail_fit(config, batch, t_grid, math.log(2.0), exponents,
-                     lambda t, c_fit: {"bound": _hw_bound(_hw_exponent(norms, K, t), c_fit)}, c)
+    return _tail_fit(config, batch, t_grid, exponents, HW_PREFACTOR, c,
+                     lambda tb: {"exponent": tb.exponents[tb.regime]})
 
 
 # ---------------------------------------------------------------------------

@@ -526,6 +526,8 @@ def test_bound_report_checks_arguments_before_norm_tables(monkeypatch):
         compute_bound_report(np.eye(8), dims, [2], t_grid=[1, -1])
     with pytest.raises(ArgumentError, match="C_tail = 0 must be > 0"):
         compute_bound_report(np.eye(8), dims, [2], C_tail=0, t_grid=[1])
+    with pytest.raises(ArgumentError, match="Frobenius norm overflows"):
+        compute_bound_report(np.eye(8) * 1e200, dims, [2], t_grid=[1])
 
 
 @pytest.mark.parametrize("A, dims", [(np.zeros((2, 2)), Dims([2])),
@@ -559,7 +561,10 @@ def test_bound_report_computes_the_tail_norms_once(monkeypatch):
 
 
 @pytest.mark.parametrize("A, dims, C_tail", [(np.eye(6), Dims([2, 3]), 0),
-                                             (np.zeros((2, 2)), Dims([2]), -3)])
+                                             (np.zeros((2, 2)), Dims([2]), -3),
+                                             (np.zeros((2, 2)), Dims([2]), math.nan),
+                                             # the tail curve is computed for a nonempty grid
+                                             (np.eye(4), Dims([2, 2]), math.nan)])
 def test_bound_report_rejects_nonpositive_C_tail_when_the_tail_curve_is_skipped(
         monkeypatch, A, dims, C_tail):
     def no_table(*args, **kwargs):
@@ -710,6 +715,12 @@ def test_tail_bound_errors():
         tail_bound_ax(np.eye(6), Dims([2, 3]), 1.0)
     with pytest.raises(ArgumentError):
         tail_bound_ax(np.eye(4), Dims([4]), -1.0)
+    # nan <= 0 is false, so a bare sign check lets a nan constant through
+    with pytest.raises(ArgumentError, match="C_d = nan must be > 0"):
+        tail_bound_ax(np.eye(4), Dims([4]), 1.0, C_d=math.nan)
+    # finite entries whose Frobenius norm overflows: the bound used to be 1.0
+    with pytest.raises(ArgumentError, match="Frobenius norm overflows"):
+        tail_bound_ax(np.eye(4) * 1e200, Dims([4]), 1.0)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])

@@ -379,6 +379,17 @@ def test_input_whose_bound_power_overflows_is_usage_error(tmp_path, capsys, argv
     assert not (tmp_path / "c").exists()
 
 
+def test_matrix_whose_frobenius_norm_overflows_is_usage_error(tmp_path, capsys):
+    # its entries are finite; the suite used to exit 2 only after every sample
+    path = tmp_path / "big.csv"
+    save_matrix_csv(path, np.eye(4) * 1e200)
+    assert run("verify", "ax-tail", "--matrix", path, "--dims", "4", "--t", "1",
+               "--samples", "10000", "--cache", tmp_path / "c") == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: matrix is too large: its Frobenius norm overflows\n"
+    assert not (tmp_path / "c").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "main-upper", "--dims", "2,2", "--samples", "-5"),
     ("verify", "main-lower", "--dims", "2,2", "--samples", "-5"),

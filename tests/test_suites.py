@@ -406,9 +406,8 @@ def test_tail_suites_compute_the_matrix_norms_once(monkeypatch, run):
         calls.append(np.shape(A))
         return matrix_norms(A)
 
-    # ax-tail reaches it through bounds._ax_scales, hanson-wright through its from-import
+    # both reach it through their bounds exponent function
     monkeypatch.setattr(bounds, "_matrix_norms", counted)
-    monkeypatch.setattr(suites, "_matrix_norms", counted)
     assert run()["status"] == "pass"
     assert calls == [(8, 8)]
 
@@ -453,7 +452,12 @@ def test_tail_suites_reject_an_empty_t_grid_before_sampling(monkeypatch, run):
      DegenerateInputError),
     (lambda: verify_ax_tail(np.eye(6), Dims([2, 3]), GAUSS, [1.0]), ArgumentError),
     (lambda: verify_hanson_wright(np.zeros((8, 8)), GAUSS, [1.0, 2.0]), DegenerateInputError),
-], ids=["ax-tail-zero", "ax-tail-unequal-dims", "hanson-wright-zero"])
+    # finite entries whose Frobenius norm overflows: ax-tail used to fail only
+    # after every sample, hanson-wright to pass with a nan exponent
+    (lambda: verify_ax_tail(np.eye(4) * 1e200, Dims([4]), GAUSS, [1.0]), ArgumentError),
+    (lambda: verify_hanson_wright(np.eye(4) * 1e200, GAUSS, [1e200], S=1000), ArgumentError),
+], ids=["ax-tail-zero", "ax-tail-unequal-dims", "hanson-wright-zero", "ax-tail-overflow",
+        "hanson-wright-overflow"])
 def test_tail_suites_check_the_matrix_before_sampling(monkeypatch, run, error):
     # the tail exponents check the matrix and dims before any of the S = 100 000 samples
     calls = []
