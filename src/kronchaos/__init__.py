@@ -17,7 +17,6 @@ from .errors import (
     DegenerateInputError,
     DisjointnessError,
     KronChaosError,
-    PreconditionError,
     ShapeError,
     SizeError,
 )

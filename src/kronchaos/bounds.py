@@ -17,6 +17,9 @@ l <-> l + d that leave its reduced array exactly unchanged
 Every Gram array has the full swap, a symmetrized array every swap.  The
 estimated rows run in ALS batches of whole norms, capped by restarts times
 data entries (see :mod:`kronchaos.norms`).
+
+A report's input passes one gate, :func:`checked_input`, before any sample or
+norm table; the gate also gives the one Frobenius norm of it a report reads.
 """
 
 from __future__ import annotations
@@ -155,6 +158,20 @@ def _swapped_estimate(est: NormEstimate, Q: Partition, d: int, S: tuple[int, ...
                    factors=tuple(moved[b] for b in Q.blocks), warnings=list(est.warnings))
 
 
+def checked_input(A: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, float]:
+    """A report's input array as float64 and its Frobenius norm, the package's
+    one ``np.linalg.norm``.  A non-finite entry, or finite entries whose norm
+    overflows a float, is an ArgumentError naming the input ``name``."""
+    A = np.asarray(A, dtype=np.float64)
+    if not np.isfinite(A).all():
+        raise ArgumentError(f"{name} has a non-finite entry")
+    with np.errstate(over="ignore"):  # an overflow is the ArgumentError below
+        fro = float(np.linalg.norm(A))
+    if not math.isfinite(fro):
+        raise ArgumentError(f"{name} is too large: its Frobenius norm overflows")
+    return A, fro
+
+
 def _check_p_L(p: float, L: float) -> None:
     """The range of p and of the subgaussian-norm bound L where the functionals apply."""
     if p < 2:
@@ -269,8 +286,7 @@ def mp_norm(A: np.ndarray, dims: Dims, p: float, L: float = 1.0,
     the reduced Gram arrays; the total carries the L^(2d) factor.
     """
     _check_p_L(p, L)
-    A = np.asarray(A, dtype=np.float64)
-    fro = float(np.linalg.norm(A))
+    A, fro = checked_input(A)
     if fro == 0.0:
         raise DegenerateInputError("zero matrix")
     d = dims.order
@@ -300,15 +316,9 @@ class TailBound:
 
 
 def _matrix_norms(A: np.ndarray) -> tuple[float, float]:
-    A = np.asarray(A, dtype=np.float64)
-    if not np.isfinite(A).all():
-        raise ArgumentError("matrix has a non-finite entry")
-    with np.errstate(over="ignore"):  # an overflow is the ArgumentError below
-        fro = float(np.linalg.norm(A))
+    A, fro = checked_input(A)
     if fro == 0.0:
         raise DegenerateInputError("zero matrix")
-    if not math.isfinite(fro):
-        raise ArgumentError("matrix is too large: its Frobenius norm overflows")
     spec = float(np.linalg.svd(A, compute_uv=False)[0])
     return fro, spec
 
@@ -442,13 +452,14 @@ def compute_bound_report(A: np.ndarray, dims: Dims, p_grid: Sequence[float] = (2
     functional needs a nonzero one; the tail curve needs equal per-axis dims.
     Inapplicable parts are skipped with a warning rather than failing.
     """
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[1] != dims.total:
-        raise ShapeError(f"matrix shape {A.shape} does not match N = {dims.total}")
+    if np.ndim(A) != 2 or np.shape(A)[1] != dims.total:
+        raise ShapeError(f"matrix shape {np.shape(A)} does not match N = {dims.total}")
     opts = opts or DEFAULT_OPTIONS
     for p in p_grid:
         _check_p_L(p, L)
     check_tail_args(t_grid, "C_tail", C_tail)  # also when the tail curve is skipped
+    A, fro = checked_input(A)
+    checked_input(A.T @ A, "Gram matrix A^T A")  # its entries are at most ||A||_F^2
     warnings: list[str] = []
     tail_curve: list[TailBound] = []
     if t_grid and len(set(dims.sizes)) == 1 and np.any(A):
@@ -484,7 +495,7 @@ def compute_bound_report(A: np.ndarray, dims: Dims, p_grid: Sequence[float] = (2
     return BoundReport(
         dims=dims,
         L=L,
-        matrix_fro=float(np.linalg.norm(A)),
+        matrix_fro=fro,
         main_rows=main_rows,
         gram_rows=gram_rows,
         mp_main_values=mp_main_values,

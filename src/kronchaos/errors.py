@@ -26,12 +26,8 @@ class SizeError(KronChaosError, ValueError):
 
 
 class ArgumentError(KronChaosError, ValueError):
-    """An argument violates a documented precondition."""
+    """An argument violates a documented precondition (e.g. a non-finite input entry)."""
 
 
 class DegenerateInputError(KronChaosError, ValueError):
     """Input is degenerate for the requested quantity (e.g. a zero matrix)."""
-
-
-class PreconditionError(KronChaosError, ValueError):
-    """A suite-level precondition is not met."""

@@ -56,7 +56,7 @@ from numpy.random import Generator, Philox
 
 from .errors import ArgumentError, AxisSetError, ShapeError, SizeError
 from .identities import term_sets
-from .tensor import _LETTERS, ArrayLike, Dims, as_partial, doubled_order
+from .tensor import _LETTERS, ArrayLike, Dims, as_partial, doubled_order, frobenius
 
 # Most entries of Kronecker vectors that one kronecker_batch call builds: rows x N.
 KRON_MATERIALIZE_CAP = 2**26
@@ -263,8 +263,7 @@ def norm_batch(A: np.ndarray, factor_mats: Sequence[np.ndarray]) -> np.ndarray:
     if A.shape[1] != X.shape[1]:
         raise ShapeError(f"matrix has {A.shape[1]} columns, expected {X.shape[1]}")
     Y = X @ A.T
-    fro = math.sqrt(float(np.add.reduce((A * A).reshape(-1))))
-    return np.sqrt(np.add.reduce(Y * Y, axis=1)) - fro
+    return np.sqrt(np.add.reduce(Y * Y, axis=1)) - frobenius(A)
 
 
 def semi_decoupled_batch(A: ArrayLike, I, J,

@@ -16,8 +16,10 @@ chunk, and only the (S,) or (K, S) statistics are kept, so memory does not
 grow with S times the Kronecker length, and the values are those of the whole
 batch.  The returned batch carries the stream it was drawn on, which keys its
 bootstrap; every L_p band uses montecarlo.RESAMPLES resamples, which the
-configs record.  Sample counts, seeds, input arrays, t grids and constant
-caps are checked before any norm or sample is computed.
+configs record.  Sample counts, seeds, t grids and constant caps are checked
+before any norm or sample is computed, and so is the input array, by the one
+gate ``bounds.checked_input``, which also gives the input's Frobenius norm to
+each reader of it.  A bad argument is an ArgumentError.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .bounds import (
     ax_exponents,
     check_symmetry,
     check_tail_args,
+    checked_input,
     compute_bound_report,
     hw_exponents,
     main_norm_table,
@@ -46,7 +49,7 @@ from .bounds import (
     table_warnings,
     tail_bound,
 )
-from .errors import PreconditionError
+from .errors import ArgumentError, KronChaosError
 from .identities import (
     backbone_pairs,
     backbone_term,
@@ -101,17 +104,8 @@ def _check_sampling(suite: str, S: int, seed: int) -> None:
     before any norm or sample is computed."""
     floor = _MIN_SAMPLES.get(suite, 100)
     if S < floor:
-        raise PreconditionError(f"{suite} suite needs S >= {floor}, got {S}")
+        raise ArgumentError(f"{suite} suite needs S >= {floor}, got {S}")
     check_seed(seed)
-
-
-def _finite_input(suite: str, A) -> np.ndarray:
-    """The suite's input array as float64; a non-finite entry raises before
-    any sample is drawn."""
-    A = np.asarray(A, dtype=np.float64)
-    if not np.isfinite(A).all():
-        raise PreconditionError(f"{suite} input has a non-finite entry")
-    return A
 
 
 def _norm_config(opts: NormOptions) -> dict:
@@ -172,7 +166,7 @@ def _mean_sanity(values: np.ndarray) -> dict:
 def _check_p_grid(p_grid: Sequence[float], low: float) -> list[float]:
     p_grid = [float(p) for p in p_grid]
     if not p_grid or any(not low <= p <= P_CAP for p in p_grid):
-        raise PreconditionError(f"p grid must lie in [{low:g}, {P_CAP:g}], got {p_grid}")
+        raise ArgumentError(f"p grid must lie in [{low:g}, {P_CAP:g}], got {p_grid}")
     return p_grid
 
 
@@ -253,7 +247,7 @@ def verify_decoupling(A: np.ndarray, dims: Dims, dist: DistributionSpec,
     weighted sum of semi-decoupled term L_p norms."""
     p_grid = _check_p_grid(p_grid, 1.0)
     _check_sampling("decoupling", S, seed)
-    A = _finite_input("decoupling", A)
+    A, _ = checked_input(A)
     d = dims.order
     base = _STREAMS["decoupling"]
     A2d = rearrange_matrix(A, dims)
@@ -329,7 +323,7 @@ def verify_main_upper(A: np.ndarray, dims: Dims, dist: DistributionSpec,
     """
     p_grid = _check_p_grid(p_grid, 2.0)
     _check_sampling("main-upper", S, seed)
-    A = _finite_input("main-upper", A)
+    A, _ = checked_input(A)
     norm_opts = norm_opts or NormOptions(seed=seed)
     config = _config("main-upper", seed=int(seed), S=S, dims=list(dims.sizes),
                      dist=dist.label, p_grid=p_grid, L=dist.bound_L, ceiling=ceiling,
@@ -359,7 +353,7 @@ def verify_main_lower(A: np.ndarray, dims: Dims, p_grid: Sequence[float] = (2.0,
     """
     p_grid = _check_p_grid(p_grid, 2.0)
     _check_sampling("main-lower", S, seed)
-    A = _finite_input("main-lower", A)
+    A, _ = checked_input(A)
     norm_opts = norm_opts or NormOptions(seed=seed)
     dist = distribution("gaussian")
     common = dict(seed=int(seed), S=S, dims=list(dims.sizes), p_grid=p_grid,
@@ -371,7 +365,7 @@ def verify_main_lower(A: np.ndarray, dims: Dims, p_grid: Sequence[float] = (2.0,
 
     sym = symmetrize(rearrange_matrix(A, dims))
     if not check_symmetry(sym):
-        raise PreconditionError("symmetrized array failed the exact symmetry check")
+        raise KronChaosError("symmetrized array failed the exact symmetry check")
     results, flags, vals = _moment_ratios("main-lower", unrearrange_matrix(sym), dims, dist,
                                           p_grid, S, seed, norm_opts)
     c_tilde = min(r["ratio"] for r in results)
@@ -436,7 +430,7 @@ def _check_tail_args(t_grid: Sequence[float], cap_name: str, cap: float | None) 
     """The t grid as floats, nonempty, and :func:`bounds.check_tail_args`."""
     t_grid = [float(t) for t in t_grid]
     if not t_grid:
-        raise PreconditionError("t grid must hold at least one t")
+        raise ArgumentError("t grid must hold at least one t")
     check_tail_args(t_grid, cap_name, math.inf if cap is None else cap)  # no cap: an infinite one
     return t_grid
 
@@ -452,9 +446,9 @@ def verify_ax_tail(A: np.ndarray, dims: Dims, dist: DistributionSpec,
     is 1/4, 1/2 and 1 times ||A||_F.
     """
     _check_sampling("ax-tail", S, seed)
-    A = _finite_input("ax-tail", A)
+    A, fro = checked_input(A)
     if t_grid is None:
-        t_grid = np.linalg.norm(A) * np.array([0.25, 0.5, 1.0])
+        t_grid = fro * np.array([0.25, 0.5, 1.0])
     t_grid = _check_tail_args(t_grid, "C_d", C_d)
     # the one SVD of the report, after the checks of A and dims: no sample for a bad input
     exponents = ax_exponents(A, dims, t_grid)
@@ -473,12 +467,12 @@ def verify_hanson_wright(A: np.ndarray, dist: DistributionSpec,
     """Order-1 baseline: empirical quadratic-form tail vs the two-regime bound,
     by default at t = 1/2, 1 and 2 times 2 ||A||_F, a rough scale of it."""
     _check_sampling("hanson-wright", S, seed)
-    A = _finite_input("hanson-wright", A)
+    A, fro = checked_input(A)
     if t_grid is None:
-        t_grid = 2.0 * np.linalg.norm(A) * np.array([0.5, 1.0, 2.0])
+        t_grid = 2.0 * fro * np.array([0.5, 1.0, 2.0])
     t_grid = _check_tail_args(t_grid, "c", c)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise PreconditionError(f"need a square matrix, got shape {A.shape}")
+        raise ArgumentError(f"need a square matrix, got shape {A.shape}")
     dims = Dims([A.shape[0]])
     K = dist.psi2_bound
     # the one SVD of the report; it checks A, so no sample is drawn for a zero matrix
@@ -501,9 +495,9 @@ def verify_gaussian_decoupling(a: np.ndarray, p_grid: Sequence[float] = (2.0, 4.
     """Check || sum a_k (g_k^2 - 1) ||_p <= 2 || sum a_k g_k gbar_k ||_p empirically."""
     p_grid = _check_p_grid(p_grid, 1.0)
     _check_sampling("gaussian-decoupling", S, seed)
-    a = _finite_input("gaussian-decoupling", a).reshape(-1)
+    a, norm_a = checked_input(np.reshape(a, -1), "vector")
     if a.size == 0:
-        raise PreconditionError("gaussian-decoupling needs at least one coefficient")
+        raise ArgumentError("gaussian-decoupling needs at least one coefficient")
     dims = Dims([a.size])
     dist = distribution("gaussian")
     base = _STREAMS["gaussian-decoupling"]
@@ -513,7 +507,6 @@ def verify_gaussian_decoupling(a: np.ndarray, p_grid: Sequence[float] = (2.0, 4.
     rhs_batch = sampled_statistics([FactorSampler(dims, dist, seed, base + 1), g], S,
                                    lambda xbar, x: (x[0] * xbar[0]) @ a)
 
-    norm_a = float(np.linalg.norm(a))
     results = []
     for p, lhs, rhs in zip(p_grid, estimate_lp(lhs_batch, p_grid), estimate_lp(rhs_batch, p_grid)):
         verdict = _verdict(lhs.ci_high, lhs.ci_low, 2.0 * rhs.ci_low, 2.0 * rhs.ci_high)

@@ -526,8 +526,14 @@ def test_bound_report_checks_arguments_before_norm_tables(monkeypatch):
         compute_bound_report(np.eye(8), dims, [2], t_grid=[1, -1])
     with pytest.raises(ArgumentError, match="C_tail = 0 must be > 0"):
         compute_bound_report(np.eye(8), dims, [2], C_tail=0, t_grid=[1])
-    with pytest.raises(ArgumentError, match="Frobenius norm overflows"):
-        compute_bound_report(np.eye(8) * 1e200, dims, [2], t_grid=[1])
+    # finite entries whose Frobenius norm overflows, with and without a tail curve;
+    # without one, the main table used to be built before the Gram table failed
+    for t_grid in ([1], []):
+        with pytest.raises(ArgumentError, match="^matrix is too large"):
+            compute_bound_report(np.eye(8) * 1e200, dims, [2], t_grid=t_grid)
+    # ||A||_F is finite, ||A^T A||_F is not: the Gram table used to give mp_norm = inf
+    with pytest.raises(ArgumentError, match=r"^Gram matrix A\^T A is too large"):
+        compute_bound_report(np.eye(4) * 1e80, Dims([2, 2]), [2])
 
 
 @pytest.mark.parametrize("A, dims", [(np.zeros((2, 2)), Dims([2])),

@@ -380,13 +380,26 @@ def test_input_whose_bound_power_overflows_is_usage_error(tmp_path, capsys, argv
 
 
 def test_matrix_whose_frobenius_norm_overflows_is_usage_error(tmp_path, capsys):
-    # its entries are finite; the suite used to exit 2 only after every sample
+    # its entries are finite.  ax-tail used to exit 2 only after every sample,
+    # and with no --t to blame t = inf; main-lower exited 1, a false violation;
+    # the others wrote an infinite mp, limit or exact value.
     path = tmp_path / "big.csv"
     save_matrix_csv(path, np.eye(4) * 1e200)
-    assert run("verify", "ax-tail", "--matrix", path, "--dims", "4", "--t", "1",
-               "--samples", "10000", "--cache", tmp_path / "c") == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err == "error: matrix is too large: its Frobenius norm overflows\n"
+    big = ("--matrix", path, "--dims", "2,2")
+    for argv in [("verify", "ax-tail", "--matrix", path, "--dims", "4", "--t", "1",
+                  "--samples", "10000"),
+                 ("verify", "ax-tail", "--matrix", path, "--dims", "4", "--samples", "10000"),
+                 ("verify", "hanson-wright", "--matrix", path, "--samples", "1000"),
+                 ("verify", "decoupling", *big, "--samples", "1000"),
+                 ("verify", "main-upper", *big, "--samples", "1000"),
+                 ("verify", "main-lower", *big, "--samples", "1000"),
+                 ("bounds", *big)]:
+        assert run(*argv, "--cache", tmp_path / "c") == EXIT_USAGE, argv
+        assert capsys.readouterr().err == (
+            "error: matrix is too large: its Frobenius norm overflows\n"), argv
+    assert run("verify", "gaussian-decoupling", "--vector", "1e200,1e200",
+               "--cache", tmp_path / "c") == EXIT_USAGE
+    assert capsys.readouterr().err == "error: vector is too large: its Frobenius norm overflows\n"
     assert not (tmp_path / "c").exists()
 
 

@@ -23,7 +23,7 @@ from kronchaos import (
 )
 from kronchaos import bounds, montecarlo, suites
 from kronchaos.montecarlo import EmpiricalMoment
-from kronchaos.errors import ArgumentError, DegenerateInputError, PreconditionError
+from kronchaos.errors import ArgumentError, DegenerateInputError
 from kronchaos.norms import NormOptions
 from kronchaos.suites import _norm_config
 
@@ -66,9 +66,9 @@ def test_decoupling_d2_random_no_violation():
 
 
 def test_decoupling_preconditions():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ArgumentError):
         verify_decoupling(np.eye(2), Dims([2]), GAUSS, p_grid=(32.0,), S=2000)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ArgumentError):
         verify_decoupling(np.eye(2), Dims([2]), GAUSS, p_grid=(2.0,), S=100)
 
 
@@ -182,7 +182,7 @@ def test_ax_tail_gaussian_dominated_and_monotone():
 
 
 def test_ax_tail_sample_floor():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ArgumentError):
         verify_ax_tail(np.eye(4), Dims([2, 2]), GAUSS, t_grid=[1.0], S=5000)
 
 
@@ -356,7 +356,7 @@ def test_monte_carlo_suites_reject_non_finite_input_before_sampling(monkeypatch,
     A = np.eye(4)
     A[0, 1] = bad
     _no_sampling(monkeypatch)
-    with pytest.raises(PreconditionError, match="non-finite entry"):
+    with pytest.raises(ArgumentError, match="non-finite entry"):
         run(A)
 
 
@@ -443,23 +443,39 @@ def test_tail_suites_check_t_and_constant_before_sampling(monkeypatch, run, mess
 def test_tail_suites_reject_an_empty_t_grid_before_sampling(monkeypatch, run):
     # an empty grid used to draw every sample and pass with no rows
     _no_sampling(monkeypatch)
-    with pytest.raises(PreconditionError, match="t grid must hold at least one t"):
+    with pytest.raises(ArgumentError, match="t grid must hold at least one t"):
         run()
 
 
-@pytest.mark.parametrize("run, error", [
+BIG = np.eye(4) * 1e200  # finite entries whose Frobenius norm overflows
+TOO_LARGE = "matrix is too large: its Frobenius norm overflows"
+
+
+@pytest.mark.parametrize("run, error, message", [
     (lambda: verify_ax_tail(np.zeros((216, 216)), Dims([6, 6, 6]), GAUSS, [1.0, 2.0]),
-     DegenerateInputError),
-    (lambda: verify_ax_tail(np.eye(6), Dims([2, 3]), GAUSS, [1.0]), ArgumentError),
-    (lambda: verify_hanson_wright(np.zeros((8, 8)), GAUSS, [1.0, 2.0]), DegenerateInputError),
-    # finite entries whose Frobenius norm overflows: ax-tail used to fail only
-    # after every sample, hanson-wright to pass with a nan exponent
-    (lambda: verify_ax_tail(np.eye(4) * 1e200, Dims([4]), GAUSS, [1.0]), ArgumentError),
-    (lambda: verify_hanson_wright(np.eye(4) * 1e200, GAUSS, [1e200], S=1000), ArgumentError),
+     DegenerateInputError, "zero matrix"),
+    (lambda: verify_ax_tail(np.eye(6), Dims([2, 3]), GAUSS, [1.0]), ArgumentError,
+     "equal per-axis dims"),
+    (lambda: verify_hanson_wright(np.zeros((8, 8)), GAUSS, [1.0, 2.0]), DegenerateInputError,
+     "zero matrix"),
+    # ax-tail used to fail only after every sample, hanson-wright to pass with a nan exponent
+    (lambda: verify_ax_tail(BIG, Dims([4]), GAUSS, [1.0]), ArgumentError, TOO_LARGE),
+    (lambda: verify_hanson_wright(BIG, GAUSS, [1e200], S=1000), ArgumentError, TOO_LARGE),
+    # the default t grids used to overflow first and blame t = inf
+    (lambda: verify_ax_tail(BIG, Dims([4]), GAUSS), ArgumentError, TOO_LARGE),
+    (lambda: verify_hanson_wright(BIG, GAUSS), ArgumentError, TOO_LARGE),
+    # the moment suites used to report an infinite mp, limit or exact value
+    (lambda: verify_decoupling(BIG, Dims([2, 2]), GAUSS), ArgumentError, TOO_LARGE),
+    (lambda: verify_main_upper(BIG, Dims([2, 2]), GAUSS), ArgumentError, TOO_LARGE),
+    (lambda: verify_main_lower(BIG, Dims([2, 2])), ArgumentError, TOO_LARGE),
+    (lambda: verify_gaussian_decoupling(np.full(4, 1e200)), ArgumentError,
+     "vector is too large: its Frobenius norm overflows"),
 ], ids=["ax-tail-zero", "ax-tail-unequal-dims", "hanson-wright-zero", "ax-tail-overflow",
-        "hanson-wright-overflow"])
-def test_tail_suites_check_the_matrix_before_sampling(monkeypatch, run, error):
-    # the tail exponents check the matrix and dims before any of the S = 100 000 samples
+        "hanson-wright-overflow", "ax-tail-overflow-default-t", "hanson-wright-overflow-default-t",
+        "decoupling-overflow", "main-upper-overflow", "main-lower-overflow",
+        "gaussian-decoupling-overflow"])
+def test_tail_suites_check_the_matrix_before_sampling(monkeypatch, run, error, message):
+    # every suite checks its input before any of the S = 100 000 samples or any norm table
     calls = []
     batch = montecarlo.FactorSampler.batch
 
@@ -467,8 +483,12 @@ def test_tail_suites_check_the_matrix_before_sampling(monkeypatch, run, error):
         calls.append(count)
         return batch(self, start, count)
 
+    def no_table(*args, **kwargs):
+        raise AssertionError("norm table built before the input check")
+
     monkeypatch.setattr(montecarlo.FactorSampler, "batch", counted)
-    with pytest.raises(error):
+    monkeypatch.setattr(bounds, "table_norms", no_table)
+    with pytest.raises(error, match=message):
         run()
     assert calls == []
 
