@@ -161,7 +161,9 @@ def _swapped_estimate(est: NormEstimate, Q: Partition, d: int, S: tuple[int, ...
 def checked_input(A: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, float]:
     """A report's input array as float64 and its Frobenius norm, the package's
     one ``np.linalg.norm``.  A non-finite entry, or finite entries whose norm
-    overflows a float, is an ArgumentError naming the input ``name``."""
+    overflows a float, is an ArgumentError naming the input ``name``, and so
+    is one whose N ||A||_F^2 overflows, N its row length: a partial trace grows
+    the norm by up to sqrt(N), and ``tensor.frobenius`` squares it unscaled."""
     A = np.asarray(A, dtype=np.float64)
     if not np.isfinite(A).all():
         raise ArgumentError(f"{name} has a non-finite entry")
@@ -169,6 +171,10 @@ def checked_input(A: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, floa
         fro = float(np.linalg.norm(A))
     if not math.isfinite(fro):
         raise ArgumentError(f"{name} is too large: its Frobenius norm overflows")
+    N = A.shape[-1] if A.ndim else 1
+    if not math.isfinite(N * fro * fro):
+        raise ArgumentError(f"{name} is too large: {N} times its squared Frobenius "
+                            "norm overflows")
     return A, fro
 
 

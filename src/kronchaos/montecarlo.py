@@ -31,14 +31,15 @@ _STAT_ALIGN samples per chunk and has more than n - _STAT_ALIGN (one chunk
 when S <= _STAT_CHUNK).  A threaded whole-batch product can round the rows
 at its thread boundaries apart; the chunks do not.
 
-The bootstrap of ``estimate_lp`` draws RESAMPLES resamples of a sample stream
-from one integer stream keyed by (seed, STREAM_BOOTSTRAP + stream), one index
-row of S draws per resample.  Every statistic and every p evaluated on that
-sample stream share its indices, which are drawn once.
+The bootstrap of ``estimate_lp`` resamples a sample stream in B =
+min(S, BOOT_BLOCKS) contiguous blocks, one row of B draws per resample, from
+one integer stream keyed by (seed, STREAM_BOOTSTRAP + stream).  Every
+statistic and every p evaluated on that sample stream share the draws, which
+are drawn once.
 
-Sums over samples run in a fixed order.  The bootstrap contracts exact
-resample counts with the powers of each statistic through BLAS products of
-one fixed block shape, added block by block in sample order, so a value does
+Sums over samples run in a fixed order.  The bootstrap contracts exact block
+counts with the block sums of each statistic's powers in one BLAS product,
+whose shape is fixed by B, the p grid and the resample count, so a value does
 not depend on how many statistics share the stream.  Identical seeds give
 bit-identical results; tests/test_golden_reports.py checks that one BLAS
 thread gives the same report bytes as the default thread count.
@@ -68,6 +69,9 @@ STREAM_BOOTSTRAP = 0x30
 
 # Bootstrap resamples per L_p band, in every suite.
 RESAMPLES = 200
+
+# Most contiguous sample blocks that the bootstrap of estimate_lp resamples.
+BOOT_BLOCKS = 1024
 
 # Grid on which the subgaussian norms sup_p ||Y||_p / sqrt(p) were evaluated.
 _PSI2_P_GRID = np.linspace(1.0, 200.0, 20000)
@@ -359,12 +363,6 @@ class EmpiricalMoment:
     ci_high: float
 
 
-# Block shape of the bootstrap contraction: counts of _COUNT_BLOCK resamples are
-# contracted with the powers of _SAMPLE_BLOCK samples at a time.
-_COUNT_BLOCK = 64
-_SAMPLE_BLOCK = 2048
-
-
 def _check_finite(values: np.ndarray) -> None:
     # a nan compares false with everything, so it would pass for a zero
     # statistic in estimate_lp and for no exceedance in estimate_tail
@@ -378,15 +376,16 @@ def estimate_lp(batch: SampleBatch, p_grid: Sequence[float],
 
     Returns one EmpiricalMoment per p for (S,) values, and one such row per
     statistic for (K, S) values.  Each statistic is rescaled by its maximum
-    before taking powers, so large p cannot overflow.  The bootstrap draws one
-    resample stream per (seed, stream), on stream STREAM_BOOTSTRAP + stream,
-    and every statistic and p of the batch reuses it.  A resample is kept as
-    the exact number of times it draws each sample, so its power sums are the
-    product of those counts with the powers |v / max|^p: blocks of
-    _COUNT_BLOCK resamples (the last one padded with zero counts) are
-    contracted with _SAMPLE_BLOCK samples at a time, and the blocks are added
-    in sample order.  Every product has a shape fixed by S and the p grid, so
-    no value depends on the number of statistics.  The batch's seed, its stream
+    before taking powers, so large p cannot overflow.  The band is the
+    non-overlapping block bootstrap (Carlstein, Ann. Statist. 1986) over
+    B = min(S, BOOT_BLOCKS) contiguous blocks, block b starting at sample
+    b * S // B: the samples are i.i.d., so the blocks are too, and for
+    S <= BOOT_BLOCKS each block is one sample.  A resample draws B blocks with
+    replacement from the stream STREAM_BOOTSTRAP + stream of the batch's seed,
+    drawn once for every statistic and p.  Its replicate is the mean of
+    |v / max|^p over the drawn samples, the drawn block sums over the drawn
+    block sizes: one (P, B) @ (B, resamples) product per statistic, so no
+    value depends on the number of statistics.  The batch's seed, its stream
     and STREAM_BOOTSTRAP + stream must lie in [0, 2^64) (:func:`_key_word`).
     """
     p_grid = [float(p) for p in p_grid]
@@ -405,46 +404,35 @@ def estimate_lp(batch: SampleBatch, p_grid: Sequence[float],
         raise ArgumentError(f"need at least 100 samples, got {S}")
     _check_finite(values)
     rows = values.reshape(-1, S)
-    scales = [float(np.abs(v).max(initial=0.0)) for v in rows]
-    live = [k for k, m in enumerate(scales) if m > 0.0]
 
-    # sums[k, j, r]: sum over resample r of |v_k / max|^p_j; r runs up to a
-    # whole number of count blocks
-    padded = -(-resamples // _COUNT_BLOCK) * _COUNT_BLOCK
-    sums = np.zeros((rows.shape[0], len(p_grid), padded))
+    # counts[b, r]: how often resample r draws block b
+    B = min(S, BOOT_BLOCKS)
+    starts = np.arange(B) * S // B
     rng = Generator(Philox(key=np.array([seed, boot_stream], dtype=np.uint64)))
-    counts = np.empty((_COUNT_BLOCK, S), dtype=np.uint8)
-    weights = np.empty((min(_SAMPLE_BLOCK, S), _COUNT_BLOCK))
-    block_powers = np.empty((len(p_grid), weights.shape[0]))
-    for r0 in range(0, padded, _COUNT_BLOCK):
-        drawn = min(_COUNT_BLOCK, resamples - r0)
-        for i in range(drawn):
-            # how often the resample draws each sample; above 255 would wrap in uint8
-            draws = np.bincount(rng.integers(0, S, size=S), minlength=S)
-            if draws.max() > 255:
-                raise SizeError(f"a resample draws one sample {int(draws.max())} times, above 255")
-            counts[i] = draws
-        counts[drawn:] = 0
-        for s0 in range(0, S, _SAMPLE_BLOCK):
-            s1 = min(s0 + _SAMPLE_BLOCK, S)
-            w = weights[: s1 - s0]
-            w[...] = counts[:, s0:s1].T
-            t = block_powers[:, : s1 - s0]
-            for k in live:
-                u = np.abs(rows[k, s0:s1]) / scales[k]
-                for j, p in enumerate(p_grid):
-                    np.power(u, p, out=t[j])
-                sums[k, :, r0 : r0 + _COUNT_BLOCK] += t @ w
+    counts = np.empty((B, resamples))
+    for r in range(resamples):
+        counts[:, r] = np.bincount(rng.integers(0, B, size=B), minlength=B)
+    drawn = np.diff(starts, append=S) @ counts  # samples per resample, exact
 
-    result = [[EmpiricalMoment(p, 0.0, 0.0, 0.0) for p in p_grid] for _ in scales]
-    for k in live:
-        m = scales[k]
-        u = np.abs(rows[k]) / m
+    result = []
+    block_sums = np.empty((len(p_grid), B))
+    for v in rows:
+        m = float(np.abs(v).max(initial=0.0))
+        if m == 0.0:
+            result.append([EmpiricalMoment(p, 0.0, 0.0, 0.0) for p in p_grid])
+            continue
+        u = np.abs(v) / m
+        estimates = []
         for j, p in enumerate(p_grid):
-            est = float(m * (np.add.reduce(u ** p) / S) ** (1.0 / p))
-            lo_q, hi_q = np.quantile(m * (sums[k, j, :resamples] / S) ** (1.0 / p),
-                                     [0.025, 0.975])
-            result[k][j] = EmpiricalMoment(p, est, min(float(lo_q), est), max(float(hi_q), est))
+            powers = u ** p
+            estimates.append(float(m * (np.add.reduce(powers) / S) ** (1.0 / p)))
+            np.add.reduceat(powers, starts, out=block_sums[j])
+        means = (block_sums @ counts) / drawn
+        row = []
+        for p, est, mean in zip(p_grid, estimates, means):
+            lo_q, hi_q = np.quantile(m * mean ** (1.0 / p), [0.025, 0.975])
+            row.append(EmpiricalMoment(p, est, min(float(lo_q), est), max(float(hi_q), est)))
+        result.append(row)
     return result if values.ndim == 2 else result[0]
 
 

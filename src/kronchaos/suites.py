@@ -15,11 +15,12 @@ Every Monte Carlo suite draws its samples through one path,
 chunk, and only the (S,) or (K, S) statistics are kept, so memory does not
 grow with S times the Kronecker length, and the values are those of the whole
 batch.  The returned batch carries the stream it was drawn on, which keys its
-bootstrap; every L_p band uses montecarlo.RESAMPLES resamples, which the
-configs record.  Sample counts, seeds, t grids and constant caps are checked
-before any norm or sample is computed, and so is the input array, by the one
-gate ``bounds.checked_input``, which also gives the input's Frobenius norm to
-each reader of it.  A bad argument is an ArgumentError.
+bootstrap; every L_p band draws montecarlo.RESAMPLES resamples of at most
+montecarlo.BOOT_BLOCKS contiguous blocks of it, and the configs record both.
+Sample counts, seeds, t grids and constant caps are checked before any norm
+or sample is computed, and so is the input array, by the one gate
+``bounds.checked_input``, which also gives the input's Frobenius norm to each
+reader of it.  A bad argument is an ArgumentError.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from .identities import (
     squared_product_sides,
 )
 from .montecarlo import (
+    BOOT_BLOCKS,
     RESAMPLES,
     DistributionSpec,
     FactorSampler,
@@ -284,7 +286,8 @@ def verify_decoupling(A: np.ndarray, dims: Dims, dist: DistributionSpec,
     status, flags = _band_status(results, "LHS and RHS confidence bands overlap")
     config = _config("decoupling", seed=int(seed), S=S, dims=list(dims.sizes),
                      dist=dist.label, p_grid=p_grid, resamples=RESAMPLES,
-                     p_cap_note=_P_CAP_NOTE, input_sha256=array_digest(A))
+                     bootstrap_blocks=BOOT_BLOCKS, p_cap_note=_P_CAP_NOTE,
+                     input_sha256=array_digest(A))
     return _report(config, status, flags, lhs_batch.values, results=results)
 
 
@@ -328,7 +331,8 @@ def verify_main_upper(A: np.ndarray, dims: Dims, dist: DistributionSpec,
     config = _config("main-upper", seed=int(seed), S=S, dims=list(dims.sizes),
                      dist=dist.label, p_grid=p_grid, L=dist.bound_L, ceiling=ceiling,
                      p_cap_note=_P_CAP_NOTE, resamples=RESAMPLES,
-                     norm_options=_norm_config(norm_opts), input_sha256=array_digest(A))
+                     bootstrap_blocks=BOOT_BLOCKS, norm_options=_norm_config(norm_opts),
+                     input_sha256=array_digest(A))
     if not np.any(A):
         return _report(config, "pass", ["zero matrix: both sides vanish, ratio defined as 0"],
                        results=[{"p": p, "ratio": 0.0} for p in p_grid],
@@ -357,7 +361,7 @@ def verify_main_lower(A: np.ndarray, dims: Dims, p_grid: Sequence[float] = (2.0,
     norm_opts = norm_opts or NormOptions(seed=seed)
     dist = distribution("gaussian")
     common = dict(seed=int(seed), S=S, dims=list(dims.sizes), p_grid=p_grid,
-                  p_cap_note=_P_CAP_NOTE, resamples=RESAMPLES,
+                  p_cap_note=_P_CAP_NOTE, resamples=RESAMPLES, bootstrap_blocks=BOOT_BLOCKS,
                   norm_options=_norm_config(norm_opts), input_sha256=array_digest(A))
     if not np.any(A):
         return _report(_config("main-lower", **common), "pass",
@@ -519,5 +523,5 @@ def verify_gaussian_decoupling(a: np.ndarray, p_grid: Sequence[float] = (2.0, 4.
     status, flags = _band_status(results, "bands overlap")
     config = _config("gaussian-decoupling", seed=int(seed), S=S, n=int(a.size),
                      p_grid=p_grid, p_cap_note=_P_CAP_NOTE, resamples=RESAMPLES,
-                     input_sha256=array_digest(a))
+                     bootstrap_blocks=BOOT_BLOCKS, input_sha256=array_digest(a))
     return _report(config, status, flags, results=results)

@@ -534,6 +534,13 @@ def test_bound_report_checks_arguments_before_norm_tables(monkeypatch):
     # ||A||_F is finite, ||A^T A||_F is not: the Gram table used to give mp_norm = inf
     with pytest.raises(ArgumentError, match=r"^Gram matrix A\^T A is too large"):
         compute_bound_report(np.eye(4) * 1e80, Dims([2, 2]), [2])
+    # N ||.||_F^2 overflows with both norms finite: a partial trace grows the Frobenius
+    # norm by up to sqrt(N), and the Gram table used to give mp_norm = inf (7.7e76)
+    # and the main table mp = inf (6e153)
+    with pytest.raises(ArgumentError, match=r"^Gram matrix A\^T A is too large: 4 times"):
+        compute_bound_report(np.eye(4) * 7.7e76, Dims([2, 2]), [2])
+    with pytest.raises(ArgumentError, match="^matrix is too large: 4 times"):
+        compute_bound_report(np.eye(4) * 6e153, Dims([2, 2]), [2])
 
 
 @pytest.mark.parametrize("A, dims", [(np.zeros((2, 2)), Dims([2])),

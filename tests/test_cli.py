@@ -400,6 +400,14 @@ def test_matrix_whose_frobenius_norm_overflows_is_usage_error(tmp_path, capsys):
     assert run("verify", "gaussian-decoupling", "--vector", "1e200,1e200",
                "--cache", tmp_path / "c") == EXIT_USAGE
     assert capsys.readouterr().err == "error: vector is too large: its Frobenius norm overflows\n"
+    # both norms are finite, but a partial trace can grow them by sqrt(N) = 2 before
+    # they are squared: bounds wrote mp_norm = inf, main-upper passed with mp = inf
+    for name, scale, argv in [("Gram matrix A^T A", 7.7e76, ("bounds",)),
+                              ("matrix", 6e153, ("verify", "main-upper", "--samples", "1000"))]:
+        save_matrix_csv(path, np.eye(4) * scale)
+        assert run(*argv, *big, "--cache", tmp_path / "c") == EXIT_USAGE, argv
+        assert capsys.readouterr().err == (
+            f"error: {name} is too large: 4 times its squared Frobenius norm overflows\n")
     assert not (tmp_path / "c").exists()
 
 

@@ -489,10 +489,16 @@ def test_estimate_lp_stacked_rows_match_one_row_calls():
 
 def _gather_lp(batch, p_grid, resamples):
     """(estimate, ci_low, ci_high) per statistic and p by the gather-and-sum
-    bootstrap: every resample's powers are gathered by index and summed."""
+    block bootstrap: the samples are cut into B = min(S, BOOT_BLOCKS)
+    contiguous blocks, every resample's block sums and block sizes are
+    gathered by index, and its mean is their ratio."""
     S = batch.count
+    B = min(S, montecarlo.BOOT_BLOCKS)
+    edges = [b * S // B for b in range(B + 1)]
+    sizes = np.diff(edges)
     key = np.array([batch.seed, montecarlo.STREAM_BOOTSTRAP + batch.stream], dtype=np.uint64)
-    idx = Generator(Philox(key=key)).integers(0, S, size=(resamples, S))
+    idx = Generator(Philox(key=key)).integers(0, B, size=(resamples, B))
+    drawn = np.add.reduce(np.take(sizes, idx), axis=1)
     out = []
     for v in np.reshape(batch.values, (-1, S)):
         m = np.abs(v).max(initial=0.0)
@@ -503,17 +509,19 @@ def _gather_lp(batch, p_grid, resamples):
                 continue
             t = (np.abs(v) / m) ** p
             est = m * (np.add.reduce(t) / S) ** (1.0 / p)
-            boot = m * (np.add.reduce(np.take(t, idx), axis=1) / S) ** (1.0 / p)
+            block = np.array([t[lo:hi].sum() for lo, hi in zip(edges, edges[1:])])
+            boot = m * (np.add.reduce(np.take(block, idx), axis=1) / drawn) ** (1.0 / p)
             lo, hi = np.quantile(boot, [0.025, 0.975])
             row.append((est, min(lo, est), max(hi, est)))
         out.append(row)
     return out
 
 
-@pytest.mark.parametrize("S, resamples", [(301, 50), (301, 200), (5003, 130)])
+@pytest.mark.parametrize("S, resamples",
+                         [(301, 50), (301, 200), (1025, 70), (5003, 130)])
 def test_estimate_lp_matches_gather_and_sum(S, resamples):
-    # odd S, several sample blocks with a short last one, R not a multiple of
-    # the count block, and an all-zero statistic among K
+    # odd S: one sample per block (S = 301), blocks of 1 and 2 samples
+    # (S = 1025) and of 4 and 5 (S = 5003); an all-zero statistic among K
     rng = np.random.default_rng(S)
     values = np.stack([rng.standard_normal(S), np.zeros(S), rng.standard_t(3, S)])
     grid = (1.0, 2.0, 4.0, 7.5)
@@ -525,24 +533,20 @@ def test_estimate_lp_matches_gather_and_sum(S, resamples):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-class _OneSampleGenerator:
-    """Stands in for the bootstrap's Generator: every resample draws sample 0 only."""
-
-    def __init__(self, bit_generator):
-        pass
-
-    def integers(self, low, high, size):
-        return np.zeros(size, dtype=np.int64)
-
-
-def test_estimate_lp_raises_on_a_count_above_255(monkeypatch):
-    monkeypatch.setattr(montecarlo, "Generator", _OneSampleGenerator)
-    # 255 draws of sample 0 are counted exactly: every resample is 255 copies of v_0 = 1
-    m, = estimate_lp(_batch(np.arange(1.0, 256.0)), [2.0], 10)
-    assert m.ci_low == pytest.approx(1.0, rel=1e-15)
-    # 256 draws would wrap to a count of 0 in uint8
-    with pytest.raises(SizeError, match="256 times"):
-        estimate_lp(_batch(np.arange(1.0, 257.0)), [2.0], 10)
+def test_estimate_lp_bands_cover_exact_gaussian_square_norms():
+    # Q = sum a_k (g_k^2 - 1) has ||Q||_2 = sqrt(2 sum a^2) and
+    # ||Q||_4 = (48 sum a^4 + 12 (sum a^2)^2)^(1/4).  At 95% coverage, fewer
+    # than 33 covering bands in 40 runs has probability 0.07%.
+    a = np.arange(1.0, 9.0)
+    s2, s4 = np.sum(a**2), np.sum(a**4)
+    exact = {2.0: math.sqrt(2.0 * s2), 4.0: (48.0 * s4 + 12.0 * s2**2) ** 0.25}
+    covered = dict.fromkeys(exact, 0)
+    for seed in range(40):
+        sampler = FactorSampler(Dims([8]), distribution("gaussian"), seed, 0)
+        batch = sampled_statistics([sampler], 20_000, lambda mats: chaos_batch(np.diag(a), mats))
+        for m in estimate_lp(batch, list(exact)):
+            covered[m.p] += m.ci_low <= exact[m.p] <= m.ci_high
+    assert min(covered.values()) >= 33, covered
 
 
 def _count_calls(monkeypatch) -> list[int]:

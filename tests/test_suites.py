@@ -332,6 +332,7 @@ def test_suite_config_records_every_parameter(name):
     assert {CONFIG_KEYS.get(p, p) for p in params} <= set(config)
     if name in BOOTSTRAP_SUITES:
         assert config["resamples"] == 200
+        assert config["bootstrap_blocks"] == 1024
 
 
 def _no_sampling(monkeypatch):
