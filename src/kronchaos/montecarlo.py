@@ -7,12 +7,11 @@ generation is vectorized.  Each entry consumes exactly one uniform double,
 mapped through the inverse normal CDF for Gaussian entries; independent
 copies use a distinct stream constant.
 
-Only the Gaussian family needs scipy: ``scipy.special.ndtri`` for its draw
-and ``gammaln`` for its L_p norm.  ``_scipy_special`` imports the module on
-the first such call, not when the package is imported: after numpy, the
-import takes about 0.29 s and 25 MB of peak memory on a 2-core x86 host,
-more than a small ``bounds`` report takes to compute.  Runs that draw no
-Gaussian entry never load it.
+Only the Gaussian draw needs scipy, for ``scipy.special.ndtri``.
+``_scipy_special`` imports the module on the first such draw, not when the
+package is imported: after numpy, the import takes about 0.29 s and 25 MB of
+peak memory on a 2-core x86 host, more than a small ``bounds`` report takes
+to compute.  Runs that draw no Gaussian entry never load it.
 
 ``sampled_statistics`` evaluates a statistic over S samples in chunks of
 _STAT_CHUNK samples, so that only one chunk of factors, Kronecker vectors and
@@ -73,25 +72,13 @@ RESAMPLES = 200
 # Most contiguous sample blocks that the bootstrap of estimate_lp resamples.
 BOOT_BLOCKS = 1024
 
-# Grid on which the subgaussian norms sup_p ||Y||_p / sqrt(p) were evaluated.
-_PSI2_P_GRID = np.linspace(1.0, 200.0, 20000)
-
-
-# Analytic values for gaussian / rademacher (the sup is attained at p = 1);
-# grid-computed upper bounds, rounded up to 3 digits, for the others.
-PSI2_GAUSSIAN = math.sqrt(2.0 / math.pi)
-PSI2_RADEMACHER = 1.0
-PSI2_UNIFORM_SYM = 0.867
-
-
 class Family(NamedTuple):
-    """One entry family: ``lp_norm(p, q)`` is the analytic ||Y||_p, ``draw(u, q)``
-    maps uniforms to entries and ``psi2`` is the stored subgaussian-norm bound
-    (None: computed from q)."""
+    """One entry family: ``draw(u, q)`` maps uniforms to entries, and
+    ``psi2(q)`` is the subgaussian-norm bound sup_{p >= 1} ||Y||_p / sqrt(p),
+    rounded up to 3 digits where it is not exact."""
 
-    lp_norm: Callable[[np.ndarray, float], np.ndarray]
     draw: Callable[[np.ndarray, float], np.ndarray]
-    psi2: float | None
+    psi2: Callable[[float], float]
 
 
 def _two_point(u: np.ndarray, q: float) -> np.ndarray:
@@ -99,27 +86,33 @@ def _two_point(u: np.ndarray, q: float) -> np.ndarray:
     return np.where(u < q, v, np.where(u >= 1.0 - q, -v, 0.0))
 
 
+def _two_point_psi2(q: float) -> float:
+    """sup_p (2q)^(1/p - 1/2) / sqrt(p), attained at p* = max(1, -2 ln 2q).  It
+    is taken in logs, so that every q in (0, 1/2] gives a finite value."""
+    log_2q = math.log(2.0 * q)
+    p = max(1.0, -2.0 * log_2q)
+    return math.ceil(math.exp((1.0 / p - 0.5) * log_2q - 0.5 * math.log(p)) * 1000) / 1000
+
+
 def _scipy_special():
-    """scipy.special, imported on the first Gaussian draw or moment (see the
-    module docstring)."""
+    """scipy.special, imported on the first Gaussian draw (see the module
+    docstring)."""
     import scipy.special
 
     return scipy.special
 
 
 # Uniforms lie on the lattice {0, ..., 2^53 - 1} / 2^53; the half-ulp shift
-# keeps the gaussian map finite and exactly symmetric.
+# keeps the gaussian map finite and exactly symmetric.  The psi2 of the first
+# three families is ||Y||_1, since the sup is at p = 1; uniform_sym's
+# sqrt(3)/2 is rounded up.
 FAMILIES = {
-    "gaussian": Family(
-        lambda p, q: np.sqrt(2.0) * np.exp(
-            (_scipy_special().gammaln((p + 1.0) / 2.0) - _scipy_special().gammaln(0.5)) / p),
-        lambda u, q: _scipy_special().ndtri(u + 2.0**-54), PSI2_GAUSSIAN),
-    "rademacher": Family(lambda p, q: np.ones_like(p),
-                         lambda u, q: np.where(u < 0.5, -1.0, 1.0), PSI2_RADEMACHER),
-    "uniform_sym": Family(lambda p, q: np.sqrt(3.0) * (p + 1.0) ** (-1.0 / p),
-                          lambda u, q: (2.0 * (u + 2.0**-54) - 1.0) * math.sqrt(3.0),
-                          PSI2_UNIFORM_SYM),
-    "two_point": Family(lambda p, q: (2.0 * q) ** (1.0 / p - 0.5), _two_point, None),
+    "gaussian": Family(lambda u, q: _scipy_special().ndtri(u + 2.0**-54),
+                       lambda q: math.sqrt(2.0 / math.pi)),
+    "rademacher": Family(lambda u, q: np.where(u < 0.5, -1.0, 1.0), lambda q: 1.0),
+    "uniform_sym": Family(lambda u, q: (2.0 * (u + 2.0**-54) - 1.0) * math.sqrt(3.0),
+                          lambda q: 0.867),
+    "two_point": Family(_two_point, _two_point_psi2),
 }
 
 
@@ -130,36 +123,28 @@ def _family(name: str) -> Family:
         raise ArgumentError(f"unknown family {name!r}") from None
 
 
-def _check_q(family: str, q: float) -> None:
-    if family == "two_point" and not 0.0 < q <= 0.5:
-        raise ArgumentError(f"two_point needs 0 < q <= 1/2, got {q}")
-
-
-def psi2_numeric(family: str, q: float = 0.25) -> float:
-    """sup_p ||Y||_p / sqrt(p) evaluated on a dense p grid."""
-    curve = _family(family).lp_norm(_PSI2_P_GRID, q) / np.sqrt(_PSI2_P_GRID)
-    return float(curve.max())
-
-
 @dataclass(frozen=True)
 class DistributionSpec:
-    """Entry distribution: family plus its subgaussian-norm bound.
+    """Entry distribution: a family and the q that only two_point reads.
 
     Every family has mean 0 and variance 1.  two_point(q) takes the values
     +-sqrt(1/(2q)) with probability q each and 0 otherwise, q <= 1/2.
-    ``bound_L`` is the value used inside the moment functionals, which
-    require a bound that is at least 1.  A bad family, bound or q is an ArgumentError.
+    ``psi2_bound`` is the family's subgaussian-norm bound at q, and
+    ``bound_L`` the value used inside the moment functionals, which require a
+    bound that is at least 1.  A bad family or q is an ArgumentError.
     """
 
     family: str
-    psi2_bound: float
     q: float = 0.25
 
     def __post_init__(self):
         _family(self.family)
-        if not (math.isfinite(self.psi2_bound) and self.psi2_bound > 0):
-            raise ArgumentError(f"psi2 bound {self.psi2_bound} must be finite and > 0")
-        _check_q(self.family, self.q)
+        if self.family == "two_point" and not 0.0 < self.q <= 0.5:
+            raise ArgumentError(f"two_point needs 0 < q <= 1/2, got {self.q}")
+
+    @property
+    def psi2_bound(self) -> float:
+        return _family(self.family).psi2(self.q)
 
     @property
     def bound_L(self) -> float:
@@ -171,16 +156,12 @@ class DistributionSpec:
 
 
 def distribution(family: str, q: float | None = None) -> DistributionSpec:
-    """DistributionSpec with the stored subgaussian-norm constant for the family.
-    Only two_point reads q (0.25 if not given); a q for another family is an ArgumentError."""
-    psi2 = _family(family).psi2
-    if psi2 is not None:
-        if q is not None:
-            raise ArgumentError(f"q changes nothing unless the family is two_point, got {family}")
-        return DistributionSpec(family, psi2)
-    q = 0.25 if q is None else q
-    _check_q(family, q)
-    return DistributionSpec(family, math.ceil(psi2_numeric(family, q) * 1000) / 1000, q)
+    """DistributionSpec of the family.  Only two_point reads q (0.25 if not
+    given); a q for another family is an ArgumentError."""
+    spec = DistributionSpec(family, 0.25 if q is None else q)
+    if q is not None and family != "two_point":
+        raise ArgumentError(f"q changes nothing unless the family is two_point, got {family}")
+    return spec
 
 
 def _key_word(value: int, name: str) -> int:

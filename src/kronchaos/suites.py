@@ -76,7 +76,7 @@ from .montecarlo import (
 )
 from .norms import NormOptions
 from .partitions import signed_subset_sum
-from .tensor import Dims, rearrange_matrix, unrearrange_matrix
+from .tensor import Dims, PartialArray, rearrange_matrix, unrearrange_matrix
 
 P_CAP = 16.0
 _P_CAP_NOTE = f"empirical L_p estimates are capped at p = {P_CAP:g}; beyond that the estimator variance is dominated by rare extremes"
@@ -157,10 +157,14 @@ def _band_status(results: list[dict], overlap: str) -> tuple[str, list[str]]:
 
 
 def _mean_sanity(values: np.ndarray) -> dict:
-    """Centered statistics must have |mean| <= 5 std / sqrt(S)."""
+    """Centered statistics must have |mean| <= 5 std / sqrt(S).  The mean and std
+    are taken of v / 2^e, 2^(e-1) <= max |v| < 2^e, and scaled back: a power of
+    two moves no bit, and the squares in the std cannot overflow."""
     S = values.size
-    mean = float(values.mean())
-    std = float(values.std())
+    e = int(np.frexp(np.abs(values).max())[1])
+    scaled = np.ldexp(values, -e)
+    mean = math.ldexp(float(scaled.mean()), e)
+    std = math.ldexp(float(scaled.std()), e)
     limit = 5.0 * std / math.sqrt(S)
     return {"mean": mean, "limit": limit, "ok": bool(abs(mean) <= limit or std == 0.0)}
 
@@ -295,13 +299,12 @@ def verify_decoupling(A: np.ndarray, dims: Dims, dist: DistributionSpec,
 # moment sandwich suites
 
 
-def _moment_ratios(suite: str, A: np.ndarray, dims: Dims, dist: DistributionSpec,
-                   p_grid: list[float], S: int, seed: int,
+def _moment_ratios(suite: str, A: np.ndarray, A2d: PartialArray, dims: Dims,
+                   dist: DistributionSpec, p_grid: list[float], S: int, seed: int,
                    norm_opts: NormOptions) -> tuple[list[dict], list[str], np.ndarray]:
-    """Per p, the empirical centered-chaos L_p norm of A over its main moment
-    functional; returns the result rows, the norm-table warnings and the
-    sampled statistics."""
-    A2d = rearrange_matrix(A, dims)
+    """Per p, the empirical centered-chaos L_p norm of A over the main moment
+    functional of its rearrangement A2d; returns the result rows, the
+    norm-table warnings and the sampled statistics."""
     table = main_norm_table(A2d, norm_opts)
     base = _STREAMS[suite]
     batch = sampled_statistics([FactorSampler(dims, dist, seed, base)], S,
@@ -333,13 +336,14 @@ def verify_main_upper(A: np.ndarray, dims: Dims, dist: DistributionSpec,
                      p_cap_note=_P_CAP_NOTE, resamples=RESAMPLES,
                      bootstrap_blocks=BOOT_BLOCKS, norm_options=_norm_config(norm_opts),
                      input_sha256=array_digest(A))
+    A2d = rearrange_matrix(A, dims)  # a matrix of the wrong shape is a ShapeError, zero or not
     if not np.any(A):
         return _report(config, "pass", ["zero matrix: both sides vanish, ratio defined as 0"],
                        results=[{"p": p, "ratio": 0.0} for p in p_grid],
                        constant_estimate=0.0)
 
     _power(dist.bound_L, 2 * dims.order, f"the psi2 bound L = {dist.bound_L:g} of {dist.label}")
-    results, flags, vals = _moment_ratios("main-upper", A, dims, dist, p_grid, S, seed,
+    results, flags, vals = _moment_ratios("main-upper", A, A2d, dims, dist, p_grid, S, seed,
                                           norm_opts)
     c_hat = max(r["ratio"] for r in results)
     return _report(config, "pass" if c_hat <= ceiling else "fail", flags, vals,
@@ -363,15 +367,18 @@ def verify_main_lower(A: np.ndarray, dims: Dims, p_grid: Sequence[float] = (2.0,
     common = dict(seed=int(seed), S=S, dims=list(dims.sizes), p_grid=p_grid,
                   p_cap_note=_P_CAP_NOTE, resamples=RESAMPLES, bootstrap_blocks=BOOT_BLOCKS,
                   norm_options=_norm_config(norm_opts), input_sha256=array_digest(A))
-    if not np.any(A):
-        return _report(_config("main-lower", **common), "pass",
-                       ["degenerate input: zero matrix skipped"], results=[])
-
     sym = symmetrize(rearrange_matrix(A, dims))
+    if not np.any(sym.data):
+        # the symmetrization averages over the transpose, so X^T A X vanishes
+        # for an antisymmetric A as it does for a zero one
+        return _report(_config("main-lower", **common), "pass",
+                       ["degenerate input: zero matrix skipped" if not np.any(A) else
+                        "degenerate input: symmetrized array is zero, so both sides vanish; "
+                        "skipped"], results=[])
     if not check_symmetry(sym):
         raise KronChaosError("symmetrized array failed the exact symmetry check")
-    results, flags, vals = _moment_ratios("main-lower", unrearrange_matrix(sym), dims, dist,
-                                          p_grid, S, seed, norm_opts)
+    results, flags, vals = _moment_ratios("main-lower", unrearrange_matrix(sym), sym, dims,
+                                          dist, p_grid, S, seed, norm_opts)
     c_tilde = min(r["ratio"] for r in results)
     return _report(_config("main-lower", **common, L=dist.bound_L),
                    "pass" if c_tilde > 0.0 else "fail", flags, vals,

@@ -337,15 +337,20 @@ def test_bounds_of_a_zero_matrix_prints_both_warnings(tmp_path, capsys):
         "  warning: zero matrix: norm-deviation functional undefined"]
 
 
-@pytest.mark.parametrize("argv, shape, message", [
-    (("verify", "hanson-wright", "--samples", "1000"), (4, 3),
+@pytest.mark.parametrize("argv, matrix, message", [
+    (("verify", "hanson-wright", "--samples", "1000"), np.ones((4, 3)),
      "need a square matrix, got shape (4, 3)"),
-    (("verify", "ax-tail", "--dims", "2,2", "--samples", "10000"), (4, 5),
+    (("verify", "ax-tail", "--dims", "2,2", "--samples", "10000"), np.ones((4, 5)),
      "matrix has 5 columns, expected 4"),
-], ids=["hanson-wright-not-square", "ax-tail-columns"])
-def test_matrix_of_the_wrong_shape_is_usage_error(tmp_path, capsys, argv, shape, message):
+    # a zero matrix of the wrong shape used to pass
+    (("verify", "main-upper", "--dims", "2,2", "--samples", "1000"), np.zeros((3, 3)),
+     "matrix shape (3, 3) does not match N = 4"),
+    (("verify", "main-lower", "--dims", "2,2", "--samples", "1000"), np.zeros((3, 5)),
+     "matrix shape (3, 5) does not match N = 4"),
+], ids=["hanson-wright-not-square", "ax-tail-columns", "main-upper-zero", "main-lower-zero"])
+def test_matrix_of_the_wrong_shape_is_usage_error(tmp_path, capsys, argv, matrix, message):
     path = tmp_path / "m.csv"
-    save_matrix_csv(path, np.ones(shape))
+    save_matrix_csv(path, matrix)
     assert run(*argv, "--matrix", path, "--cache", tmp_path / "c") == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "c").exists()
@@ -366,9 +371,9 @@ def test_matrix_csv_skips_blank_and_comment_lines(tmp_path, capsys):
     (("bounds", "--dims", "4", "--t", "1e200"), "t = 1e+200"),
     (("verify", "ax-tail", "--dims", "4", "--t", "1e200", "--samples", "10000"), "t = 1e+200"),
     (("verify", "main-upper", "--dims", "2,2", "--dist", "two_point", "--q", "1e-300",
-      "--samples", "1000"), "L = 1.58663e+147 of two_point(1e-300)"),
+      "--samples", "1000"), "L = 1.15444e+148 of two_point(1e-300)"),
     (("verify", "hanson-wright", "--dist", "two_point", "--q", "1e-300", "--samples", "1000"),
-     "K = 1.58663e+147 of two_point(1e-300)"),
+     "K = 1.15444e+148 of two_point(1e-300)"),
 ], ids=["bounds-L", "bounds-t", "ax-tail-t", "main-upper-q", "hanson-wright-q"])
 def test_input_whose_bound_power_overflows_is_usage_error(tmp_path, capsys, argv, name):
     # each printed an OverflowError traceback and exited 1, the code of a violation
@@ -409,6 +414,29 @@ def test_matrix_whose_frobenius_norm_overflows_is_usage_error(tmp_path, capsys):
         assert capsys.readouterr().err == (
             f"error: {name} is too large: 4 times its squared Frobenius norm overflows\n")
     assert not (tmp_path / "c").exists()
+
+
+def test_main_lower_on_an_antisymmetric_matrix_passes(tmp_path, capsys):
+    # its symmetrized array is exactly zero; it used to exit 1, a false violation
+    B = np.random.default_rng(5).standard_normal((4, 4))
+    path = tmp_path / "anti.csv"
+    save_matrix_csv(path, B - B.T)
+    assert run("verify", "main-lower", "--matrix", path, "--dims", "2,2", "--samples", "1000",
+               "--cache", tmp_path / "c") == EXIT_OK
+    report = json.loads(next((tmp_path / "c").iterdir()).joinpath("report.json").read_text())
+    assert report["status"] == "pass" and report["flags"][0].startswith("degenerate input")
+
+
+@pytest.mark.parametrize("suite", ["decoupling", "main-upper", "main-lower"])
+def test_matrix_whose_squared_statistics_overflow_passes(tmp_path, capsys, suite):
+    # its gated norms are finite, but the mean-sanity std squared statistics
+    # near 1e154: an overflow under -W error, an Infinity limit without it
+    path = tmp_path / "big.csv"
+    save_matrix_csv(path, np.eye(4) * 3e153)
+    assert run("verify", suite, "--matrix", path, "--dims", "2,2", "--samples", "1000",
+               "--cache", tmp_path / "c") == EXIT_OK
+    report = json.loads(next((tmp_path / "c").iterdir()).joinpath("report.json").read_text())
+    assert math.isfinite(report["mean_sanity"]["limit"])
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,7 +2,7 @@
 
 ``import scipy.special`` costs about as much as the rest of the package's
 import and more than a small ``bounds`` report, so it is deferred to the
-first Gaussian draw or Gaussian moment.  Each check runs in a fresh
+first Gaussian draw.  Each check runs in a fresh
 interpreter, since this test session has long imported scipy itself.
 """
 

@@ -24,13 +24,9 @@ from kronchaos.errors import ArgumentError, AxisSetError, ShapeError, SizeError
 from kronchaos import montecarlo, suites
 from kronchaos.identities import backbone_pairs, pair_contraction, semi_decoupled_spec
 from kronchaos.montecarlo import (
-    PSI2_GAUSSIAN,
-    PSI2_RADEMACHER,
-    PSI2_UNIFORM_SYM,
     chaos_batch,
     kronecker_batch,
     norm_batch,
-    psi2_numeric,
     sampled_statistics,
     semi_decoupled_batch,
 )
@@ -129,15 +125,41 @@ def test_unit_variance_all_families(fam):
     assert v.var() == pytest.approx(1.0, rel=0.05)
 
 
+# ||Y||_p of each family, the reference for its psi2 bound sup_p ||Y||_p / sqrt(p)
+LP_NORMS = {
+    "gaussian": lambda p, q: np.sqrt(2.0) * np.exp(
+        (np.array([math.lgamma((x + 1.0) / 2.0) for x in p]) - math.lgamma(0.5)) / p),
+    "rademacher": lambda p, q: np.ones_like(p),
+    "uniform_sym": lambda p, q: np.sqrt(3.0) * (p + 1.0) ** (-1.0 / p),
+    "two_point": lambda p, q: (2.0 * q) ** (1.0 / p - 0.5),
+}
+
+
 def test_psi2_constants_match_numeric_sup():
-    assert PSI2_GAUSSIAN == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-12)
-    assert psi2_numeric("gaussian") == pytest.approx(PSI2_GAUSSIAN, rel=1e-3)
-    assert psi2_numeric("rademacher") == PSI2_RADEMACHER
-    # stored value is an upper bound within one unit in the third digit
-    assert 0 <= PSI2_UNIFORM_SYM - psi2_numeric("uniform_sym") < 1e-3
-    tp = distribution("two_point", 0.25)
-    assert 0 <= tp.psi2_bound - psi2_numeric("two_point", 0.25) < 1e-3
+    p = np.linspace(1.0, 200.0, 20000)
+    for family, q in [("gaussian", None), ("rademacher", None), ("uniform_sym", None),
+                      ("two_point", 0.25), ("two_point", 0.01), ("two_point", 1e-6)]:
+        sup = float((LP_NORMS[family](p, q) / np.sqrt(p)).max())
+        # an upper bound, within one unit in the third digit where it is rounded up
+        gap = distribution(family, q).psi2_bound - sup
+        assert -1e-15 <= gap < 1e-3, (family, q, gap)
+    assert distribution("gaussian").psi2_bound == math.sqrt(2.0 / math.pi)  # ||g||_1
+    assert distribution("rademacher").psi2_bound == 1.0
     assert distribution("gaussian").bound_L == 1.0  # moment formulas need L >= 1
+
+
+@pytest.mark.parametrize("q, psi2", [(0.25, 0.729), (0.1, 0.756), (0.01, 1.534),
+                                     (1e-6, 83.718)])
+def test_two_point_psi2_keeps_its_rounded_values(q, psi2):
+    assert distribution("two_point", q).psi2_bound == psi2
+
+
+def test_two_point_psi2_past_the_old_p_grid():
+    # p* = -2 ln 2q lies past p = 200 once q < 1.9e-44, where a maximum over
+    # p in [1, 200] gave 2.8215e23 at q = 1e-50
+    assert distribution("two_point", 1e-50).psi2_bound == pytest.approx(2.8349227e23, rel=1e-7)
+    tiny = distribution("two_point", 5e-324).psi2_bound  # 1/sqrt(4e q ln(1/2q)) gives 0.0
+    assert math.isfinite(tiny) and tiny == pytest.approx(5.0e159, rel=1e-2)
 
 
 def test_two_point_q_validation():
@@ -157,28 +179,14 @@ def test_only_two_point_reads_q():
 
 
 @pytest.mark.parametrize("args, message", [
-    (("nonesuch", 1.0), "unknown family 'nonesuch'"),
-    (("gaussian", 0.0), "psi2 bound 0.0 must be finite and > 0"),
-    (("gaussian", -1.0), "psi2 bound -1.0 must be finite and > 0"),
-    (("gaussian", math.inf), "psi2 bound inf must be finite and > 0"),
-    (("gaussian", math.nan), "psi2 bound nan must be finite and > 0"),
-    (("two_point", 1.0, 0.9), "two_point needs 0 < q <= 1/2, got 0.9"),
-    (("two_point", 1.0, 0.0), "two_point needs 0 < q <= 1/2, got 0.0"),
-], ids=["family", "zero-bound", "negative-bound", "inf-bound", "nan-bound", "q-0.9", "q-0"])
+    (("nonesuch",), "unknown family 'nonesuch'"),
+    (("two_point", 0.9), "two_point needs 0 < q <= 1/2, got 0.9"),
+    (("two_point", 0.0), "two_point needs 0 < q <= 1/2, got 0.0"),
+], ids=["family", "q-0.9", "q-0"])
 def test_hand_built_distribution_spec_checks_itself(args, message):
-    # a zero bound raised ZeroDivisionError in the hanson-wright exponent, and
     # q = 0.9 drew a distribution that is not two_point(q)
     with pytest.raises(ArgumentError, match=re.escape(message)):
         DistributionSpec(*args)
-
-
-def test_distribution_rejects_q_before_the_numeric_bound(monkeypatch):
-    def unreachable(family, q):
-        raise AssertionError("psi2_numeric ran for a bad q")
-
-    monkeypatch.setattr(montecarlo, "psi2_numeric", unreachable)
-    with pytest.raises(ArgumentError, match=re.escape("two_point needs 0 < q <= 1/2, got 0.9")):
-        distribution("two_point", 0.9)
 
 
 # ---------------------------------------------------------------------------

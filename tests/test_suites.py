@@ -104,9 +104,13 @@ def test_main_upper_rademacher_stability():
 
 
 def test_main_lower_zero_matrix_skipped():
-    rep = verify_main_lower(np.zeros((4, 4)), Dims([2, 2]), p_grid=(2.0,), S=2000, seed=0)
-    assert rep["status"] == "pass"
-    assert any("degenerate" in f for f in rep["flags"])
+    # an antisymmetric A has an exactly zero symmetrized array: it used to fail
+    # with every ratio 0
+    B = np.random.default_rng(5).standard_normal((4, 4))
+    for A in (np.zeros((4, 4)), B - B.T):
+        rep = verify_main_lower(A, Dims([2, 2]), p_grid=(2.0,), S=2000, seed=0)
+        assert rep["status"] == "pass"
+        assert any("degenerate" in f for f in rep["flags"])
 
 
 def test_main_lower_identity_positive():
