@@ -10,13 +10,13 @@ violation: overlapping bands count as an inconclusive pass, flagged as such,
 because the underlying inequalities hold with unknown constants and sampling
 noise must not raise false alarms.
 
-Every Monte Carlo suite draws its samples through one path,
-``montecarlo.sampled_statistics``: the sampler and the statistic run chunk by
-chunk, and only the (S,) or (K, S) statistics are kept, so memory does not
-grow with S times the Kronecker length, and the values are those of the whole
-batch.  The returned batch carries the stream it was drawn on, which keys its
-bootstrap; every L_p band draws montecarlo.RESAMPLES resamples of at most
-montecarlo.BOOT_BLOCKS contiguous blocks of it, and the configs record both.
+Every Monte Carlo suite draws one batch per report through
+``montecarlo.sampled_statistics``, chunk by chunk, keeping only the (S,) or
+(K, S) statistics, so memory does not grow with S times the Kronecker length.
+The inequality suites stack both sides on that batch: each factor stream is
+drawn once, and one estimate_lp call gives every row's L_p bands from the
+same montecarlo.RESAMPLES resamples of at most montecarlo.BOOT_BLOCKS
+contiguous blocks of the batch's stream; the configs record both.
 Sample counts, seeds, t grids and constant caps are checked before any norm
 or sample is computed, and so is the input array, by the one gate
 ``bounds.checked_input``, which also gives the input's Frobenius norm to each
@@ -83,7 +83,7 @@ _P_CAP_NOTE = f"empirical L_p estimates are capped at p = {P_CAP:g}; beyond that
 
 # per-suite stream bases for the counter-based sampler
 _STREAMS = {
-    "decoupling": 0x0100,
+    "decoupling": 0x0101,
     "main-upper": 0x0200,
     "main-lower": 0x0300,
     "ax-tail": 0x0400,
@@ -176,6 +176,14 @@ def _check_p_grid(p_grid: Sequence[float], low: float) -> list[float]:
     return p_grid
 
 
+def _vanishing(A: np.ndarray) -> str:
+    """The flag of a skipped input whose symmetrized array is zero: the
+    symmetrization averages over the transpose, so X^T A X vanishes for such
+    an A (B - B^T, or kron(b - b^T, C)) as it does for a zero one."""
+    return ("degenerate input: zero matrix skipped" if not np.any(A) else
+            "degenerate input: symmetrized array is zero, so both sides vanish; skipped")
+
+
 # ---------------------------------------------------------------------------
 # exact identity suite
 
@@ -254,21 +262,24 @@ def verify_decoupling(A: np.ndarray, dims: Dims, dist: DistributionSpec,
     p_grid = _check_p_grid(p_grid, 1.0)
     _check_sampling("decoupling", S, seed)
     A, _ = checked_input(A)
+    config = _config("decoupling", seed=int(seed), S=S, dims=list(dims.sizes),
+                     dist=dist.label, p_grid=p_grid, resamples=RESAMPLES,
+                     bootstrap_blocks=BOOT_BLOCKS, p_cap_note=_P_CAP_NOTE,
+                     input_sha256=array_digest(A))
+    A2d = rearrange_matrix(A, dims)
+    if not np.any(symmetrize(A2d).data):
+        return _report(config, "pass", [_vanishing(A)], results=[])
+
     d = dims.order
     base = _STREAMS["decoupling"]
-    A2d = rearrange_matrix(A, dims)
-
-    lhs_batch = sampled_statistics([FactorSampler(dims, dist, seed, base)], S,
-                                   lambda mats: chaos_batch(A, mats))
-
+    # the LHS in row 0 above the terms, on their x stream: all share its bootstrap draws
     pairs = backbone_pairs(d)
-    term_batch = sampled_statistics(
-        [FactorSampler(dims, dist, seed, base + 1), FactorSampler(dims, dist, seed, base + 2)],
-        S, lambda fm, fbm: np.stack([semi_decoupled_batch(A2d, I, J, fm, fbm)
-                                     for I, J in pairs]))
+    batch = sampled_statistics(
+        [FactorSampler(dims, dist, seed, base + i) for i in (0, 1)], S,
+        lambda fm, fbm: np.stack([chaos_batch(A, fm)] + [semi_decoupled_batch(A2d, I, J, fm, fbm)
+                                                         for I, J in pairs]))
 
-    lhs_moments = estimate_lp(lhs_batch, p_grid)
-    term_moments = estimate_lp(term_batch, p_grid)
+    lhs_moments, *term_moments = estimate_lp(batch, p_grid)
     results = []
     for j, (p, lhs) in enumerate(zip(p_grid, lhs_moments)):
         rhs_est = rhs_lo = rhs_hi = 0.0
@@ -288,11 +299,7 @@ def verify_decoupling(A: np.ndarray, dims: Dims, dist: DistributionSpec,
         })
 
     status, flags = _band_status(results, "LHS and RHS confidence bands overlap")
-    config = _config("decoupling", seed=int(seed), S=S, dims=list(dims.sizes),
-                     dist=dist.label, p_grid=p_grid, resamples=RESAMPLES,
-                     bootstrap_blocks=BOOT_BLOCKS, p_cap_note=_P_CAP_NOTE,
-                     input_sha256=array_digest(A))
-    return _report(config, status, flags, lhs_batch.values, results=results)
+    return _report(config, status, flags, batch.values[0], results=results)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +344,9 @@ def verify_main_upper(A: np.ndarray, dims: Dims, dist: DistributionSpec,
                      bootstrap_blocks=BOOT_BLOCKS, norm_options=_norm_config(norm_opts),
                      input_sha256=array_digest(A))
     A2d = rearrange_matrix(A, dims)  # a matrix of the wrong shape is a ShapeError, zero or not
-    if not np.any(A):
-        return _report(config, "pass", ["zero matrix: both sides vanish, ratio defined as 0"],
+    if not np.any(symmetrize(A2d).data):
+        vanishing = "zero matrix" if not np.any(A) else "symmetrized array is zero"
+        return _report(config, "pass", [f"{vanishing}: both sides vanish, ratio defined as 0"],
                        results=[{"p": p, "ratio": 0.0} for p in p_grid],
                        constant_estimate=0.0)
 
@@ -369,12 +377,7 @@ def verify_main_lower(A: np.ndarray, dims: Dims, p_grid: Sequence[float] = (2.0,
                   norm_options=_norm_config(norm_opts), input_sha256=array_digest(A))
     sym = symmetrize(rearrange_matrix(A, dims))
     if not np.any(sym.data):
-        # the symmetrization averages over the transpose, so X^T A X vanishes
-        # for an antisymmetric A as it does for a zero one
-        return _report(_config("main-lower", **common), "pass",
-                       ["degenerate input: zero matrix skipped" if not np.any(A) else
-                        "degenerate input: symmetrized array is zero, so both sides vanish; "
-                        "skipped"], results=[])
+        return _report(_config("main-lower", **common), "pass", [_vanishing(A)], results=[])
     if not check_symmetry(sym):
         raise KronChaosError("symmetrized array failed the exact symmetry check")
     results, flags, vals = _moment_ratios("main-lower", unrearrange_matrix(sym), sym, dims,
@@ -510,16 +513,14 @@ def verify_gaussian_decoupling(a: np.ndarray, p_grid: Sequence[float] = (2.0, 4.
     if a.size == 0:
         raise ArgumentError("gaussian-decoupling needs at least one coefficient")
     dims = Dims([a.size])
-    dist = distribution("gaussian")
     base = _STREAMS["gaussian-decoupling"]
-    g = FactorSampler(dims, dist, seed, base)
-    lhs_batch = sampled_statistics([g], S, lambda x: (x[0] * x[0] - 1.0) @ a)
-    # gbar's sampler comes first, so the RHS bootstrap is keyed on its stream
-    rhs_batch = sampled_statistics([FactorSampler(dims, dist, seed, base + 1), g], S,
-                                   lambda xbar, x: (x[0] * xbar[0]) @ a)
+    # both sides in one batch over [gbar, g]: g is drawn once, both share gbar's draws
+    batch = sampled_statistics(
+        [FactorSampler(dims, distribution("gaussian"), seed, base + i) for i in (1, 0)], S,
+        lambda xbar, x: np.stack([(x[0] * x[0] - 1.0) @ a, (x[0] * xbar[0]) @ a]))
 
     results = []
-    for p, lhs, rhs in zip(p_grid, estimate_lp(lhs_batch, p_grid), estimate_lp(rhs_batch, p_grid)):
+    for p, lhs, rhs in zip(p_grid, *estimate_lp(batch, p_grid)):
         verdict = _verdict(lhs.ci_high, lhs.ci_low, 2.0 * rhs.ci_low, 2.0 * rhs.ci_high)
         row = {"p": p, "lhs": asdict(lhs), "rhs_times_2": 2.0 * rhs.estimate,
                "rhs": asdict(rhs), "verdict": verdict}

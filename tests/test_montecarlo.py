@@ -557,23 +557,30 @@ def test_estimate_lp_bands_cover_exact_gaussian_square_norms():
     assert min(covered.values()) >= 33, covered
 
 
-def _count_calls(monkeypatch) -> list[int]:
-    calls = []
+def _count_calls(monkeypatch) -> tuple[list[list[int]], list[int]]:
+    """The sampler streams of the suites' sampled_statistics calls and the
+    value ndims of their estimate_lp calls."""
+    sampled, calls = [], []
+
+    def counted_sampling(samplers, S, statistic):
+        sampled.append([sampler.stream for sampler in samplers])
+        return sampled_statistics(samplers, S, statistic)
 
     def counted(batch, p_grid):
         calls.append(np.ndim(batch.values))
         return estimate_lp(batch, p_grid)
 
+    monkeypatch.setattr(suites, "sampled_statistics", counted_sampling)
     monkeypatch.setattr(suites, "estimate_lp", counted)
-    return calls
+    return sampled, calls
 
 
 @pytest.mark.parametrize("suite, run, expected", [
     ("decoupling", lambda: suites.verify_decoupling(
         np.random.default_rng(1).standard_normal((8, 8)), Dims([2, 2, 2]),
-        distribution("rademacher"), (2.0, 4.0), S=1000, seed=1), [1, 2]),
+        distribution("rademacher"), (2.0, 4.0), S=1000, seed=1), [2]),
     ("gaussian-decoupling", lambda: suites.verify_gaussian_decoupling(
-        np.arange(1.0, 4.0), (2.0, 4.0, 8.0), S=500, seed=1), [1, 1]),
+        np.arange(1.0, 4.0), (2.0, 4.0, 8.0), S=500, seed=1), [2]),
     ("main-upper", lambda: suites.verify_main_upper(
         np.eye(4), Dims([2, 2]), distribution("gaussian"), (2.0, 4.0, 8.0), S=500, seed=1,
         norm_opts=NormOptions(restarts=2)), [1]),
@@ -582,8 +589,10 @@ def _count_calls(monkeypatch) -> list[int]:
         norm_opts=NormOptions(restarts=2)), [1]),
 ])
 def test_one_estimate_lp_call_per_sample_stream(monkeypatch, suite, run, expected):
-    calls = _count_calls(monkeypatch)
+    # one batch per report: the inequality suites stack both sides on one stream
+    sampled, calls = _count_calls(monkeypatch)
     assert run()["suite"] == suite
+    assert len(sampled) == 1 and len(set(sampled[0])) == len(sampled[0])
     assert calls == expected
 
 

@@ -103,14 +103,31 @@ def test_main_upper_rademacher_stability():
         assert all(np.isfinite(v) and v > 0 for v in vals)
 
 
-def test_main_lower_zero_matrix_skipped():
-    # an antisymmetric A has an exactly zero symmetrized array: it used to fail
-    # with every ratio 0
-    B = np.random.default_rng(5).standard_normal((4, 4))
-    for A in (np.zeros((4, 4)), B - B.T):
+def test_main_lower_zero_matrix_skipped(monkeypatch):
+    # X^T A X vanishes when the symmetrized array is exactly zero: for an
+    # antisymmetric A, and for kron(b - b^T, C), which is not antisymmetric.
+    # main-lower used to fail with every ratio 0; main-upper and decoupling
+    # reported floating-point round-off as a measurement
+    rng = np.random.default_rng(5)
+    B, b, C = rng.standard_normal((4, 4)), rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
+    for A in (np.zeros((4, 4)), B - B.T, np.kron(b - b.T, C)):
+        zero = not np.any(A)
+        skipped = ("degenerate input: zero matrix skipped" if zero else
+                   "degenerate input: symmetrized array is zero, so both sides vanish; skipped")
         rep = verify_main_lower(A, Dims([2, 2]), p_grid=(2.0,), S=2000, seed=0)
-        assert rep["status"] == "pass"
-        assert any("degenerate" in f for f in rep["flags"])
+        assert rep["status"] == "pass" and rep["flags"] == [skipped]
+
+        rep = verify_main_upper(A, Dims([2, 2]), GAUSS, p_grid=(2.0, 4.0), S=2000, seed=0)
+        assert rep["status"] == "pass" and rep["constant_estimate"] == 0.0
+        assert rep["results"] == [{"p": 2.0, "ratio": 0.0}, {"p": 4.0, "ratio": 0.0}]
+        assert rep["flags"] == ["zero matrix: both sides vanish, ratio defined as 0" if zero else
+                                "symmetrized array is zero: both sides vanish, ratio defined as 0"]
+
+        with monkeypatch.context() as m:
+            m.setattr(montecarlo.FactorSampler, "batch",
+                      lambda *args: pytest.fail("a vanishing input drew a sample"))
+            rep = verify_decoupling(A, Dims([2, 2]), GAUSS, p_grid=(2.0,), S=2000, seed=0)
+        assert rep["status"] == "pass" and rep["results"] == [] and rep["flags"] == [skipped]
 
 
 def test_main_lower_identity_positive():
@@ -218,15 +235,15 @@ def test_gaussian_decoupling_flags_a_separated_violation(monkeypatch):
     streams = []
 
     def estimates(batch, p_grid):
-        # LHS band [9, 11] on the g stream, RHS band [0.9, 1.1] on the gbar
-        # stream: the LHS band lies above 2 x the RHS band
+        # LHS band [9, 11] in row 0 and RHS band [0.9, 1.1] in row 1 of the
+        # one batch, on the gbar stream: the LHS band lies above 2 x the RHS band
         streams.append(batch.stream)
-        mid = 10.0 if batch.stream == base else 1.0
-        return [EmpiricalMoment(p, mid, 0.9 * mid, 1.1 * mid) for p in p_grid]
+        return [[EmpiricalMoment(p, mid, 0.9 * mid, 1.1 * mid) for p in p_grid]
+                for mid in (10.0, 1.0)]
 
     monkeypatch.setattr(suites, "estimate_lp", estimates)
     rep = verify_gaussian_decoupling(np.ones(3), p_grid=(2.0, 4.0), S=500, seed=0)
-    assert streams == [base, base + 1]
+    assert streams == [base + 1]
     assert [r["verdict"] for r in rep["results"]] == ["fail", "fail"]
     assert rep["status"] == "fail"
     assert rep["flags"] == [f"p={p}: separated violation, LHS band above RHS band"
