@@ -30,6 +30,18 @@ _STAT_ALIGN samples per chunk and has more than n - _STAT_ALIGN (one chunk
 when S <= _STAT_CHUNK).  A threaded whole-batch product can round the rows
 at its thread boundaries apart; the chunks do not.
 
+``norm_batch`` multiplies A by the sample columns: one untransposed product
+A X^T, with X^T of shape (N, S) built by ``_kronecker_columns`` along the
+contiguous sample axis, squared in place and summed down each column in row
+order.  Each Kronecker entry is one product of factor entries, taken left to
+right in both layouts, so the columns are exactly the transposed rows of
+``kronecker_batch``.  A sample is then a column of the product, not a row;
+the aligned chunks keep it on one kernel path all the same, and its sum of
+squares runs in a fixed order that does not depend on S, so its value does
+not depend on the chunks or on the BLAS thread count (tests/test_montecarlo.py
+checks both).  ``chaos_batch`` and ``semi_decoupled_batch`` keep the (S, N)
+rows, whose row-wise sums the golden reports pin.
+
 The bootstrap of ``estimate_lp`` resamples a sample stream in B =
 min(S, BOOT_BLOCKS) contiguous blocks, one row of B draws per resample, from
 one integer stream keyed by (seed, STREAM_BOOTSTRAP + stream).  Every
@@ -109,7 +121,7 @@ def _scipy_special():
 FAMILIES = {
     "gaussian": Family(lambda u, q: _scipy_special().ndtri(u + 2.0**-54),
                        lambda q: math.sqrt(2.0 / math.pi)),
-    "rademacher": Family(lambda u, q: np.where(u < 0.5, -1.0, 1.0), lambda q: 1.0),
+    "rademacher": Family(lambda u, q: np.copysign(1.0, u - 0.5), lambda q: 1.0),
     "uniform_sym": Family(lambda u, q: (2.0 * (u + 2.0**-54) - 1.0) * math.sqrt(3.0),
                           lambda q: 0.867),
     "two_point": Family(_two_point, _two_point_psi2),
@@ -205,7 +217,8 @@ class FactorSampler:
         if start:
             bg.advance(start * self.stride_blocks)
         u = Generator(bg).random(count * self.stride_blocks * 4)
-        u = u.reshape(count, self.stride_blocks * 4)
+        # the draw maps only the entries' uniforms, not the padding of the last block
+        u = u.reshape(count, self.stride_blocks * 4)[:, : sum(self.dims.sizes)]
         values = _family(self.dist.family).draw(u, self.dist.q)
         return [
             np.ascontiguousarray(values[:, off : off + n])
@@ -213,16 +226,32 @@ class FactorSampler:
         ]
 
 
-def kronecker_batch(factor_mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Row-wise Kronecker product: (S, n_1), ..., (S, n_d) -> (S, N)."""
+def _kronecker_width(factor_mats: Sequence[np.ndarray]) -> int:
+    """N = n_1 ... n_d, after checking the S x N entries against the cap."""
     S = factor_mats[0].shape[0]
     total = math.prod(m.shape[1] for m in factor_mats)
     if S * total > KRON_MATERIALIZE_CAP:
         raise SizeError(f"{S} Kronecker vectors of length {total} exceed "
                         f"{KRON_MATERIALIZE_CAP} entries")
+    return total
+
+
+def kronecker_batch(factor_mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Row-wise Kronecker product: (S, n_1), ..., (S, n_d) -> (S, N)."""
+    _kronecker_width(factor_mats)
     x = factor_mats[0]
     for m in factor_mats[1:]:
-        x = (x[:, :, None] * m[:, None, :]).reshape(S, -1)
+        x = np.einsum("si,sj->sij", x, m).reshape(x.shape[0], -1)
+    return x
+
+
+def _kronecker_columns(factor_mats: Sequence[np.ndarray]) -> np.ndarray:
+    """The transpose of :func:`kronecker_batch`, (N, S), built from transposed
+    factor copies, so that every product runs along the contiguous sample axis."""
+    _kronecker_width(factor_mats)
+    x = np.ascontiguousarray(factor_mats[0].T)
+    for m in factor_mats[1:]:
+        x = (x[:, None, :] * np.ascontiguousarray(m.T)[None, :, :]).reshape(-1, x.shape[1])
     return x
 
 
@@ -242,13 +271,15 @@ def chaos_batch(A: np.ndarray, factor_mats: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def norm_batch(A: np.ndarray, factor_mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Vector of norm-deviation statistics across a sample batch."""
+    """Vector of norm-deviation statistics ||A X_s|| - ||A||_F across a sample
+    batch, from the columns A X_s of one product A [X_1 ... X_S]."""
     A = np.asarray(A, dtype=np.float64)
-    X = kronecker_batch(factor_mats)
-    if A.shape[1] != X.shape[1]:
-        raise ShapeError(f"matrix has {A.shape[1]} columns, expected {X.shape[1]}")
-    Y = X @ A.T
-    return np.sqrt(np.add.reduce(Y * Y, axis=1)) - frobenius(A)
+    N = _kronecker_width(factor_mats)
+    if A.ndim != 2 or A.shape[1] != N:
+        raise ShapeError(f"matrix shape {A.shape} does not have N = {N} columns")
+    Y = A @ _kronecker_columns(factor_mats)  # the columns are freed before Y is squared
+    Y *= Y
+    return np.sqrt(np.add.reduce(Y, axis=0)) - frobenius(A)
 
 
 def semi_decoupled_batch(A: ArrayLike, I, J,

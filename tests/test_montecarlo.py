@@ -1,7 +1,13 @@
 """Sampling streams, statistics, and the empirical estimators."""
 
+import functools
 import math
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +27,7 @@ from kronchaos import (
     rearrange_matrix,
 )
 from kronchaos.errors import ArgumentError, AxisSetError, ShapeError, SizeError
+import kronchaos
 from kronchaos import montecarlo, suites
 from kronchaos.identities import backbone_pairs, pair_contraction, semi_decoupled_spec
 from kronchaos.montecarlo import (
@@ -100,6 +107,14 @@ def test_sample_factors_shapes():
 def test_rademacher_support():
     v = FactorSampler(Dims([7]), distribution("rademacher"), 0, 0).batch(0, 500)[0]
     assert set(np.unique(v)) == {-1.0, 1.0}
+
+
+def test_rademacher_draw_at_the_lattice_edges():
+    # u lies on the lattice {0, ..., 2^53 - 1} / 2^53; u = 1/2 draws +1
+    u = np.array([0.0, 0.5 - 2.0**-53, 0.5, 1.0 - 2.0**-53])
+    got = montecarlo.FAMILIES["rademacher"].draw(u, 0.25)
+    assert np.array_equal(got, np.where(u < 0.5, -1.0, 1.0))
+    assert np.array_equal(got, [-1.0, -1.0, 1.0, 1.0])
 
 
 def test_two_point_support_and_mass():
@@ -223,6 +238,23 @@ def test_kronecker_size_cap_counts_every_row(monkeypatch):
     with pytest.raises(SizeError, match="100 Kronecker vectors of length 16 exceed 1000"):
         kronecker_batch([ones, ones])
     assert kronecker_batch([ones[:62], ones[:62]]).shape == (62, 16)
+    # norm_batch builds its own Kronecker columns under the same cap
+    with pytest.raises(SizeError, match="100 Kronecker vectors of length 16 exceed 1000"):
+        norm_batch(np.eye(16), [ones, ones])
+    assert norm_batch(np.eye(16), [ones[:62], ones[:62]]).shape == (62,)
+
+
+@pytest.mark.parametrize("widths", [(1,), (2, 3), (2, 2, 2, 2), (6, 6, 6)])
+def test_kronecker_layouts_equal_the_left_to_right_products(widths):
+    # every entry is one product x_1[i_1] * ... * x_d[i_d], taken left to right
+    # in both layouts, so the rows and the columns agree exactly
+    rng = np.random.default_rng(len(widths))
+    mats = [rng.standard_normal((50, n)) for n in widths]
+    want = np.array([functools.reduce(np.kron, [m[s] for m in mats]) for s in range(50)])
+    rows, cols = kronecker_batch(mats), montecarlo._kronecker_columns(mats)
+    assert rows.shape == (50, math.prod(widths)) and cols.shape == (math.prod(widths), 50)
+    assert np.array_equal(rows, want)
+    assert np.array_equal(cols, rows.T)
 
 
 def test_kronecker_batch_matches_single():
@@ -314,6 +346,61 @@ def test_norm_batch_matches_single():
         x = sample_factors(fs, s)
         want = np.linalg.norm(A @ np.kron(x[0], x[1])) - np.linalg.norm(A)
         assert vals[s] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("A", [np.ones(4), np.ones((4, 4, 1))], ids=["1-d", "3-d"])
+def test_norm_batch_rejects_a_non_matrix(A):
+    # a 1-D A raised IndexError, and a (4, 4, 1) A returned a (1, S) array
+    with pytest.raises(ShapeError, match=re.escape(f"matrix shape {A.shape}")):
+        norm_batch(A, one_sample([1.0, 2.0], [3.0, 4.0]))
+
+
+def _ax_tail_input(seed, S):
+    """The benchmark's 6,6,6 gaussian ax-tail input: its 216 x 216 matrix and
+    the factors of S samples on ax-tail's stream."""
+    sampler = FactorSampler(Dims([6, 6, 6]), distribution("gaussian"), seed,
+                            suites._STREAMS["ax-tail"])
+    return _cli_matrix(216), sampler.batch(0, S)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_norm_batch_matches_the_row_layout(seed):
+    # the sum of squares runs down the columns of A X^T, not along the rows of
+    # X A^T, so a value may move in its last bits but no exceedance count does;
+    # a deviation can lie near 0, so the difference is taken relative to ||A X_s||
+    A, mats = _ax_tail_input(seed, 20_000)
+    fro = montecarlo.frobenius(A)
+    rows = np.sqrt(np.add.reduce((kronecker_batch(mats) @ A.T) ** 2, axis=1)) - fro
+    got = norm_batch(A, mats)
+    assert np.max(np.abs(got - rows) / (rows + fro)) <= 1e-13
+    for t in fro * np.array([0.25, 0.5, 1.0]):  # verify_ax_tail's default t grid
+        assert np.count_nonzero(np.abs(got) > t) == np.count_nonzero(np.abs(rows) > t)
+
+
+def test_norm_batch_peak_memory():
+    # the Kronecker columns and the product A X^T are the only (S, N) arrays
+    # alive at once: the columns are freed before the product is squared in place
+    A, mats = _ax_tail_input(3, montecarlo._STAT_CHUNK)
+    norm_batch(A, mats)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        norm_batch(A, mats)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * montecarlo._STAT_CHUNK * 216 * 8
+
+
+def test_norm_batch_values_do_not_depend_on_blas_threads():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import test_montecarlo as t; "
+            "from kronchaos.montecarlo import norm_batch; "
+            "print(norm_batch(*t._ax_tail_input(5, 8192)).tobytes().hex())")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(kronchaos.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)], env=env,
+                           capture_output=True, text=True, timeout=600, check=True)
+    assert child.stdout.strip() == norm_batch(*_ax_tail_input(5, 8192)).tobytes().hex()
 
 
 def test_semi_decoupled_batch_matches_single():
@@ -644,6 +731,10 @@ def _gd_streams(a):
 STATISTIC_SHAPES = {
     "norm-6,6,6": (Dims([6, 6, 6]), "gaussian", lambda m: norm_batch(_cli_matrix(216), m), 1),
     "norm-4,4,4": (Dims([4, 4, 4]), "two_point", lambda m: norm_batch(_cli_matrix(64), m), 1),
+    "norm-rect-3,3": (Dims([3, 3]), "gaussian",
+                      lambda m: norm_batch(np.random.default_rng(12).standard_normal((12, 9)), m),
+                      1),
+    "norm-64": (Dims([64]), "rademacher", lambda m: norm_batch(_cli_matrix(64), m), 1),
     "chaos-64": (Dims([64]), "rademacher", lambda m: chaos_batch(_cli_matrix(64), m), 1),
     "chaos-3,3": (Dims([3, 3]), "gaussian", lambda m: chaos_batch(_cli_matrix(9), m), 1),
     "chaos-2,2,2": (Dims([2, 2, 2]), "rademacher", lambda m: chaos_batch(_cli_matrix(8), m),
