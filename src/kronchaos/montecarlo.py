@@ -13,34 +13,36 @@ package is imported: after numpy, the import takes about 0.29 s and 25 MB of
 peak memory on a 2-core x86 host, more than a small ``bounds`` report takes
 to compute.  Runs that draw no Gaussian entry never load it.
 
+Every statistic is computed on one sample layout.  ``kronecker_batch`` turns
+the (S, n_l) factor rows into X^T of shape (N, S), one Kronecker vector per
+column, built from contiguous transposed factor copies so that each product
+runs along the sample axis.  ``chaos_batch`` forms (A X^T) * X^T,
+``semi_decoupled_batch`` (M^T U^T) * V^T and ``norm_batch`` (A X^T)^2, and
+each sums down the columns with ``_column_sums``, which adds the rows one
+after another: N in-place adds, an order that depends neither on S nor on
+the other columns (numpy's axis-0 reduce agrees for S >= 2 but reduces one
+column pairwise).  So a statistic is a function of its sample's column, and
+it has the same value in a chunk as in the whole batch and on any BLAS
+thread count as long as its column of the product is rounded alike, which
+the aligned chunks below ensure.
+
 ``sampled_statistics`` evaluates a statistic over S samples in chunks of
 _STAT_CHUNK samples, so that only one chunk of factors, Kronecker vectors and
 products is alive at a time, and returns them as a ``SampleBatch`` that
 carries the (seed, stream) of its first sampler, the stream its bootstrap
 resamples on.  The chunks give the values of one single-threaded product
 over the whole batch: the sampler is counter based, so a chunk's draws are
-the same rows of the whole batch, and every statistic is row-wise.  BLAS
-rounds a row alike in both only on the same kernel path: OpenBLAS sends a
-product with a few rows through other kernels than a tall one, and rounds
-the rows after a matrix-vector product's last whole row block apart.  So S
-is split into the fewest chunks of at most _STAT_CHUNK samples, all of one
-size n, a multiple of _STAT_ALIGN, and every chunk starts at a multiple of
-_STAT_ALIGN.  The last one ends at S, overlaps its predecessor by fewer than
-_STAT_ALIGN samples per chunk and has more than n - _STAT_ALIGN (one chunk
-when S <= _STAT_CHUNK).  A threaded whole-batch product can round the rows
-at its thread boundaries apart; the chunks do not.
-
-``norm_batch`` multiplies A by the sample columns: one untransposed product
-A X^T, with X^T of shape (N, S) built by ``_kronecker_columns`` along the
-contiguous sample axis, squared in place and summed down each column in row
-order.  Each Kronecker entry is one product of factor entries, taken left to
-right in both layouts, so the columns are exactly the transposed rows of
-``kronecker_batch``.  A sample is then a column of the product, not a row;
-the aligned chunks keep it on one kernel path all the same, and its sum of
-squares runs in a fixed order that does not depend on S, so its value does
-not depend on the chunks or on the BLAS thread count (tests/test_montecarlo.py
-checks both).  ``chaos_batch`` and ``semi_decoupled_batch`` keep the (S, N)
-rows, whose row-wise sums the golden reports pin.
+the same samples of the whole batch, and every statistic is a function of
+its sample's column.  BLAS rounds a sample alike in both only on the same
+kernel path: OpenBLAS sends a product with a few samples through other
+kernels than a wide one, and rounds the samples after a matrix-vector
+product's last whole block apart.  So S is split into the fewest chunks of
+at most _STAT_CHUNK samples, all of one size n, a multiple of _STAT_ALIGN,
+and every chunk starts at a multiple of _STAT_ALIGN.  The last one ends at S,
+overlaps its predecessor by fewer than _STAT_ALIGN samples per chunk and has
+more than n - _STAT_ALIGN (one chunk when S <= _STAT_CHUNK).  A threaded
+whole-batch product can round the samples at its thread boundaries apart;
+the chunks do not.  tests/test_montecarlo.py checks both invariances.
 
 The bootstrap of ``estimate_lp`` resamples a sample stream in B =
 min(S, BOOT_BLOCKS) contiguous blocks, one row of B draws per resample, from
@@ -70,8 +72,11 @@ from .errors import ArgumentError, AxisSetError, ShapeError, SizeError
 from .identities import term_sets
 from .tensor import _LETTERS, ArrayLike, Dims, as_partial, doubled_order, frobenius
 
-# Most entries of Kronecker vectors that one kronecker_batch call builds: rows x N.
+# Most entries of Kronecker vectors that one kronecker_batch call builds: N x samples.
 KRON_MATERIALIZE_CAP = 2**26
+
+# Samples per block of the transposed factor copies that kronecker_batch builds from.
+_TRANSPOSE_BLOCK = 1024
 
 _MASK64 = (1 << 64) - 1
 
@@ -226,60 +231,65 @@ class FactorSampler:
         ]
 
 
-def _kronecker_width(factor_mats: Sequence[np.ndarray]) -> int:
-    """N = n_1 ... n_d, after checking the S x N entries against the cap."""
-    S = factor_mats[0].shape[0]
-    total = math.prod(m.shape[1] for m in factor_mats)
-    if S * total > KRON_MATERIALIZE_CAP:
-        raise SizeError(f"{S} Kronecker vectors of length {total} exceed "
-                        f"{KRON_MATERIALIZE_CAP} entries")
-    return total
+def _sample_columns(m: np.ndarray) -> np.ndarray:
+    """The (S, n) factor rows as a contiguous (n, S) array, copied
+    _TRANSPOSE_BLOCK samples at a time, so that each block's reads stay in
+    cache."""
+    out = np.empty(m.shape[::-1])
+    for s0 in range(0, m.shape[0], _TRANSPOSE_BLOCK):
+        out[:, s0 : s0 + _TRANSPOSE_BLOCK] = m[s0 : s0 + _TRANSPOSE_BLOCK].T
+    return out
 
 
 def kronecker_batch(factor_mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Row-wise Kronecker product: (S, n_1), ..., (S, n_d) -> (S, N)."""
-    _kronecker_width(factor_mats)
-    x = factor_mats[0]
+    """Kronecker columns: (S, n_1), ..., (S, n_d) -> X^T of shape (N, S), whose
+    column s is x_1(s) (x) ... (x) x_d(s), each entry one product taken left to
+    right.  Every product runs along the contiguous sample axis."""
+    S = factor_mats[0].shape[0]
+    N = math.prod(m.shape[1] for m in factor_mats)
+    if S * N > KRON_MATERIALIZE_CAP:
+        raise SizeError(f"{S} Kronecker vectors of length {N} exceed "
+                        f"{KRON_MATERIALIZE_CAP} entries")
+    x = _sample_columns(factor_mats[0])
     for m in factor_mats[1:]:
-        x = np.einsum("si,sj->sij", x, m).reshape(x.shape[0], -1)
+        x = (x[:, None, :] * _sample_columns(m)[None, :, :]).reshape(-1, S)
     return x
 
 
-def _kronecker_columns(factor_mats: Sequence[np.ndarray]) -> np.ndarray:
-    """The transpose of :func:`kronecker_batch`, (N, S), built from transposed
-    factor copies, so that every product runs along the contiguous sample axis."""
-    _kronecker_width(factor_mats)
-    x = np.ascontiguousarray(factor_mats[0].T)
-    for m in factor_mats[1:]:
-        x = (x[:, None, :] * np.ascontiguousarray(m.T)[None, :, :]).reshape(-1, x.shape[1])
-    return x
-
-
-def _trace_reduced(A: np.ndarray) -> float:
-    # same pairwise reduction as the quadratic form, so that diagonal matrices
-    # with +-1 factors give an exactly zero centered statistic
-    return float(np.add.reduce(np.ascontiguousarray(np.diagonal(A))))
+def _column_sums(Y: np.ndarray) -> np.ndarray:
+    """Sums down the columns of Y, adding its rows one after another.  The order
+    does not depend on the number of columns; np.add.reduce(Y, axis=0) gives
+    the same bits for two or more columns but reduces one column pairwise."""
+    out = Y[0].copy()
+    for row in Y[1:]:
+        out += row
+    return out
 
 
 def chaos_batch(A: np.ndarray, factor_mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Vector of chaos statistics across a sample batch."""
+    """Vector of chaos statistics X_s^T A X_s - tr A across a sample batch,
+    from the columns of (A X^T) * X^T."""
     A = np.asarray(A, dtype=np.float64)
     X = kronecker_batch(factor_mats)
-    if A.shape != (X.shape[1], X.shape[1]):
-        raise ShapeError(f"matrix shape {A.shape} does not match N = {X.shape[1]}")
-    return np.add.reduce(X * (X @ A.T), axis=1) - _trace_reduced(A)
+    if A.shape != (X.shape[0], X.shape[0]):
+        raise ShapeError(f"matrix shape {A.shape} does not match N = {X.shape[0]}")
+    Y = A @ X
+    Y *= X
+    # the trace sums in the quadratic form's order, so that diagonal matrices
+    # with +-1 factors give an exactly zero centered statistic
+    return _column_sums(Y) - _column_sums(np.diagonal(A)[:, None])[0]
 
 
 def norm_batch(A: np.ndarray, factor_mats: Sequence[np.ndarray]) -> np.ndarray:
     """Vector of norm-deviation statistics ||A X_s|| - ||A||_F across a sample
     batch, from the columns A X_s of one product A [X_1 ... X_S]."""
     A = np.asarray(A, dtype=np.float64)
-    N = _kronecker_width(factor_mats)
-    if A.ndim != 2 or A.shape[1] != N:
-        raise ShapeError(f"matrix shape {A.shape} does not have N = {N} columns")
-    Y = A @ _kronecker_columns(factor_mats)  # the columns are freed before Y is squared
+    X = kronecker_batch(factor_mats)
+    if A.ndim != 2 or A.shape[1] != X.shape[0]:
+        raise ShapeError(f"matrix shape {A.shape} does not have N = {X.shape[0]} columns")
+    Y = A @ X
     Y *= Y
-    return np.sqrt(np.add.reduce(Y, axis=0)) - frobenius(A)
+    return np.sqrt(_column_sums(Y)) - frobenius(A)
 
 
 def semi_decoupled_batch(A: ArrayLike, I, J,
@@ -308,12 +318,12 @@ def semi_decoupled_batch(A: ArrayLike, I, J,
     subs = rows + "".join(rows[l - 1] if l in I else cols[l - 1] for l in range(1, d + 1))
     out = "".join(rows[l - 1] for l in Js + C) + "".join(cols[l - 1] for l in C)
     M = np.einsum(f"{subs}->{out}", pa.data).reshape(-1, math.prod(pa.sizes[l - 1] for l in C))
-    # u_s M is formed before the v_s, so that the u_s are freed first
-    UM = kronecker_batch([factor_mats[l - 1] ** 2 - 1.0 for l in Js]
-                         + [factor_mats[l - 1] for l in C]) @ M
-    if not C:
-        return UM[:, 0]
-    return np.einsum("si,si->s", UM, kronecker_batch([factor_bar_mats[l - 1] for l in C]))
+    # M^T u_s is formed before the v_s, so that the u_s are freed first
+    MU = M.T @ kronecker_batch([factor_mats[l - 1] ** 2 - 1.0 for l in Js]
+                               + [factor_mats[l - 1] for l in C])
+    if C:
+        MU *= kronecker_batch([factor_bar_mats[l - 1] for l in C])
+    return _column_sums(MU)
 
 
 @dataclass

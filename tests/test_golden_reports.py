@@ -116,9 +116,9 @@ def test_report_bytes_match_golden(name):
 def test_report_bytes_do_not_depend_on_blas_threads():
     # the golden files are rendered with OpenBLAS's default thread count; the
     # bootstrap and term products, the ALS block updates and the chunked
-    # statistics (ax-tail's 10 000 samples span two chunks) must give the
-    # same bytes on one thread
-    names = ["decoupling-d3", "bounds-square", "ax-tail"]
+    # column products (ax-tail's and hanson-wright's 10 000 samples span two
+    # chunks) must give the same bytes on one thread
+    names = ["decoupling-d3", "bounds-square", "ax-tail", "hanson-wright", "main-upper"]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([str(Path(kronchaos.__file__).parents[1]),
                                            str(Path(__file__).parent)]))

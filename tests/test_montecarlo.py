@@ -210,9 +210,9 @@ def test_hand_built_distribution_spec_checks_itself(args, message):
 
 def test_kronecker_vector_examples():
     x = np.array([2.0, -1.0])
-    assert np.array_equal(kronecker_batch(one_sample(x)), x[None, :])
+    assert np.array_equal(kronecker_batch(one_sample(x)), x[:, None])
     got = kronecker_batch(one_sample([1.0, 0.0], [3.0, 4.0]))
-    assert np.array_equal(got, np.array([[3.0, 4.0, 0.0, 0.0]]))
+    assert np.array_equal(got, np.array([[3.0], [4.0], [0.0], [0.0]]))
 
 
 def test_kronecker_vector_against_np_kron():
@@ -220,10 +220,10 @@ def test_kronecker_vector_against_np_kron():
     factors = [rng.standard_normal(n) for n in (2, 3, 4)]
     want = np.kron(np.kron(factors[0], factors[1]), factors[2])
     X = kronecker_batch(one_sample(*factors))
-    assert X.shape == (1, 24)
-    np.testing.assert_allclose(X[0], want, rtol=1e-15)
+    assert X.shape == (24, 1)
+    np.testing.assert_allclose(X[:, 0], want, rtol=1e-15)
     norms = np.prod([np.linalg.norm(f) for f in factors])
-    assert np.linalg.norm(X[0]) == pytest.approx(norms, rel=1e-12)
+    assert np.linalg.norm(X[:, 0]) == pytest.approx(norms, rel=1e-12)
 
 
 def test_kronecker_vector_size_cap():
@@ -232,13 +232,12 @@ def test_kronecker_vector_size_cap():
 
 
 def test_kronecker_size_cap_counts_every_row(monkeypatch):
-    # the cap bounds the whole (rows, N) chunk, not one Kronecker vector
+    # the cap bounds the whole (N, samples) chunk, not one Kronecker vector
     monkeypatch.setattr(montecarlo, "KRON_MATERIALIZE_CAP", 1000)
     ones = np.ones((100, 4))
     with pytest.raises(SizeError, match="100 Kronecker vectors of length 16 exceed 1000"):
         kronecker_batch([ones, ones])
-    assert kronecker_batch([ones[:62], ones[:62]]).shape == (62, 16)
-    # norm_batch builds its own Kronecker columns under the same cap
+    assert kronecker_batch([ones[:62], ones[:62]]).shape == (16, 62)
     with pytest.raises(SizeError, match="100 Kronecker vectors of length 16 exceed 1000"):
         norm_batch(np.eye(16), [ones, ones])
     assert norm_batch(np.eye(16), [ones[:62], ones[:62]]).shape == (62,)
@@ -246,15 +245,17 @@ def test_kronecker_size_cap_counts_every_row(monkeypatch):
 
 @pytest.mark.parametrize("widths", [(1,), (2, 3), (2, 2, 2, 2), (6, 6, 6)])
 def test_kronecker_layouts_equal_the_left_to_right_products(widths):
-    # every entry is one product x_1[i_1] * ... * x_d[i_d], taken left to right
-    # in both layouts, so the rows and the columns agree exactly
+    # every entry is one product x_1[i_1] * ... * x_d[i_d], taken left to right,
+    # so column s equals the np.kron chain of sample s exactly; the sample
+    # counts sit on both sides of the transposed copy's block edges
+    block = montecarlo._TRANSPOSE_BLOCK
     rng = np.random.default_rng(len(widths))
-    mats = [rng.standard_normal((50, n)) for n in widths]
-    want = np.array([functools.reduce(np.kron, [m[s] for m in mats]) for s in range(50)])
-    rows, cols = kronecker_batch(mats), montecarlo._kronecker_columns(mats)
-    assert rows.shape == (50, math.prod(widths)) and cols.shape == (math.prod(widths), 50)
-    assert np.array_equal(rows, want)
-    assert np.array_equal(cols, rows.T)
+    for S in (1, 50, block - 1, block + 1, 2 * block + 17):
+        mats = [rng.standard_normal((S, n)) for n in widths]
+        want = np.array([functools.reduce(np.kron, [m[s] for m in mats]) for s in range(S)])
+        X = kronecker_batch(mats)
+        assert X.shape == (math.prod(widths), S) and X.flags.c_contiguous
+        assert np.array_equal(X, want.T)
 
 
 def test_kronecker_batch_matches_single():
@@ -262,7 +263,7 @@ def test_kronecker_batch_matches_single():
     mats = [rng.standard_normal((10, n)) for n in (2, 3)]
     X = kronecker_batch(mats)
     for s in range(10):
-        np.testing.assert_allclose(X[s], np.kron(mats[0][s], mats[1][s]), rtol=1e-15)
+        np.testing.assert_allclose(X[:, s], np.kron(mats[0][s], mats[1][s]), rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -365,21 +366,42 @@ def _ax_tail_input(seed, S):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_norm_batch_matches_the_row_layout(seed):
-    # the sum of squares runs down the columns of A X^T, not along the rows of
-    # X A^T, so a value may move in its last bits but no exceedance count does;
-    # a deviation can lie near 0, so the difference is taken relative to ||A X_s||
+    # the reference contracts A's column axes with the factors one by one into
+    # (S, M) rows and builds no Kronecker vector, so a value may differ in its
+    # last bits but no exceedance count does; a deviation can lie near 0, so the
+    # difference is taken relative to ||A X_s||
     A, mats = _ax_tail_input(seed, 20_000)
     fro = montecarlo.frobenius(A)
-    rows = np.sqrt(np.add.reduce((kronecker_batch(mats) @ A.T) ** 2, axis=1)) - fro
+    AX = np.einsum("mabc,sa,sb,sc->sm", A.reshape(216, 6, 6, 6), *mats, optimize=True)
+    rows = np.linalg.norm(AX, axis=1) - fro
     got = norm_batch(A, mats)
     assert np.max(np.abs(got - rows) / (rows + fro)) <= 1e-13
     for t in fro * np.array([0.25, 0.5, 1.0]):  # verify_ax_tail's default t grid
         assert np.count_nonzero(np.abs(got) > t) == np.count_nonzero(np.abs(rows) > t)
 
 
+def test_norm_batch_sums_the_squares_like_numpy():
+    # for two or more samples the row after row sum is numpy's axis-0 reduce
+    A, mats = _ax_tail_input(2, 5000)
+    Y = A @ kronecker_batch(mats)
+    Y *= Y
+    want = np.sqrt(np.add.reduce(Y, axis=0)) - montecarlo.frobenius(A)
+    assert np.array_equal(norm_batch(A, mats), want)
+
+
+def test_column_sums_do_not_depend_on_the_sample_count():
+    # numpy reduces a single column pairwise and two or more row after row; on
+    # this Y the two orders round the first column apart
+    Y = np.random.default_rng(0).standard_normal((37, 5))
+    one = montecarlo._column_sums(Y[:, :1])
+    assert one.tobytes() == montecarlo._column_sums(Y)[:1].tobytes()
+    assert one.tobytes() == np.add.reduce(Y, axis=0)[:1].tobytes()
+    assert np.add.reduce(Y[:, :1], axis=0).tobytes() != one.tobytes()
+
+
 def test_norm_batch_peak_memory():
     # the Kronecker columns and the product A X^T are the only (S, N) arrays
-    # alive at once: the columns are freed before the product is squared in place
+    # alive at once: the product is squared in place and summed one row at a time
     A, mats = _ax_tail_input(3, montecarlo._STAT_CHUNK)
     norm_batch(A, mats)
     tracemalloc.start()
@@ -392,15 +414,25 @@ def test_norm_batch_peak_memory():
     assert peak <= 2.1 * montecarlo._STAT_CHUNK * 216 * 8
 
 
+def _column_product_values() -> list[str]:
+    """The bytes of one 8192-sample chunk of the column products: norm_batch on
+    the 6,6,6 ax-tail input, and chaos_batch at d = 1 (n = 64) and at (3,3)."""
+    S = montecarlo._STAT_CHUNK
+    values = [norm_batch(*_ax_tail_input(5, S))]
+    for dims, family, n in ((Dims([64]), "rademacher", 64), (Dims([3, 3]), "gaussian", 9)):
+        mats = FactorSampler(dims, distribution(family), 5, 0).batch(0, S)
+        values.append(chaos_batch(_cli_matrix(n), mats))
+    return [v.tobytes().hex() for v in values]
+
+
 def test_norm_batch_values_do_not_depend_on_blas_threads():
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import test_montecarlo as t; "
-            "from kronchaos.montecarlo import norm_batch; "
-            "print(norm_batch(*t._ax_tail_input(5, 8192)).tobytes().hex())")
+            "print(' '.join(t._column_product_values()))")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str(Path(kronchaos.__file__).parents[1]))
     child = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)], env=env,
                            capture_output=True, text=True, timeout=600, check=True)
-    assert child.stdout.strip() == norm_batch(*_ax_tail_input(5, 8192)).tobytes().hex()
+    assert child.stdout.split() == _column_product_values()
 
 
 def test_semi_decoupled_batch_matches_single():
@@ -725,6 +757,57 @@ def _terms(A, dims):
 
 def _gd_streams(a):
     return lambda g, gbar: np.stack([(g[0] * g[0] - 1.0) @ a, (g[0] * gbar[0]) @ a])
+
+
+def _row_kronecker(mats):
+    """The (S, N) Kronecker rows of the factor rows, one product per entry."""
+    x = mats[0]
+    for m in mats[1:]:
+        x = np.einsum("si,sj->sij", x, m).reshape(x.shape[0], -1)
+    return x
+
+
+def _row_decoupling_stack(A, dims, fm, fbm):
+    """The decoupling stack, the chaos above the backbone terms, from the
+    (S, N) row formulas that evaluated it before the single column layout,
+    and the scale ||M||_F ||u_s|| ||v_s|| of each bilinear form u_s^T M v_s,
+    which bounds its value and the sum of its products' magnitudes."""
+    X = _row_kronecker(fm)
+    trace = float(np.add.reduce(np.ascontiguousarray(np.diagonal(A))))
+    stack = [np.add.reduce(X * (X @ A.T), axis=1) - trace]
+    scales = [np.linalg.norm(A) * np.sum(X * X, axis=1)]
+    d, data = dims.order, rearrange_matrix(A, dims).data
+    rows, cols = "abcdef"[:d], "abcdef"[d : 2 * d]
+    for I, J in backbone_pairs(d):
+        Js, C = sorted(J), [l for l in range(1, d + 1) if l not in I]
+        subs = rows + "".join(rows[l - 1] if l in I else cols[l - 1] for l in range(1, d + 1))
+        out = "".join(rows[l - 1] for l in Js + C) + "".join(cols[l - 1] for l in C)
+        M = np.einsum(f"{subs}->{out}", data).reshape(-1, math.prod(dims.sizes[l - 1] for l in C))
+        U = _row_kronecker([fm[l - 1] ** 2 - 1.0 for l in Js] + [fm[l - 1] for l in C])
+        V = _row_kronecker([fbm[l - 1] for l in C]) if C else np.ones((U.shape[0], 1))
+        stack.append(np.einsum("si,si->s", U @ M, V) if C else (U @ M)[:, 0])
+        scales.append(np.linalg.norm(M) * np.linalg.norm(U, axis=1) * np.linalg.norm(V, axis=1))
+    return np.stack(stack), np.stack(scales)
+
+
+@pytest.mark.parametrize("dims, family", [
+    (Dims([2, 2]), "gaussian"), (Dims([2, 2, 2]), "rademacher"), (Dims([3, 3]), "gaussian"),
+    (Dims([64]), "gaussian")], ids=["2,2", "2,2,2", "3,3", "64"])
+def test_column_statistics_stay_within_rounding_of_the_row_formulas(dims, family):
+    # the column products sum in another order than the row formulas, so the
+    # decoupling stack moves in its last bits only; each difference is bounded
+    # relative to its form's scale, ||A||_F ||X_s||^2 for the chaos, and equals
+    # 0 where that scale is 0 (a rademacher x^2 - 1 weight)
+    N = math.prod(dims.sizes)
+    A = _cli_matrix(N)
+    A2d = rearrange_matrix(A, dims)
+    for seed in range(5):
+        fm, fbm = (FactorSampler(dims, distribution(family), seed, i).batch(0, 20_000)
+                   for i in (0, 1))
+        got = np.stack([chaos_batch(A, fm)] + [semi_decoupled_batch(A2d, I, J, fm, fbm)
+                                               for I, J in backbone_pairs(dims.order)])
+        want, scale = _row_decoupling_stack(A, dims, fm, fbm)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
 # The statistics of the benchmark's reports: (dims, family, statistic, samplers).
